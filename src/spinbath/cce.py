@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import (EffectiveParams, TermMask, bath_operator_diagonal,
-                          alphabet_coefficients, cluster_hamiltonian,
-                          embed_pair, mz_table, pair_structures)
-from .lattice import BathRealization, PairGeometry, rotation_to_axis
-from .lattice import MU0_OVER_4PI, HBAR
+from .hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
+from .lattice import BathRealization
 from .spinops import spin_matrices
 
 #: whole-bath exact diagonalization refuses Hilbert spaces above this
@@ -118,28 +115,21 @@ def enumerate_clusters(realization: BathRealization, r_cutoff: float,
                       clusters=clusters, subcluster_links=links)
 
 
-def _trace_correlation(E: np.ndarray, V: np.ndarray, b_diag: np.ndarray,
-                       times_tbar: np.ndarray, A_bar: float) -> np.ndarray:
-    """Infinite-temperature trace formula from one eigendecomposition."""
-    d = len(E)
-    Bp = (V.conj().T * b_diag) @ V
-    W = (np.abs(Bp) ** 2) / d
-    P = np.exp(1j * np.outer(E / A_bar, times_tbar))
-    return np.einsum("mt,mt->t", P, W @ P.conj())
-
-
 def cluster_correlation(cluster, realization: BathRealization,
-                        params: EffectiveParams = EffectiveParams(),
-                        mask: TermMask = TermMask.full(),
+                        c_hf: float = 0.5, mask: TermMask = TermMask.full(),
                         times_tbar: np.ndarray | None = None) -> np.ndarray:
-    """Complex C_zeta(tbar) of one cluster by exact diagonalization."""
+    """Complex C_zeta(tbar) of one cluster by exact diagonalization and a
+    direct exp of every phase: the dense oracle behind
+    ``exact_bath_correlation``, kept apart from the batched trace path."""
     if times_tbar is None:
         times_tbar = time_grid()
     cluster = tuple(cluster)
-    H = cluster_hamiltonian(cluster, realization, params, mask)
+    E, V = np.linalg.eigh(cluster_hamiltonians([cluster], realization, c_hf, mask)[0])
     b = bath_operator_diagonal(cluster, realization)
-    E, V = np.linalg.eigh(H)
-    return _trace_correlation(E, V, b, np.asarray(times_tbar, float), realization.A_bar)
+    Bp = (V.conj().T * b) @ V
+    W = (np.abs(Bp) ** 2) / len(E)
+    P = np.exp(1j * np.outer(E / realization.A_bar, np.asarray(times_tbar, float)))
+    return np.einsum("mt,mt->t", P, W @ P.conj())
 
 
 def combination_coefficients(cset: ClusterSet) -> dict:
@@ -165,23 +155,6 @@ def combination_coefficients(cset: ClusterSet) -> dict:
     return {k: v for k, v in total.items() if v != 0}
 
 
-def cce_combine(correlations: dict, cset: ClusterSet,
-                times_tbar: np.ndarray, realization: BathRealization,
-                metadata: dict | None = None) -> CorrelationSeries:
-    """Combine per-cluster correlations through the subtraction recursion.
-
-    ``correlations`` maps every cluster of the set to its complex series on
-    the common grid; a missing entry is a set-integrity error.
-    """
-    coeffs = combination_coefficients(cset)
-    total = np.zeros(len(times_tbar), dtype=complex)
-    for c, a in coeffs.items():
-        if c not in correlations:
-            raise CCEError(f"missing correlation for cluster {c}")
-        total += a * np.asarray(correlations[c])
-    return _finalize_series(total, times_tbar, cset.max_order_M, realization, metadata)
-
-
 def _finalize_series(total: np.ndarray, times_tbar, order, realization,
                      metadata=None) -> CorrelationSeries:
     max_imag = float(np.abs(total.imag).max())
@@ -193,8 +166,7 @@ def _finalize_series(total: np.ndarray, times_tbar, order, realization,
                              values=total.real, metadata=md)
 
 
-def exact_bath_correlation(realization: BathRealization,
-                           params: EffectiveParams = EffectiveParams(),
+def exact_bath_correlation(realization: BathRealization, c_hf: float = 0.5,
                            mask: TermMask = TermMask.full(),
                            times_tbar: np.ndarray | None = None) -> CorrelationSeries:
     """Whole-bath evaluation of the trace formula; the reference the CCE
@@ -206,7 +178,7 @@ def exact_bath_correlation(realization: BathRealization,
     if d_local ** n > EXACT_DIM_CAP:
         raise CCEError(f"exact evaluation dimension {d_local}^{n} exceeds cap {EXACT_DIM_CAP}")
     cluster = tuple(range(n))
-    c = cluster_correlation(cluster, realization, params, mask, times_tbar)
+    c = cluster_correlation(cluster, realization, c_hf, mask, times_tbar)
     return _finalize_series(c, times_tbar, n, realization, {"mode": "exact"})
 
 
@@ -214,8 +186,7 @@ def exact_bath_correlation(realization: BathRealization,
 # batched CCE driver
 
 def compute_correlation(realization: BathRealization, cset: ClusterSet,
-                        params: EffectiveParams = EffectiveParams(),
-                        mask: TermMask = TermMask.full(),
+                        c_hf: float = 0.5, mask: TermMask = TermMask.full(),
                         times_tbar: np.ndarray | None = None,
                         metadata: dict | None = None) -> CorrelationSeries:
     """Total CCE correlation, vectorized over clusters of equal size.
@@ -234,14 +205,12 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
     for c, a in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
         groups[len(c)].append((c, a))
 
-    spins = spin_matrices(realization.species.spin_I)
-    d = spins.dim
     total = np.zeros(len(times_tbar), dtype=complex)
     for size in sorted(groups):
         clusters = np.array([c for c, _ in groups[size]], dtype=int)
         weights = np.array([a for _, a in groups[size]], dtype=float)
-        total += _group_correlation(clusters, weights, realization, params,
-                                    mask, spins, times_tbar)
+        total += _group_correlation(clusters, weights, realization, c_hf, mask,
+                                    times_tbar)
     series = _finalize_series(total, times_tbar, cset.max_order_M, realization, metadata)
     series.metadata["n_clusters"] = len(cset.clusters)
     series.metadata.setdefault("mode", "cce")
@@ -249,61 +218,19 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
 
 
 def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
-                       realization: BathRealization, params: EffectiveParams,
-                       mask: TermMask, spins, times_tbar: np.ndarray) -> np.ndarray:
+                       realization: BathRealization, c_hf: float,
+                       mask: TermMask, times_tbar: np.ndarray) -> np.ndarray:
     """Weighted sum of correlations over same-size clusters, chunked to bound
     memory (phase arrays are (chunk, d^size, n_times) complex)."""
-    size = clusters.shape[1]
-    d = spins.dim
-    dim = d ** size
-    mz = mz_table(spins.spin_I, size)
-    pair_slots = [(p, q) for p in range(size) for q in range(p + 1, size)]
-    structs = []
-    for p, q in pair_slots:
-        zz, ff, sq, dq = pair_structures(spins)
-        structs.append([embed_pair(op, p, q, size, d) for op in (zz, ff, sq, dq)])
-
-    gamma2 = MU0_OVER_4PI * HBAR * realization.species.gamma ** 2
-    R = rotation_to_axis(realization.hf_axis)
-    A = realization.hf_couplings_A
+    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
     out = np.zeros(len(times_tbar), dtype=complex)
 
     chunk = max(1, int(2 ** 22 / (dim * len(times_tbar))))
     for lo in range(0, len(clusters), chunk):
         cl = clusters[lo:lo + chunk]
         w = weights[lo:lo + chunk]
-        nc = len(cl)
-        Ac = A[cl]                                    # (nc, size)
-        diag = params.c_hf * (Ac @ mz.T)              # (nc, dim)
-        H = np.zeros((nc, dim, dim), dtype=complex)
-        H[:, np.arange(dim), np.arange(dim)] = diag
-        pos = realization.positions[cl]               # (nc, size, 3)
-        for (p, q), (zz_e, ff_e, sq_e, dq_e) in zip(pair_slots, structs):
-            rij = pos[:, q] - pos[:, p]
-            local = rij @ R                           # components in hf frame
-            norm = np.linalg.norm(rij, axis=1)
-            cos_t = local[:, 2] / norm
-            sin_t2 = 1.0 - cos_t ** 2
-            phi = np.arctan2(local[:, 1], local[:, 0])
-            pref = gamma2 / norm ** 3
-            cA = pref * (3.0 * cos_t ** 2 - 1.0) if mask.enable_A else 0.0
-            cB = pref * (1.0 - 3.0 * cos_t ** 2) / 4.0 if mask.enable_B else 0.0
-            if np.ndim(cA):
-                H += cA[:, None, None] * zz_e
-            if np.ndim(cB):
-                H += cB[:, None, None] * ff_e
-            if mask.enable_CD:
-                sin2t = 2.0 * np.sqrt(np.clip(sin_t2, 0.0, 1.0)) * cos_t
-                cC = pref * 0.75 * sin2t * np.exp(-1j * phi)
-                half = cC[:, None, None] * sq_e
-                H += half + half.conj().transpose(0, 2, 1)
-            if mask.enable_EF:
-                cE = pref * 0.75 * sin_t2 * np.exp(-2j * phi)
-                half = cE[:, None, None] * dq_e
-                H += half + half.conj().transpose(0, 2, 1)
-
-        E, V = np.linalg.eigh(H)
-        b = Ac @ mz.T                                 # (nc, dim), diagonal of B
+        E, V = np.linalg.eigh(cluster_hamiltonians(cl, realization, c_hf, mask))
+        b = bath_operator_diagonal(cl, realization)   # (nc, dim), diagonal of B
         Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
         W = (np.abs(Bp) ** 2) * (w / dim)[:, None, None]
         P = _phase_table(E / realization.A_bar, times_tbar)
@@ -340,22 +267,37 @@ def save_series(path, series: CorrelationSeries) -> None:
 
 
 def load_series(path) -> CorrelationSeries:
+    """Read a file written by ``save_series``. A malformed file raises
+    CCEError naming the file and, for a bad line, its number."""
     meta = {}
     times, vals = [], []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                k, _, v = ln[1:].partition("=")
-                meta[k.strip()] = _parse_meta(v.strip())
-                continue
-            a, b = ln.split(",")
-            times.append(float(a))
-            vals.append(float(b))
-    return CorrelationSeries(times_tbar=np.array(times), values=np.array(vals),
-                             metadata=meta)
+    try:
+        with open(path) as fh:
+            for lineno, ln in enumerate(fh, 1):
+                ln = ln.strip()
+                if not ln:
+                    continue
+                if ln.startswith("#"):
+                    k, _, v = ln[1:].partition("=")
+                    meta[k.strip()] = _parse_meta(v.strip())
+                    continue
+                try:
+                    a, b = (float(x) for x in ln.split(","))
+                except ValueError:
+                    raise CCEError(f"{path}:{lineno}: expected 'tbar,value', got {ln!r}") from None
+                if not (np.isfinite(a) and np.isfinite(b)):
+                    raise CCEError(f"{path}:{lineno}: non-finite value in {ln!r}")
+                times.append(a)
+                vals.append(b)
+    except OSError as exc:
+        raise CCEError(f"cannot read series file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CCEError(f"series file {path} is not text") from None
+    try:
+        return CorrelationSeries(times_tbar=np.array(times), values=np.array(vals),
+                                 metadata=meta)
+    except CCEError as exc:
+        raise CCEError(f"{path}: {exc}") from None
 
 
 def _parse_meta(v: str):

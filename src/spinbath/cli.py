@@ -8,16 +8,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import cce, lattice, tfa
-from .hamiltonian import EffectiveParams, TermMask
+from .hamiltonian import TermMask
 
 OUTDIR_ENV = "SPINBATH_OUTDIR"
 
@@ -31,6 +33,10 @@ class ConfigError(ValueError):
 
 class PipelineError(RuntimeError):
     pass
+
+
+#: failures of the input (config or realization file), exit code 1
+INPUT_ERRORS = (ConfigError, lattice.LatticeError)
 
 
 @dataclass
@@ -74,9 +80,6 @@ class RunConfig:
             m = TermMask(m.enable_A, m.enable_B, False, False)
         return m
 
-    def params(self) -> EffectiveParams:
-        return EffectiveParams(P_plus=self.c_hf, P_minus=-self.c_hf)
-
     def species(self) -> lattice.SpeciesParams:
         probe = lattice.SpeciesParams(self.spin, self.gamma, 1.0, self.L0)
         e_dd = lattice.compute_E_dd(probe, self.a0)
@@ -88,20 +91,30 @@ _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
 
 
+def _finite(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise ConfigError(f"not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"non-finite value: {text!r}")
+    return v
+
+
 def _parse_axis(value: str) -> tuple[float, float, float]:
     parts = value.split()
     if parts and parts[0] == "miller":
         if len(parts) != 4:
             raise ConfigError("hf_axis miller form needs three integers")
-        v = lattice.hf_axis_from_miller(*[float(p) for p in parts[1:]])
+        v = lattice.hf_axis_from_miller(*[_finite(p) for p in parts[1:]])
         return tuple(v)
     if parts and parts[0] == "angles":
         if len(parts) != 3:
             raise ConfigError("hf_axis angles form needs theta and phi in degrees")
-        v = lattice.hf_axis_from_angles(float(parts[1]), float(parts[2]))
+        v = lattice.hf_axis_from_angles(_finite(parts[1]), _finite(parts[2]))
         return tuple(v)
     if len(parts) == 3:
-        v = np.array([float(p) for p in parts])
+        v = np.array([_finite(p) for p in parts])
         n = np.linalg.norm(v)
         if n == 0:
             raise ConfigError("hf_axis cannot be the zero vector")
@@ -128,9 +141,7 @@ def parse_config(text: str) -> RunConfig:
     for key, value in seen.items():
         try:
             _apply_key(cfg, key, value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:       # ConfigError and LatticeError included
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     _validate(cfg)
     return cfg
@@ -154,7 +165,7 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
         setattr(cfg, key, int(value))
     elif key in ("a0", "abundance", "spin", "gamma", "A0_over_Edd", "L0",
                  "c_hf", "r_cutoff_a0", "tbar_max", "mu", "sigma", "gamma_sst"):
-        setattr(cfg, key, float(value))
+        setattr(cfg, key, _finite(value))
     elif key in ("realization_file", "outdir"):
         setattr(cfg, key, value)
     else:
@@ -162,7 +173,7 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
 
 
 def _validate(cfg: RunConfig) -> None:
-    checks = [("a0", cfg.a0 > 0), ("L0", cfg.L0 > 0),
+    checks = [("seed", cfg.seed >= 0), ("a0", cfg.a0 > 0), ("L0", cfg.L0 > 0),
               ("A0_over_Edd", cfg.A0_over_Edd > 0),
               ("abundance", 0.0 <= cfg.abundance <= 1.0),
               ("order", 1 <= cfg.order <= 6),
@@ -179,7 +190,13 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def load_config(path) -> RunConfig:
-    cfg = parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not text") from None
+    cfg = parse_config(text)
     override = os.environ.get(OUTDIR_ENV)
     if override:
         cfg.outdir = override
@@ -229,83 +246,103 @@ class RunManifest:
 
 
 class _Stage:
-    """Collects wall-clock timings and rewraps stage failures with the name."""
+    """Collects wall-clock timings and rewraps stage failures with the name;
+    input errors and failures of a nested stage pass through unchanged."""
 
-    def __init__(self, manifest: RunManifest):
-        self.manifest = manifest
+    def __init__(self):
+        self.timings = {}
 
     def run(self, name, fn, *args, **kwargs):
         t0 = time.perf_counter()
         try:
             result = fn(*args, **kwargs)
-        except (ConfigError, PipelineError):
+        except (*INPUT_ERRORS, PipelineError):
             raise
         except Exception as exc:
             raise PipelineError(f"stage {name!r} failed: {exc}") from exc
-        self.manifest.timings[name] = time.perf_counter() - t0
+        self.timings[name] = time.perf_counter() - t0
         return result
+
+
+def _outdir(cfg: RunConfig) -> Path:
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _new_manifest(cfg: RunConfig, stage: _Stage) -> RunManifest:
+    return RunManifest(config_echo=dict(vars(cfg)), derived={}, timings=stage.timings)
+
+
+def _simulate(cfg: RunConfig, realization: lattice.BathRealization, order: int):
+    """Bath -> clusters -> CCE correlation on the configured time grid.
+    Returns (cluster set, raw series)."""
+    if realization.n_spins == 0:
+        raise cce.CCEError("no spinful sites")
+    cset = cce.enumerate_clusters(realization, cfg.r_cutoff_a0 * realization.a0, order)
+    times = cce.time_grid(cfg.tbar_max, cfg.samples)
+    series = cce.compute_correlation(realization, cset, cfg.c_hf, cfg.term_mask(), times)
+    return cset, series
+
+
+def _save_correlation(stage: _Stage, series, outdir: Path, prefix: str):
+    """Write the raw and the normalized series. Returns (paths, normalized)."""
+    cpath = outdir / f"{prefix}correlation.csv"
+    cce.save_series(cpath, series)
+    cbar = stage.run("normalize", tfa.normalize_correlation, series)
+    nbpath = outdir / f"{prefix}correlation_normalized.csv"
+    cce.save_series(nbpath, cbar)
+    return [str(cpath), str(nbpath)], cbar
+
+
+def _analyze(stage: _Stage, cfg: RunConfig, cbar, outdir: Path, prefix: str):
+    """Spectrum, CWT and SST of a normalized series, with the spectrum and
+    both maps exported. Returns (paths, scalogram, SST map)."""
+    spectrum = stage.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
+    scal = stage.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
+                     tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    sst = stage.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
+    spath = outdir / f"{prefix}spectrum.csv"
+    tfa.save_spectrum(spath, spectrum)
+    files = [str(spath)]
+    files += tfa.save_map(outdir / f"{prefix}cwt", scal)
+    files += tfa.save_map(outdir / f"{prefix}sst", sst)
+    return files, scal, sst
+
+
+def _save_bands(scal, sst, outdir: Path, prefix: str) -> list:
+    paths = []
+    for name, (lo, hi) in BANDS.items():
+        for kind, obj in (("cwt", scal), ("sst", sst)):
+            trace = tfa.band_amplitude(obj, lo, hi)
+            p = outdir / f"{prefix}band_{name}_{kind}.csv"
+            with open(p, "w") as fh:
+                fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
+                for t, v in zip(scal.times_tbar, trace):
+                    fh.write(f"{t:.16e},{v:.16e}\n")
+            paths.append(str(p))
+    return paths
 
 
 def run_pipeline(cfg: RunConfig, realization: lattice.BathRealization | None = None,
                  tag: str = "") -> RunManifest:
     """Full pipeline: bath -> CCE correlation -> spectrum -> CWT -> SST ->
     band traces, everything written under cfg.outdir with content hashes."""
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg)
     prefix = (tag + "_") if tag else ""
-    manifest = RunManifest(config_echo={k: getattr(cfg, k) for k in vars(cfg)},
-                           derived={})
-    stage = _Stage(manifest)
-
+    stage = _Stage()
     if realization is None:
         realization = stage.run("realization", _resolve_realization, cfg)
-    if realization.n_spins == 0:
-        raise PipelineError("stage 'cce' failed: no spinful sites")
+    cset, series = stage.run("cce", _simulate, cfg, realization, cfg.order)
     rpath = outdir / f"{prefix}realization.csv"
     lattice.save_realization(rpath, realization)
+    files, cbar = _save_correlation(stage, series, outdir, prefix)
+    files.insert(0, str(rpath))
+    maps, scal, sst = stage.run("analyze", _analyze, stage, cfg, cbar, outdir, prefix)
+    files += maps
+    files += stage.run("bands", _save_bands, scal, sst, outdir, prefix)
 
-    def _simulate():
-        cset = cce.enumerate_clusters(realization, cfg.r_cutoff_a0 * realization.a0,
-                                      cfg.order)
-        times = cce.time_grid(cfg.tbar_max, cfg.samples)
-        series = cce.compute_correlation(realization, cset, cfg.params(),
-                                         cfg.term_mask(), times)
-        return cset, series
-
-    cset, series = stage.run("cce", _simulate)
-    cpath = outdir / f"{prefix}correlation.csv"
-    cce.save_series(cpath, series)
-    cbar = stage.run("normalize", tfa.normalize_correlation, series)
-    nbpath = outdir / f"{prefix}correlation_normalized.csv"
-    cce.save_series(nbpath, cbar)
-
-    spectrum = stage.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
-    spath = outdir / f"{prefix}spectrum.csv"
-    tfa.save_spectrum(spath, spectrum)
-
-    scal = stage.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
-                     tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-    sst = stage.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
-    files = [str(rpath), str(cpath), str(nbpath), str(spath)]
-    files += tfa.save_map(outdir / f"{prefix}cwt", scal)
-    files += tfa.save_map(outdir / f"{prefix}sst", sst)
-
-    def _bands():
-        paths = []
-        for name, (lo, hi) in BANDS.items():
-            for kind, obj in (("cwt", scal), ("sst", sst)):
-                trace = tfa.band_amplitude(obj, lo, hi)
-                p = outdir / f"{prefix}band_{name}_{kind}.csv"
-                with open(p, "w") as fh:
-                    fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
-                    for t, v in zip(scal.times_tbar, trace):
-                        fh.write(f"{t:.16e},{v:.16e}\n")
-                paths.append(str(p))
-        return paths
-
-    files += stage.run("bands", _bands)
-
-    from collections import Counter
+    manifest = _new_manifest(cfg, stage)
     sizes = Counter(len(c) for c in cset.clusters)
     manifest.derived.update({
         "A_bar": series.metadata["A_bar"],
@@ -321,25 +358,25 @@ def run_pipeline(cfg: RunConfig, realization: lattice.BathRealization | None = N
     return manifest
 
 
+def simulate(cfg: RunConfig) -> str:
+    """Bath and CCE only: writes the raw and normalized correlation series and
+    returns a one-line summary."""
+    stage = _Stage()
+    realization = stage.run("realization", _resolve_realization, cfg)
+    cset, series = stage.run("cce", _simulate, cfg, realization, cfg.order)
+    paths, _ = _save_correlation(stage, series, _outdir(cfg), "")
+    return f"{paths[0]}: {len(cset.clusters)} clusters"
+
+
 def analyze_series(cfg: RunConfig, series_path, tag: str = "analyze") -> RunManifest:
     """Analyze-only stage on an exported normalized correlation file."""
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_echo={k: getattr(cfg, k) for k in vars(cfg)},
-                           derived={})
-    stage = _Stage(manifest)
+    outdir = _outdir(cfg)
+    stage = _Stage()
     series = cce.load_series(series_path)
     cbar = series if series.metadata.get("normalized") else \
         stage.run("normalize", tfa.normalize_correlation, series)
-    spectrum = stage.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
-    spath = outdir / f"{tag}_spectrum.csv"
-    tfa.save_spectrum(spath, spectrum)
-    scal = stage.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
-                     tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-    sst = stage.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
-    files = [str(spath)]
-    files += tfa.save_map(outdir / f"{tag}_cwt", scal)
-    files += tfa.save_map(outdir / f"{tag}_sst", sst)
+    files, _, _ = stage.run("analyze", _analyze, stage, cfg, cbar, outdir, f"{tag}_")
+    manifest = _new_manifest(cfg, stage)
     for f in files:
         manifest.products[f] = _sha256(f)
     manifest.write(outdir / f"{tag}_manifest.txt")
@@ -352,21 +389,17 @@ def compare_orders(cfg: RunConfig, orders) -> str:
     orders = sorted(int(o) for o in orders)
     if len(orders) < 2:
         raise ConfigError("compare-orders needs at least two orders")
-    realization = _resolve_realization(cfg)
-    if realization.n_spins == 0:
-        raise PipelineError("stage 'cce' failed: no spinful sites")
-    times = cce.time_grid(cfg.tbar_max, cfg.samples)
+    for m in orders:
+        _validate(replace(cfg, order=m))
+    stage = _Stage()
+    realization = stage.run("realization", _resolve_realization, cfg)
+    outdir = _outdir(cfg)
     curves = {}
     for m in orders:
-        cset = cce.enumerate_clusters(realization, cfg.r_cutoff_a0 * realization.a0, m)
-        series = cce.compute_correlation(realization, cset, cfg.params(),
-                                         cfg.term_mask(), times)
-        curves[m] = tfa.normalize_correlation(series)
+        _, series = stage.run("cce", _simulate, cfg, realization, m)
+        curves[m] = stage.run("normalize", tfa.normalize_correlation, series)
+        cce.save_series(outdir / f"cce{m}_correlation_normalized.csv", curves[m])
     ref = curves[orders[-1]].values
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for m, ser in curves.items():
-        cce.save_series(outdir / f"cce{m}_correlation_normalized.csv", ser)
     lines = ["# order,max_dev,l2_dev"]
     n = len(ref)
     for m in orders:
@@ -384,23 +417,15 @@ CHANNELS = {"B": TermMask(True, True, False, False),
 
 
 def sweep_hf_axis(cfg: RunConfig, axes) -> list:
-    """Run the pipeline per hyperfine axis on one fixed realization, including
-    per-channel (B / CD / EF) mask decompositions."""
+    """Run the pipeline per hyperfine axis (unit 3-vectors) on one fixed
+    realization, including per-channel (B / CD / EF) mask decompositions."""
     if not axes:
         raise ConfigError("sweep-axis needs at least one axis")
-    realization = _resolve_realization(cfg)
+    realization = _Stage().run("realization", _resolve_realization, cfg)
     manifests = []
     for i, axis in enumerate(axes):
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        fixed = lattice.BathRealization(
-            positions=realization.positions,
-            hf_couplings_A=realization.hf_couplings_A, hf_axis=axis,
-            E_dd=realization.E_dd, A_bar=realization.A_bar,
-            species=realization.species, a0=realization.a0,
-            site_indices=realization.site_indices)
-        sub = replace(cfg, outdir=str(Path(cfg.outdir) / f"axis{i}"),
-                      hf_axis=tuple(axis))
+        fixed = replace(realization, hf_axis=np.asarray(axis))
+        sub = replace(cfg, outdir=str(Path(cfg.outdir) / f"axis{i}"), hf_axis=tuple(axis))
         manifests.append(run_pipeline(sub, realization=fixed, tag="full"))
         for name, mask in CHANNELS.items():
             chan = replace(sub, mask_A=mask.enable_A, mask_B=mask.enable_B,
@@ -448,28 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(cfg: RunConfig) -> None:
     realization = _resolve_realization(cfg)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "realization.csv"
+    path = _outdir(cfg) / "realization.csv"
     lattice.save_realization(path, realization)
     print(f"{path}: N={realization.n_spins} A_bar={realization.A_bar:.6e}")
-
-
-def _cmd_simulate(cfg: RunConfig) -> None:
-    realization = _resolve_realization(cfg)
-    if realization.n_spins == 0:
-        raise PipelineError("stage 'cce' failed: no spinful sites")
-    cset = cce.enumerate_clusters(realization, cfg.r_cutoff_a0 * realization.a0,
-                                  cfg.order)
-    times = cce.time_grid(cfg.tbar_max, cfg.samples)
-    series = cce.compute_correlation(realization, cset, cfg.params(),
-                                     cfg.term_mask(), times)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    cce.save_series(outdir / "correlation.csv", series)
-    cce.save_series(outdir / "correlation_normalized.csv",
-                    tfa.normalize_correlation(series))
-    print(f"{outdir / 'correlation.csv'}: {len(cset.clusters)} clusters")
 
 
 def main(argv=None) -> int:
@@ -479,7 +485,7 @@ def main(argv=None) -> int:
         if args.command == "generate-bath":
             _cmd_generate(cfg)
         elif args.command == "simulate":
-            _cmd_simulate(cfg)
+            print(simulate(cfg))
         elif args.command == "analyze":
             analyze_series(cfg, args.series)
         elif args.command == "run":
@@ -487,9 +493,8 @@ def main(argv=None) -> int:
         elif args.command == "compare-orders":
             print(compare_orders(cfg, args.orders), end="")
         elif args.command == "sweep-axis":
-            axes = [tuple(float(x) for x in a.split(",")) for a in args.axes]
-            sweep_hf_axis(cfg, axes)
-    except (ConfigError, lattice.LatticeError) as exc:
+            sweep_hf_axis(cfg, [_parse_axis(a.replace(",", " ")) for a in args.axes])
+    except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (PipelineError, cce.CCEError, tfa.TFAError) as exc:

@@ -4,11 +4,12 @@ dipolar alphabet, with per-term masks and a secular (high-field) mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .lattice import BathRealization, PairGeometry, pair_geometry
-from .spinops import SpinMatrices, embed, spin_matrices
+from .spinops import spin_matrices
 
 
 class HamiltonianError(ValueError):
@@ -34,77 +35,33 @@ class TermMask:
         """High-field mode: only the total-Mz-conserving terms A and B."""
         return cls(enable_CD=False, enable_EF=False)
 
-    def union(self, other: "TermMask") -> "TermMask":
-        return TermMask(self.enable_A or other.enable_A,
-                        self.enable_B or other.enable_B,
-                        self.enable_CD or other.enable_CD,
-                        self.enable_EF or other.enable_EF)
-
-
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Central-spin projections entering the averaged effective Hamiltonian;
-    the hyperfine diagonal is scaled by (|P+| + |P-|)/2."""
-    P_plus: float = 0.5
-    P_minus: float = -0.5
-
-    @property
-    def c_hf(self) -> float:
-        return 0.5 * (abs(self.P_plus) + abs(self.P_minus))
-
 
 def alphabet_coefficients(geom: PairGeometry, mask: TermMask):
-    """Scalar coefficients (including the r^-3 prefactor) of the four
-    independent alphabet structures: zz, flip-flop, and the complex
+    """Coefficients (including the r^-3 prefactor) of the four independent
+    alphabet structures, one per pair: zz, flip-flop, and the complex
     single-/double-quantum weights (their adjoints carry the conjugates).
+    A masked term's coefficient is 0.0.
     """
-    c = np.cos(geom.theta_ij)
-    s = np.sin(geom.theta_ij)
+    c = geom.cos_theta
+    sin_sq = 1.0 - c ** 2
     pref = geom.prefactor
-    cA = pref * (3.0 * c * c - 1.0) if mask.enable_A else 0.0
-    cB = pref * (1.0 - 3.0 * c * c) / 4.0 if mask.enable_B else 0.0
-    cC = pref * 0.75 * np.sin(2.0 * geom.theta_ij) * np.exp(-1j * geom.phi_ij) \
-        if mask.enable_CD else 0.0
-    cE = pref * 0.75 * s * s * np.exp(-2j * geom.phi_ij) if mask.enable_EF else 0.0
+    cA = pref * (3.0 * c ** 2 - 1.0) if mask.enable_A else 0.0
+    cB = pref * (1.0 - 3.0 * c ** 2) / 4.0 if mask.enable_B else 0.0
+    if mask.enable_CD:
+        sin_2t = 2.0 * np.sqrt(np.clip(sin_sq, 0.0, 1.0)) * c
+        cC = pref * 0.75 * sin_2t * np.exp(-1j * geom.phi_ij)
+    else:
+        cC = 0.0
+    cE = pref * 0.75 * sin_sq * np.exp(-2j * geom.phi_ij) if mask.enable_EF else 0.0
     return cA, cB, cC, cE
 
 
-def pair_structures(spins: SpinMatrices):
-    """The four structural two-spin operators the alphabet coefficients
-    multiply: Iz Iz, (I+I- + I-I+), (I+Iz + IzI+), I+I+."""
-    Iz, Ip, Im = spins.Iz, spins.Iplus, spins.Iminus
-    zz = np.kron(Iz, Iz)
-    ff = np.kron(Ip, Im) + np.kron(Im, Ip)
-    sq = np.kron(Ip, Iz) + np.kron(Iz, Ip)
-    dq = np.kron(Ip, Ip)
-    return zz, ff, sq, dq
-
-
-def dipolar_pair_hamiltonian(geom: PairGeometry, spins: SpinMatrices,
-                             mask: TermMask = TermMask.full()) -> np.ndarray:
-    """Two-spin dipolar Hamiltonian on the (2I+1)^2 product space, Hermitian by
-    construction (C/D and E/F are mutual adjoints)."""
-    zz, ff, sq, dq = pair_structures(spins)
-    cA, cB, cC, cE = alphabet_coefficients(geom, mask)
-    H = cA * zz + cB * ff
-    H = H + cC * sq + np.conj(cC) * sq.conj().T
-    H = H + cE * dq + np.conj(cE) * dq.conj().T
-    return H
-
-
-def total_bath_operator(cluster, realization: BathRealization) -> np.ndarray:
-    """Overhauser operator sum_i A_i Iz_i restricted to the cluster."""
-    cluster = tuple(cluster)
-    if not cluster:
-        raise HamiltonianError("empty cluster")
-    return np.diag(bath_operator_diagonal(cluster, realization)).astype(complex)
-
-
-def bath_operator_diagonal(cluster, realization: BathRealization) -> np.ndarray:
-    """Diagonal of sum_i A_i Iz_i in the product basis (it is diagonal there)."""
-    mz = mz_table(realization.species.spin_I, len(cluster))
-    A = realization.hf_couplings_A[np.asarray(cluster, dtype=int)]
-    return mz @ A
+def bath_operator_diagonal(clusters, realization: BathRealization) -> np.ndarray:
+    """Diagonal of sum_i A_i Iz_i in the product basis (it is diagonal there):
+    (dim,) for one cluster, (n_clusters, dim) for a stack of equal-size ones."""
+    clusters = np.asarray(clusters, dtype=int)
+    mz = mz_table(realization.species.spin_I, clusters.shape[-1])
+    return realization.hf_couplings_A[clusters] @ mz.T
 
 
 def mz_table(spin_I: float, n: int) -> np.ndarray:
@@ -115,43 +72,55 @@ def mz_table(spin_I: float, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def cluster_hamiltonian(cluster, realization: BathRealization,
-                        params: EffectiveParams = EffectiveParams(),
-                        mask: TermMask = TermMask.full()) -> np.ndarray:
-    """Effective cluster Hamiltonian: c_hf * sum A_i Iz_i plus all pairwise
-    dipolar terms, embedded in the cluster tensor space."""
-    cluster = tuple(cluster)
-    if not cluster:
-        raise HamiltonianError("empty cluster")
-    if len(set(cluster)) != len(cluster):
-        raise HamiltonianError(f"duplicate site indices in cluster {cluster}")
+def _two_site_operator(ops: dict, n: int, d: int) -> np.ndarray:
+    """Kron chain over n slots (slot 0 slowest) of ops[slot], identity on
+    every slot not in ``ops``."""
+    eye = np.eye(d, dtype=complex)
+    out = np.ones((1, 1), dtype=complex)
+    for k in range(n):
+        out = np.kron(out, ops.get(k, eye))
+    return out
+
+
+def cluster_hamiltonians(clusters, realization: BathRealization,
+                         c_hf: float = 0.5,
+                         mask: TermMask = TermMask.full()) -> np.ndarray:
+    """Effective Hamiltonians of equal-size clusters, stacked (n_clusters,
+    dim, dim): c_hf * sum A_i Iz_i plus every pairwise dipolar term, in the
+    cluster tensor space. ``clusters`` is an (n_clusters, size) array of site
+    indices. Each pair's embedded structures are built inside the pair loop
+    and shared by the whole stack, never for all pairs at once."""
+    clusters = np.asarray(clusters, dtype=int)
+    if clusters.ndim != 2 or clusters.shape[1] == 0:
+        raise HamiltonianError("clusters must be a (n_clusters, size >= 1) array of site indices")
+    ordered = np.sort(clusters, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise HamiltonianError("duplicate site indices in a cluster")
+    nc, size = clusters.shape
     spins = spin_matrices(realization.species.spin_I)
     d = spins.dim
-    n = len(cluster)
-    H = np.diag(params.c_hf * bath_operator_diagonal(cluster, realization)).astype(complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            geom = pair_geometry(realization.positions[cluster[a]],
-                                 realization.positions[cluster[b]],
-                                 realization.hf_axis, realization.species)
-            Hp = dipolar_pair_hamiltonian(geom, spins, mask)
-            H += embed_pair(Hp, a, b, n, d)
+    dim = d ** size
+    Iz, Ip, Im = spins.Iz, spins.Iplus, spins.Iminus
+
+    H = np.zeros((nc, dim, dim), dtype=complex)
+    H[:, np.arange(dim), np.arange(dim)] = c_hf * bath_operator_diagonal(clusters, realization)
+    pos = realization.positions[clusters]             # (nc, size, 3)
+    for p, q in combinations(range(size), 2):
+        geom = pair_geometry(pos[:, p], pos[:, q], realization.hf_axis,
+                             realization.species)
+        cA, cB, cC, cE = alphabet_coefficients(geom, mask)
+
+        def op(a, b):
+            return _two_site_operator({p: a, q: b}, size, d)
+
+        if mask.enable_A:
+            H += cA[:, None, None] * op(Iz, Iz)
+        if mask.enable_B:
+            H += cB[:, None, None] * (op(Ip, Im) + op(Im, Ip))
+        if mask.enable_CD:
+            half = cC[:, None, None] * (op(Ip, Iz) + op(Iz, Ip))
+            H += half + half.conj().transpose(0, 2, 1)
+        if mask.enable_EF:
+            half = cE[:, None, None] * op(Ip, Ip)
+            H += half + half.conj().transpose(0, 2, 1)
     return H
-
-
-def embed_pair(pair_op: np.ndarray, a: int, b: int, n: int, d: int) -> np.ndarray:
-    """Embed a two-spin operator acting on slots (a, b), a < b, into d^n."""
-    if not 0 <= a < b < n:
-        raise HamiltonianError(f"bad slot pair ({a}, {b}) for {n} slots")
-    # decompose the pair operator on outer-product components of slot a
-    op = pair_op.reshape(d, d, d, d)          # (a_row, b_row, a_col, b_col)
-    total = np.zeros((d ** n, d ** n), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            Ea = np.zeros((d, d), dtype=complex)
-            Ea[i, j] = 1.0
-            block = op[i, :, j, :]
-            if not block.any():
-                continue
-            total += embed(Ea, a, n, d) @ embed(block, b, n, d)
-    return total

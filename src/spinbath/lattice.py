@@ -76,17 +76,16 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class PairGeometry:
-    """Relative geometry of one spin pair in the hyperfine frame."""
-    r_ij_norm: float      # m
-    theta_ij: float       # rad, polar angle w.r.t. hf axis
-    phi_ij: float         # rad, in [0, 2 pi)
-    prefactor: float      # rad/s, (mu0/4pi) hbar gamma_i gamma_j / r^3
+    """Relative geometry of spin pairs in the hyperfine frame, one value per
+    pair in every field."""
+    r_ij_norm: np.ndarray     # m
+    cos_theta: np.ndarray     # cosine of the polar angle w.r.t. the hf axis
+    phi_ij: np.ndarray        # rad, azimuth in (-pi, pi]
+    prefactor: np.ndarray     # rad/s, (mu0/4pi) hbar gamma^2 / r^3
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta_ij <= np.pi):
-            raise LatticeError(f"theta_ij out of range: {self.theta_ij}")
-        if self.prefactor <= 0:
-            raise LatticeError("prefactor must be positive")
+    @property
+    def theta_ij(self) -> np.ndarray:
+        return np.arccos(np.clip(self.cos_theta, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -197,17 +196,17 @@ def rotation_to_axis(axis: np.ndarray) -> np.ndarray:
 def pair_geometry(r_i: np.ndarray, r_j: np.ndarray, hf_axis: np.ndarray,
                   species: SpeciesParams) -> PairGeometry:
     """Polar/azimuthal angles of r_j - r_i in the rotated frame whose z-axis is
-    the hyperfine axis, plus the dipolar prefactor."""
+    the hyperfine axis, plus the dipolar prefactor. ``r_i`` and ``r_j`` are
+    (..., 3) arrays; every field of the result has their leading shape."""
     r = np.asarray(r_j, dtype=float) - np.asarray(r_i, dtype=float)
-    norm = np.linalg.norm(r)
-    if norm == 0.0:
+    norm = np.linalg.norm(r, axis=-1)
+    if np.any(norm == 0.0):
         raise LatticeError("coincident sites have no pair geometry")
-    R = rotation_to_axis(hf_axis)
-    local = R.T @ r
-    theta = float(np.arccos(np.clip(local[2] / norm, -1.0, 1.0)))
-    phi = float(np.arctan2(local[1], local[0])) % (2.0 * np.pi)
+    local = r @ rotation_to_axis(hf_axis)
     pref = MU0_OVER_4PI * HBAR * species.gamma ** 2 / norm ** 3
-    return PairGeometry(r_ij_norm=float(norm), theta_ij=theta, phi_ij=phi, prefactor=pref)
+    return PairGeometry(r_ij_norm=norm, cos_theta=local[..., 2] / norm,
+                        phi_ij=np.arctan2(local[..., 1], local[..., 0]),
+                        prefactor=pref)
 
 
 def hf_axis_from_miller(h: float, k: float, l: float) -> np.ndarray:
@@ -262,24 +261,47 @@ def save_realization(path, real: BathRealization) -> None:
 
 
 def load_realization(path) -> BathRealization:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = [float(x) for x in lines[0].split(",")]
-    if len(head) != 8:
-        raise LatticeError("malformed realization header")
+    """Read a file written by ``save_realization``. A malformed file raises
+    LatticeError naming the file and, for a bad line, its number."""
+    try:
+        with open(path) as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except OSError as exc:
+        raise LatticeError(f"cannot read realization file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise LatticeError(f"realization file {path} is not text") from None
+    if not lines:
+        raise LatticeError(f"{path}: empty realization file")
+    lineno, text = lines[0]
+    try:
+        head = _finite_floats(text.split(","), 8)
+        idx, rows = [], []
+        for lineno, ln in lines[1:]:
+            parts = ln.split(",")
+            idx.append(int(parts[0]))
+            rows.append(_finite_floats(parts[1:], 4))
+    except ValueError as exc:
+        raise LatticeError(f"{path}:{lineno}: {exc}") from None
     a0, L0, ratio, spin_I, gamma = head[:5]
     axis = np.array(head[5:8])
-    idx, rows = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        idx.append(int(parts[0]))
-        rows.append([float(x) for x in parts[1:5]])
     rows = np.array(rows).reshape(-1, 4)
-    # A0 stored as a ratio to E_dd so the header round-trips the model spec
-    tmp_species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=1.0, L0=L0)
-    e_dd = compute_E_dd(tmp_species, a0)
-    species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=ratio * e_dd, L0=L0)
-    A = rows[:, 3]
-    return BathRealization(positions=rows[:, :3], hf_couplings_A=A, hf_axis=axis,
-                           E_dd=e_dd, A_bar=float(A.mean()), species=species, a0=a0,
-                           site_indices=tuple(idx))
+    try:
+        # A0 stored as a ratio to E_dd so the header round-trips the model spec
+        tmp_species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=1.0, L0=L0)
+        e_dd = compute_E_dd(tmp_species, a0)
+        species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=ratio * e_dd, L0=L0)
+        A = rows[:, 3]
+        return BathRealization(positions=rows[:, :3], hf_couplings_A=A, hf_axis=axis,
+                               E_dd=e_dd, A_bar=float(A.mean()), species=species,
+                               a0=a0, site_indices=tuple(idx))
+    except LatticeError as exc:
+        raise LatticeError(f"{path}: {exc}") from None
+
+
+def _finite_floats(fields, n: int) -> list:
+    if len(fields) != n:
+        raise ValueError(f"expected {n} numeric fields, got {len(fields)}")
+    values = [float(x) for x in fields]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite value")
+    return values

@@ -11,7 +11,7 @@ import pytest
 
 from spinbath import cce, cli, lattice, tfa
 from spinbath.hamiltonian import (TermMask, bath_operator_diagonal,
-                                  cluster_hamiltonian)
+                                  cluster_hamiltonians)
 
 from baths import (DIAMOND_A0, bath_from_positions, convergence_bath, nn_pair,
                    random_bath, species)
@@ -28,7 +28,7 @@ def pair_gap_oracle(bath, mask=TermMask.full(), lo=0.0, hi=np.inf,
                     weight_floor=1e-8):
     """Transition frequencies (omega_bar) and spectral weights of a two-spin
     bath from the exact eigendecomposition of its cluster Hamiltonian."""
-    H = cluster_hamiltonian((0, 1), bath, mask=mask)
+    H = cluster_hamiltonians([(0, 1)], bath, mask=mask)[0]
     b = bath_operator_diagonal((0, 1), bath)
     E, V = np.linalg.eigh(H)
     Bp = (V.conj().T * b) @ V

@@ -1,11 +1,13 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinbath import cli
-from spinbath import cce
+from spinbath import cce, tfa
 
 FAST_BODY = """
 a0 = 5.43e-10
@@ -19,12 +21,23 @@ voices = 8
 """
 
 
+#: FAST_BODY with the hf axis left at its default, so a case can set it
+BASE_BODY = FAST_BODY.replace("hf_axis = 0 0 1\n", "")
+
+
 def write_cfg(tmp_path, body, outdir=None, name="run.cfg"):
     if outdir is None:
         outdir = tmp_path / "out"
     p = tmp_path / name
     p.write_text(body + f"\noutdir = {outdir}\n")
     return p, Path(outdir)
+
+
+def manifest_products(path):
+    """[products] section of a manifest as {file name: sha256}."""
+    section = path.read_text().split("[products]\n")[1].split("\n\n")[0]
+    pairs = (line.split(" = ") for line in section.splitlines())
+    return {Path(k).name: v for k, v in pairs}
 
 
 class TestParseConfig:
@@ -135,6 +148,12 @@ class TestSubcommands:
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["compare-orders", str(cfgp), "2"]) == 1
 
+    def test_compare_orders_rejects_out_of_range_order(self, tmp_path, capsys):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["compare-orders", str(cfgp), "0", "2"]) == 1
+        assert "'order'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_sweep_axis(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["sweep-axis", str(cfgp), "0,0,1", "1,2,3"]) == 0
@@ -147,6 +166,28 @@ class TestSubcommands:
         r0 = cce.load_series(outdir / "axis0" / "full_correlation.csv")
         r1 = cce.load_series(outdir / "axis1" / "full_correlation.csv")
         assert r0.values[0] == pytest.approx(r1.values[0], rel=1e-12)
+
+    @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1"])
+    def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["sweep-axis", str(cfgp), "0,0,1", axis]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_products_identical_across_blas_threads(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != cli.OUTDIR_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        products = []
+        for threads in ("1", "2"):
+            cfgp, outdir = write_cfg(tmp_path, FAST_BODY, tmp_path / f"out{threads}",
+                                     f"t{threads}.cfg")
+            subprocess.run([sys.executable, "-m", "spinbath.cli", "run", str(cfgp)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, timeout=300)
+            products.append(manifest_products(outdir / "manifest.txt"))
+        assert len(products[0]) == 16
+        assert products[0] == products[1]
 
 
 class TestExitCodes:
@@ -166,3 +207,44 @@ class TestExitCodes:
     def test_success_is_0(self, tmp_path):
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["run", str(cfgp)]) == 0
+
+    @pytest.mark.parametrize("extra_body, command, code, named", [
+        pytest.param("", ["run", "{tmp}/absent.cfg"], 1, "absent.cfg", id="missing-config"),
+        pytest.param("seed = -1", ["run", "{cfg}"], 1, "'seed'", id="negative-seed"),
+        pytest.param("hf_axis = nan 0 1", ["run", "{cfg}"], 1, "'hf_axis'", id="nan-axis"),
+        pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
+        pytest.param("realization_file = {tmp}/bad.csv", ["run", "{cfg}"], 1,
+                     "bad.csv:1", id="malformed-realization"),
+        pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
+                     id="malformed-series"),
+        pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
+                     id="missing-series"),
+    ])
+    def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
+                                   code, named):
+        (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
+        cfgp, outdir = write_cfg(tmp_path, BASE_BODY + extra_body.format(tmp=tmp_path))
+        argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "runtime error: ")[code - 1])
+        assert err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize("command", ["run", "simulate", "analyze",
+                                         "compare-orders", "sweep-axis"])
+    def test_numeric_failure_is_2(self, tmp_path, capsys, monkeypatch, command):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        t = cce.time_grid(400.0, 256)
+        series = tmp_path / "series.csv"
+        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+        monkeypatch.setattr(cce, "compute_correlation", diverge)
+        monkeypatch.setattr(tfa, "cwt_bump", diverge)
+        cfgp, _ = write_cfg(tmp_path, FAST_BODY)
+        extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
+                 "sweep-axis": ["0,0,1"]}.get(command, [])
+        assert cli.main([command, str(cfgp), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage ") and err.count("\n") == 1
+        assert "did not converge" in err

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,14 +8,46 @@ from spinbath import hamiltonian as ham
 from spinbath import lattice as L
 from spinbath.spinops import embed, spin_matrices
 
-from baths import DIAMOND_A0, nn_pair, random_bath, species
+from baths import nn_pair, random_bath
 
 MAGIC = np.arccos(1 / np.sqrt(3))
 
 
 def geom_at(theta, phi=0.3, prefactor=1.0):
-    return L.PairGeometry(r_ij_norm=1.0, theta_ij=theta, phi_ij=phi,
+    return L.PairGeometry(r_ij_norm=1.0, cos_theta=np.cos(theta), phi_ij=phi,
                           prefactor=prefactor)
+
+
+def cartesian_reference(cluster, bath, c_hf):
+    """c_hf sum A_i Iz_i + sum_pairs pref (3 (I1.n)(I2.n) - I1.I2), built site
+    by site with spinops.embed from the bond vectors, with no code shared with
+    the alphabet assembly. Spin operators are quantized along the hf axis, in
+    the frame of lattice.rotation_to_axis."""
+    spins = spin_matrices(bath.species.spin_I)
+    d, n = spins.dim, len(cluster)
+    Ix = (spins.Iplus + spins.Iminus) / 2
+    Iy = (spins.Iplus - spins.Iminus) / 2j
+    ops = [[embed(o, k, n, d) for o in (Ix, Iy, spins.Iz)] for k in range(n)]
+    H = c_hf * sum(bath.hf_couplings_A[i] * ops[k][2] for k, i in enumerate(cluster))
+    R = L.rotation_to_axis(bath.hf_axis)
+    gamma2 = L.MU0_OVER_4PI * L.HBAR * bath.species.gamma ** 2
+    for a, b in combinations(range(n), 2):
+        r = bath.positions[cluster[b]] - bath.positions[cluster[a]]
+        dist = np.linalg.norm(r)
+        u = R.T @ (r / dist)
+        In_a = sum(u[k] * ops[a][k] for k in range(3))
+        In_b = sum(u[k] * ops[b][k] for k in range(3))
+        dot = sum(ops[a][k] @ ops[b][k] for k in range(3))
+        H = H + gamma2 / dist ** 3 * (3 * In_a @ In_b - dot)
+    return H
+
+
+def is_hermitian(H, rtol=1e-12):
+    return np.abs(H - np.swapaxes(H, -1, -2).conj()).max() <= rtol * np.abs(H).max()
+
+
+def total_mz(spins, n):
+    return sum(embed(spins.Iz, k, n, spins.dim) for k in range(n))
 
 
 class TestAlphabetCoefficients:
@@ -60,57 +94,55 @@ class TestAlphabetCoefficients:
 class TestPairHamiltonian:
     def test_hermitian_random_geometry(self):
         rng = np.random.default_rng(3)
-        spins = spin_matrices(1.5)
-        for _ in range(10):
-            g = geom_at(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
-                        rng.uniform(0.1, 10))
-            H = ham.dipolar_pair_hamiltonian(g, spins)
-            assert np.abs(H - H.conj().T).max() < 1e-12 * max(np.abs(H).max(), 1e-30)
+        masks = [ham.TermMask.full(), ham.TermMask.secular(),
+                 ham.TermMask(True, False, True, False),
+                 ham.TermMask(False, False, False, True)]
+        for _ in range(5):
+            bath = random_bath(rng, 3, spin=1.5, axis=rng.normal(size=3))
+            for mask in masks:
+                H = ham.cluster_hamiltonians([(0, 1), (0, 2), (1, 2)], bath, mask=mask)
+                assert is_hermitian(H)
 
     def test_matches_cartesian_form(self):
-        # compare against the dipolar Hamiltonian written with cartesian
+        # the assembly against the dipolar Hamiltonian written with cartesian
         # operators, pref * (3 (I1.n)(I2.n) - I1.I2), the sign convention
-        # implied by the zz coefficient 3cos^2(theta) - 1
-        spins = spin_matrices(0.5)
+        # implied by the zz coefficient 3cos^2(theta) - 1; every cluster of a
+        # 4-spin bath in one stack, random non-[001] hf axes
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            th = rng.uniform(0.05, np.pi - 0.05)
-            phi = rng.uniform(0, 2 * np.pi)
-            pref = rng.uniform(0.5, 2.0)
-            g = geom_at(th, phi, pref)
-            H = ham.dipolar_pair_hamiltonian(g, spins)
-            n = np.array([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)])
-            Ix = (spins.Iplus + spins.Iminus) / 2
-            Iy = (spins.Iplus - spins.Iminus) / 2j
-            ops = [Ix, Iy, spins.Iz]
-            dot = sum(np.kron(o, o) for o in ops)
-            In1 = sum(n[k] * np.kron(ops[k], np.eye(2)) for k in range(3))
-            In2 = sum(n[k] * np.kron(np.eye(2), ops[k]) for k in range(3))
-            Href = pref * (3 * In1 @ In2 - dot)
-            assert np.abs(H - Href).max() < 1e-12
+        for size in (2, 3):
+            for spin in (0.5, 1.5):
+                for _ in range(3):
+                    bath = random_bath(rng, 4, spin=spin, axis=rng.normal(size=3))
+                    c_hf = rng.uniform(0.1, 1.0)
+                    clusters = list(combinations(range(4), size))
+                    H = ham.cluster_hamiltonians(clusters, bath, c_hf)
+                    Href = np.array([cartesian_reference(c, bath, c_hf) for c in clusters])
+                    assert np.abs(H - Href).max() < 1e-12 * np.abs(Href).max()
+                    assert is_hermitian(H)
 
     def test_secular_conserves_total_mz(self):
-        spins = spin_matrices(1.5)
-        g = geom_at(0.9, 1.1, 2.0)
-        H = ham.dipolar_pair_hamiltonian(g, spins, ham.TermMask.secular())
-        Mz = embed(spins.Iz, 0, 2, 4) + embed(spins.Iz, 1, 2, 4)
-        assert np.abs(H @ Mz - Mz @ H).max() < 1e-12
+        bath = random_bath(np.random.default_rng(4), 2, spin=1.5, axis=(1, 2, 3))
+        H = ham.cluster_hamiltonians([(0, 1)], bath, 0.0, ham.TermMask.secular())[0]
+        Mz = total_mz(spin_matrices(1.5), 2)
+        assert np.abs(H @ Mz - Mz @ H).max() < 1e-12 * np.abs(H).max()
 
     def test_full_alphabet_breaks_total_mz(self):
-        spins = spin_matrices(0.5)
-        g = geom_at(0.9, 1.1, 2.0)
-        H = ham.dipolar_pair_hamiltonian(g, spins)
-        Mz = embed(spins.Iz, 0, 2, 2) + embed(spins.Iz, 1, 2, 2)
-        assert np.abs(H @ Mz - Mz @ H).max() > 1e-3
+        bath = random_bath(np.random.default_rng(4), 2, axis=(1, 2, 3))
+        H = ham.cluster_hamiltonians([(0, 1)], bath, 0.0)[0]
+        Mz = total_mz(spin_matrices(0.5), 2)
+        assert np.abs(H @ Mz - Mz @ H).max() > 1e-3 * np.abs(H).max()
 
 
 class TestBathOperator:
     def test_diagonal_matches_dense(self):
         bath = random_bath(np.random.default_rng(0), 3)
-        diag = ham.bath_operator_diagonal((0, 1, 2), bath)
-        dense = ham.total_bath_operator((0, 1, 2), bath)
-        assert np.allclose(np.diag(dense), diag)
+        spins = spin_matrices(0.5)
+        dense = sum(bath.hf_couplings_A[k] * embed(spins.Iz, k, 3, 2) for k in range(3))
         assert np.allclose(dense - np.diag(np.diag(dense)), 0)
+        diag = ham.bath_operator_diagonal((0, 1, 2), bath)
+        assert np.allclose(np.diag(dense), diag)
+        stacked = ham.bath_operator_diagonal([(0, 1, 2), (0, 1, 2)], bath)
+        assert stacked.shape == (2, 8) and np.allclose(stacked, diag)
 
     def test_single_spin_eigenvalues(self):
         bath = random_bath(np.random.default_rng(1), 1, spin=1.5)
@@ -126,60 +158,26 @@ class TestBathOperator:
 
 
 class TestClusterHamiltonian:
-    def test_pair_cluster_matches_manual_assembly(self):
-        bath = nn_pair()
-        H = ham.cluster_hamiltonian((0, 1), bath)
-        spins = spin_matrices(0.5)
-        g = L.pair_geometry(bath.positions[0], bath.positions[1],
-                            bath.hf_axis, bath.species)
-        Href = 0.5 * (bath.hf_couplings_A[0] * embed(spins.Iz, 0, 2, 2)
-                      + bath.hf_couplings_A[1] * embed(spins.Iz, 1, 2, 2))
-        Href = Href + ham.dipolar_pair_hamiltonian(g, spins)
-        assert np.abs(H - Href).max() < 1e-9 * np.abs(Href).max()
-
     def test_duplicate_site_rejected(self):
         bath = nn_pair()
         with pytest.raises(ham.HamiltonianError):
-            ham.cluster_hamiltonian((0, 0), bath)
+            ham.cluster_hamiltonians([(0, 0)], bath)
 
     def test_empty_cluster_rejected(self):
         bath = nn_pair()
         with pytest.raises(ham.HamiltonianError):
-            ham.cluster_hamiltonian((), bath)
+            ham.cluster_hamiltonians([()], bath)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_triple_cluster_hermitian(self, seed):
         bath = random_bath(np.random.default_rng(seed), 3)
-        H = ham.cluster_hamiltonian((0, 1, 2), bath)
-        assert np.abs(H - H.conj().T).max() < 1e-10 * max(np.abs(H).max(), 1e-30)
+        H = ham.cluster_hamiltonians([(0, 1, 2)], bath)[0]
+        assert is_hermitian(H, 1e-10)
 
     def test_c_hf_scales_diagonal(self):
         bath = nn_pair()
-        h1 = ham.cluster_hamiltonian((0, 1), bath, ham.EffectiveParams(1.0, -1.0))
-        h0 = ham.cluster_hamiltonian((0, 1), bath, ham.EffectiveParams(0.0, 0.0))
-        diff = h1 - h0
+        h1 = ham.cluster_hamiltonians([(0, 1)], bath, 1.0)[0]
+        h0 = ham.cluster_hamiltonians([(0, 1)], bath, 0.0)[0]
         b = ham.bath_operator_diagonal((0, 1), bath)
-        assert np.allclose(diff, np.diag(b))
-
-
-class TestEmbedPair:
-    def test_matches_kron_for_adjacent_slots(self):
-        spins = spin_matrices(1.0)
-        zz, ff, sq, dq = ham.pair_structures(spins)
-        for op in (zz, ff, sq, dq):
-            emb = ham.embed_pair(op, 0, 1, 3, 3)
-            ref = np.kron(op, np.eye(3))
-            assert np.abs(emb - ref).max() < 1e-12
-
-    def test_matches_explicit_sum_for_split_slots(self):
-        spins = spin_matrices(0.5)
-        # Iz x Iz on slots (0, 2) of 3 spins
-        zz = np.kron(spins.Iz, spins.Iz)
-        emb = ham.embed_pair(zz, 0, 2, 3, 2)
-        ref = embed(spins.Iz, 0, 3, 2) @ embed(spins.Iz, 2, 3, 2)
-        assert np.abs(emb - ref).max() < 1e-12
-
-    def test_bad_slots(self):
-        with pytest.raises(ham.HamiltonianError):
-            ham.embed_pair(np.eye(4), 1, 1, 3, 2)
+        assert np.allclose(h1 - h0, np.diag(b))
