@@ -221,36 +221,50 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
                        realization: BathRealization, c_hf: float,
                        mask: TermMask, times_tbar: np.ndarray) -> np.ndarray:
     """Weighted sum of correlations over same-size clusters, chunked to bound
-    memory (phase arrays are (chunk, d^size, n_times) complex)."""
-    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
-    out = np.zeros(len(times_tbar), dtype=complex)
+    memory (phase arrays are (chunk, d^size, n_times) complex).
 
-    chunk = max(1, int(2 ** 22 / (dim * len(times_tbar))))
+    The phase table, its conjugate and W @ conj(P) live in three buffers
+    allocated once per group and reused by every chunk. Their rows are padded
+    to an odd length: the trace sum walks each buffer with a stride of one
+    row, and a power-of-two row (256 samples = 4 KiB) would map every step
+    onto the same cache set. The padding changes no arithmetic.
+    """
+    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
+    nt = len(times_tbar)
+    out = np.zeros(nt, dtype=complex)
+
+    chunk = max(1, int(2 ** 22 / (dim * nt)))
+    shape = (min(chunk, len(clusters)), dim, nt | 1)
+    P_buf, Pc_buf, Q_buf = (np.empty(shape, dtype=complex) for _ in range(3))
     for lo in range(0, len(clusters), chunk):
         cl = clusters[lo:lo + chunk]
         w = weights[lo:lo + chunk]
+        nc = len(cl)
         E, V = np.linalg.eigh(cluster_hamiltonians(cl, realization, c_hf, mask))
         b = bath_operator_diagonal(cl, realization)   # (nc, dim), diagonal of B
         Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
         W = (np.abs(Bp) ** 2) * (w / dim)[:, None, None]
-        P = _phase_table(E / realization.A_bar, times_tbar)
-        Q = W @ P.conj()
+        P = _phase_table(E / realization.A_bar, times_tbar, out=P_buf[:nc, :, :nt])
+        Pc = np.conjugate(P, out=Pc_buf[:nc, :, :nt])
+        Q = np.matmul(W, Pc, out=Q_buf[:nc, :, :nt])
         out += np.einsum("cmt,cmt->t", P, Q, optimize=True)
     return out
 
 
-def _phase_table(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _phase_table(freqs: np.ndarray, times: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """exp(1j * freqs[..., None] * times) on a uniform grid via a running
     product (one complex multiply per element instead of one exp); the phase
-    drift over the grid stays near machine precision."""
+    drift over the grid stays near machine precision. Written into ``out``
+    (shape freqs.shape + (len(times),), any row strides) when given."""
+    if out is None:
+        out = np.empty(freqs.shape + (len(times),), dtype=complex)
     dt = times[1] - times[0]
     if np.abs(np.diff(times) - dt).max() <= 1e-9 * dt:
-        step = np.exp(1j * freqs * (dt + 0j))
-        P = np.broadcast_to(step[..., None], freqs.shape + (len(times),)).copy()
-        P[..., 0] = np.exp(1j * freqs * times[0])
-        np.cumprod(P, axis=-1, out=P)
-        return P
-    return np.exp(1j * freqs[..., None] * times)
+        out[...] = np.exp(1j * freqs * (dt + 0j))[..., None]
+        out[..., 0] = np.exp(1j * freqs * times[0])
+        return np.cumprod(out, axis=-1, out=out)
+    return np.exp(1j * freqs[..., None] * times, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,11 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
             raise ConfigError("box needs three integers")
         cfg.box = dims
     elif key == "sites":
-        cfg.sites = tuple(int(p) for p in value.split())
+        sites = tuple(int(p) for p in value.split())
+        repeated = sorted(k for k, n in Counter(sites).items() if n > 1)
+        if repeated:
+            raise ConfigError(f"repeated site index {repeated[0]}")
+        cfg.sites = sites
     elif key in ("secular", "mask_A", "mask_B", "mask_CD", "mask_EF"):
         if value.lower() not in _BOOL:
             raise ConfigError(f"bad boolean for {key!r}: {value!r}")
@@ -187,6 +191,23 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok in checks:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
+    _check_band_coverage(cfg)
+
+
+def _check_band_coverage(cfg: RunConfig) -> None:
+    """Every band in BANDS needs at least one CWT row (the SST bins are the
+    same frequencies) on the configured time grid and voice count. The grid
+    step tbar_max / (samples - 1) is the one ``cce.time_grid`` produces."""
+    scales = tfa.default_scales(cfg.samples, cfg.tbar_max / (cfg.samples - 1),
+                                tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    freqs = cfg.mu / scales
+    for name, (lo, hi) in BANDS.items():
+        if not ((freqs >= lo) & (freqs <= hi)).any():
+            raise ConfigError(
+                f"'tbar_max' = {cfg.tbar_max:g}, 'samples' = {cfg.samples} and "
+                f"'voices' = {cfg.voices} give no wavelet row in band {name} "
+                f"[{lo}, {hi}]: centre frequencies span {freqs.min():.3g} to "
+                f"{freqs.max():.3g}")
 
 
 def load_config(path) -> RunConfig:

@@ -4,6 +4,7 @@ dipolar alphabet, with per-term masks and a secular (high-field) mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -82,14 +83,45 @@ def _two_site_operator(ops: dict, n: int, d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _pair_structures(spin_I: float, size: int, p: int, q: int):
+    """Support of the four alphabet structures of the pair (p, q) embedded
+    in a ``size``-spin cluster: IzIz, I+I- + I-I+, I+Iz + IzI+ and I+I+, each
+    as (flat indices into a (dim, dim) matrix, values, flat indices of the
+    transposed positions). The transposed indices, where the adjoint goes,
+    are None for the two Hermitian structures. The support is the nonzeros
+    plus the diagonal: adding coef * 0 there turns a -0.0 that c_hf * b may
+    leave on the diagonal into +0.0, exactly as a dense add of the whole
+    structure does, so the scatter reproduces the dense sum bit for bit."""
+    spins = spin_matrices(spin_I)
+    Iz, Ip, Im = spins.Iz, spins.Iplus, spins.Iminus
+
+    def op(a, b):
+        return _two_site_operator({p: a, q: b}, size, spins.dim)
+
+    out = []
+    for S, adjoint in ((op(Iz, Iz), False), (op(Ip, Im) + op(Im, Ip), False),
+                       (op(Ip, Iz) + op(Iz, Ip), True), (op(Ip, Ip), True)):
+        rows, cols = np.nonzero((S != 0) | np.eye(len(S), dtype=bool))
+        arrays = (rows * len(S) + cols, S[rows, cols],
+                  cols * len(S) + rows if adjoint else None)
+        for a in arrays:                 # cached and shared: keep them read-only
+            if a is not None:
+                a.flags.writeable = False
+        out.append(arrays)
+    return tuple(out)
+
+
 def cluster_hamiltonians(clusters, realization: BathRealization,
                          c_hf: float = 0.5,
                          mask: TermMask = TermMask.full()) -> np.ndarray:
     """Effective Hamiltonians of equal-size clusters, stacked (n_clusters,
     dim, dim): c_hf * sum A_i Iz_i plus every pairwise dipolar term, in the
     cluster tensor space. ``clusters`` is an (n_clusters, size) array of site
-    indices. Each pair's embedded structures are built inside the pair loop
-    and shared by the whole stack, never for all pairs at once."""
+    indices. Each pair term is scattered onto the support of its embedded
+    structures (cached per spin, size and pair), shared by the whole stack;
+    the C/D and E/F terms also add their adjoints on the transposed
+    positions."""
     clusters = np.asarray(clusters, dtype=int)
     if clusters.ndim != 2 or clusters.shape[1] == 0:
         raise HamiltonianError("clusters must be a (n_clusters, size >= 1) array of site indices")
@@ -97,30 +129,25 @@ def cluster_hamiltonians(clusters, realization: BathRealization,
     if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise HamiltonianError("duplicate site indices in a cluster")
     nc, size = clusters.shape
-    spins = spin_matrices(realization.species.spin_I)
-    d = spins.dim
-    dim = d ** size
-    Iz, Ip, Im = spins.Iz, spins.Iplus, spins.Iminus
+    spin_I = realization.species.spin_I
+    dim = spin_matrices(spin_I).dim ** size
 
-    H = np.zeros((nc, dim, dim), dtype=complex)
-    H[:, np.arange(dim), np.arange(dim)] = c_hf * bath_operator_diagonal(clusters, realization)
+    # built transposed, one row per matrix entry, so that every scatter moves
+    # whole contiguous rows of nc values
+    Ht = np.zeros((dim * dim, nc), dtype=complex)
+    Ht[np.arange(dim) * (dim + 1)] = (c_hf * bath_operator_diagonal(clusters, realization)).T
     pos = realization.positions[clusters]             # (nc, size, 3)
+    enabled = (mask.enable_A, mask.enable_B, mask.enable_CD, mask.enable_EF)
     for p, q in combinations(range(size), 2):
         geom = pair_geometry(pos[:, p], pos[:, q], realization.hf_axis,
                              realization.species)
-        cA, cB, cC, cE = alphabet_coefficients(geom, mask)
-
-        def op(a, b):
-            return _two_site_operator({p: a, q: b}, size, d)
-
-        if mask.enable_A:
-            H += cA[:, None, None] * op(Iz, Iz)
-        if mask.enable_B:
-            H += cB[:, None, None] * (op(Ip, Im) + op(Im, Ip))
-        if mask.enable_CD:
-            half = cC[:, None, None] * (op(Ip, Iz) + op(Iz, Ip))
-            H += half + half.conj().transpose(0, 2, 1)
-        if mask.enable_EF:
-            half = cE[:, None, None] * op(Ip, Ip)
-            H += half + half.conj().transpose(0, 2, 1)
-    return H
+        coefs = alphabet_coefficients(geom, mask)
+        for on, coef, (idx, values, idx_t) in zip(
+                enabled, coefs, _pair_structures(spin_I, size, p, q)):
+            if not on:
+                continue
+            half = values[:, None] * coef
+            Ht[idx] += half
+            if idx_t is not None:
+                Ht[idx_t] += half.conj()
+    return np.ascontiguousarray(Ht.T).reshape(nc, dim, dim)

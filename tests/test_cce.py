@@ -138,6 +138,20 @@ class TestCCERecursion:
                    for c, a in cce.combination_coefficients(cset).items())
         assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
 
+    def test_partial_last_chunk_matches_per_cluster_path(self):
+        # spin 3/2 triples (dim 64) on 2048 samples are chunked 32 at a time,
+        # so the 35 triples of a complete 7-spin bath take one full chunk and
+        # a partial one that uses only the first rows of the trace buffers
+        bath = random_bath(np.random.default_rng(21), 7, spin=1.5)
+        t = cce.time_grid(40.0, 2048)
+        assert 2 ** 22 // (64 * len(t)) == 32
+        cset = cce.enumerate_clusters(bath, 1e-6, 3)
+        assert len(cset.by_size(3)) == 35
+        fast = cce.compute_correlation(bath, cset, times_tbar=t)
+        slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
+                   for c, a in cce.combination_coefficients(cset).items())
+        assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
+
     def test_metadata(self):
         bath = random_bath(np.random.default_rng(22), 3)
         cset = cce.enumerate_clusters(bath, 1e-6, 2)
@@ -162,6 +176,17 @@ class TestPhaseTable:
         got = cce._phase_table(f, t)
         ref = np.exp(1j * f[..., None] * t)
         assert np.abs(got - ref).max() < 1e-9
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 37.0, 200),
+                                       np.linspace(0.0, 3.0, 40) ** 2])
+    def test_padded_out_is_bit_identical(self, times):
+        # uniform grid (running product) and non-uniform grid (direct exp)
+        f = np.random.default_rng(8).normal(size=(3, 4))
+        buf = np.empty((3, 4, len(times) | 1), dtype=complex)
+        got = cce._phase_table(f, times, out=buf[:, :, :len(times)])
+        assert np.shares_memory(got, buf)
+        ref = cce._phase_table(f, times)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestSeriesIO:

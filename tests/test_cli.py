@@ -25,6 +25,13 @@ voices = 8
 BASE_BODY = FAST_BODY.replace("hf_axis = 0 0 1\n", "")
 
 
+def with_keys(body, extra):
+    """``body`` with every key that ``extra`` sets replaced by extra's line."""
+    keys = {ln.partition("=")[0].strip() for ln in extra.splitlines() if "=" in ln}
+    kept = [ln for ln in body.splitlines() if ln.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + [extra])
+
+
 def write_cfg(tmp_path, body, outdir=None, name="run.cfg"):
     if outdir is None:
         outdir = tmp_path / "out"
@@ -213,6 +220,14 @@ class TestExitCodes:
         pytest.param("seed = -1", ["run", "{cfg}"], 1, "'seed'", id="negative-seed"),
         pytest.param("hf_axis = nan 0 1", ["run", "{cfg}"], 1, "'hf_axis'", id="nan-axis"),
         pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
+        pytest.param("sites = 10 11 10", ["run", "{cfg}"], 1, "'sites'",
+                     id="repeated-site"),
+        # a grid whose Nyquist frequency lies below the 1Q and 2Q bands
+        pytest.param("tbar_max = 1e9\nsamples = 16", ["run", "{cfg}"], 1,
+                     "band 1Q", id="bands-above-nyquist"),
+        # a grid too short for any wavelet row below omega_bar = 0.1
+        pytest.param("tbar_max = 100\nsamples = 4096", ["run", "{cfg}"], 1,
+                     "band 0Q", id="band-below-lowest-scale"),
         pytest.param("realization_file = {tmp}/bad.csv", ["run", "{cfg}"], 1,
                      "bad.csv:1", id="malformed-realization"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
@@ -223,12 +238,13 @@ class TestExitCodes:
     def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
                                    code, named):
         (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
-        cfgp, outdir = write_cfg(tmp_path, BASE_BODY + extra_body.format(tmp=tmp_path))
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body.format(tmp=tmp_path)))
         argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
         assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "runtime error: ")[code - 1])
         assert err.count("\n") == 1 and named in err
+        assert not (outdir / "correlation.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "simulate", "analyze",
                                          "compare-orders", "sweep-axis"])

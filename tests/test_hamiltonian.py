@@ -42,6 +42,42 @@ def cartesian_reference(cluster, bath, c_hf):
     return H
 
 
+def dense_alphabet_reference(clusters, bath, c_hf, mask):
+    """Whole-matrix assembly of the alphabet: every structure a dense kron
+    chain of single-site operators, added with one coefficient per cluster,
+    and H += half + half^H for C/D and E/F. The same arithmetic as the
+    scatter in ``cluster_hamiltonians``, written the direct way."""
+    clusters = np.asarray(clusters)
+    nc, n = clusters.shape
+    spins = spin_matrices(bath.species.spin_I)
+    d = spins.dim
+    Iz, Ip, Im = spins.Iz, spins.Iplus, spins.Iminus
+
+    def op(p, q, a, b):
+        out = np.ones((1, 1), dtype=complex)
+        for k in range(n):
+            out = np.kron(out, a if k == p else b if k == q else np.eye(d, dtype=complex))
+        return out
+
+    H = np.zeros((nc, d ** n, d ** n), dtype=complex)
+    H[:, np.arange(d ** n), np.arange(d ** n)] = c_hf * ham.bath_operator_diagonal(clusters, bath)
+    pos = bath.positions[clusters]
+    for p, q in combinations(range(n), 2):
+        geom = L.pair_geometry(pos[:, p], pos[:, q], bath.hf_axis, bath.species)
+        cA, cB, cC, cE = ham.alphabet_coefficients(geom, mask)
+        if mask.enable_A:
+            H += cA[:, None, None] * op(p, q, Iz, Iz)
+        if mask.enable_B:
+            H += cB[:, None, None] * (op(p, q, Ip, Im) + op(p, q, Im, Ip))
+        if mask.enable_CD:
+            half = cC[:, None, None] * (op(p, q, Ip, Iz) + op(p, q, Iz, Ip))
+            H += half + half.conj().transpose(0, 2, 1)
+        if mask.enable_EF:
+            half = cE[:, None, None] * op(p, q, Ip, Ip)
+            H += half + half.conj().transpose(0, 2, 1)
+    return H
+
+
 def is_hermitian(H, rtol=1e-12):
     return np.abs(H - np.swapaxes(H, -1, -2).conj()).max() <= rtol * np.abs(H).max()
 
@@ -119,6 +155,23 @@ class TestPairHamiltonian:
                     Href = np.array([cartesian_reference(c, bath, c_hf) for c in clusters])
                     assert np.abs(H - Href).max() < 1e-12 * np.abs(Href).max()
                     assert is_hermitian(H)
+
+    @pytest.mark.parametrize("spin, sizes", [(0.5, (2, 3, 4)), (1.5, (2, 3))])
+    def test_scatter_is_bit_identical_to_dense_sum(self, spin, sizes):
+        # bit patterns compared, so signed zeros count too; c_hf = 0 leaves
+        # -0.0 on the diagonal wherever b < 0, which the dense sum's later
+        # zero adds turn into +0.0
+        rng = np.random.default_rng(11)
+        masks = [ham.TermMask.full(), ham.TermMask.secular(),
+                 ham.TermMask(False, True, False, True)]
+        for size in sizes:
+            bath = random_bath(rng, size + 2, spin=spin, axis=rng.normal(size=3))
+            clusters = list(combinations(range(size + 2), size))
+            for mask in masks:
+                for c_hf in (0.5, 0.0):
+                    H = ham.cluster_hamiltonians(clusters, bath, c_hf, mask)
+                    ref = dense_alphabet_reference(clusters, bath, c_hf, mask)
+                    assert np.array_equal(H.view(np.uint64), ref.view(np.uint64))
 
     def test_secular_conserves_total_mz(self):
         bath = random_bath(np.random.default_rng(4), 2, spin=1.5, axis=(1, 2, 3))
