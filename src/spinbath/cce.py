@@ -276,8 +276,15 @@ def save_series(path, series: CorrelationSeries) -> None:
     with open(path, "w") as fh:
         for k in sorted(series.metadata):
             fh.write(f"# {k} = {series.metadata[k]}\n")
-        for t, v in zip(series.times_tbar, series.values):
-            fh.write(f"{t:.16e},{v:.16e}\n")
+        _write_rows(fh, series.times_tbar, [series.values])
+
+
+def _write_rows(fh, keys, rows, heads=("",)) -> None:
+    """Write ``head key,value`` lines at 17 significant digits per (head, row)
+    pair: keys formatted once, one ``%`` template and one write per row."""
+    cells = [f"{k:.16e},%.16e\n" for k in keys]
+    for head, row in zip(heads, rows):
+        fh.write((head + head.join(cells)) % tuple(row.tolist()))
 
 
 def load_series(path) -> CorrelationSeries:

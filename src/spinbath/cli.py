@@ -191,7 +191,6 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok in checks:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
-    _check_band_coverage(cfg)
 
 
 def _check_band_coverage(cfg: RunConfig) -> None:
@@ -339,8 +338,7 @@ def _save_bands(scal, sst, outdir: Path, prefix: str) -> list:
             p = outdir / f"{prefix}band_{name}_{kind}.csv"
             with open(p, "w") as fh:
                 fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
-                for t, v in zip(scal.times_tbar, trace):
-                    fh.write(f"{t:.16e},{v:.16e}\n")
+                cce._write_rows(fh, scal.times_tbar, [trace])
             paths.append(str(p))
     return paths
 
@@ -349,6 +347,7 @@ def run_pipeline(cfg: RunConfig, realization: lattice.BathRealization | None = N
                  tag: str = "") -> RunManifest:
     """Full pipeline: bath -> CCE correlation -> spectrum -> CWT -> SST ->
     band traces, everything written under cfg.outdir with content hashes."""
+    _check_band_coverage(cfg)
     outdir = _outdir(cfg)
     prefix = (tag + "_") if tag else ""
     stage = _Stage()

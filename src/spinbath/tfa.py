@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cce import CorrelationSeries
+from .cce import CorrelationSeries, _write_rows
 
 
 class TFAError(ValueError):
@@ -197,8 +197,7 @@ def band_amplitude(obj, omega_lo: float, omega_hi: float) -> np.ndarray:
 def save_spectrum(path, spec: Spectrum) -> None:
     with open(path, "w") as fh:
         fh.write("# omega_bar,power\n")
-        for w, p in zip(spec.omega_bar, spec.power):
-            fh.write(f"{w:.16e},{p:.16e}\n")
+        _write_rows(fh, spec.omega_bar, [spec.power])
 
 
 def save_map(prefix, obj) -> list:
@@ -210,10 +209,8 @@ def save_map(prefix, obj) -> list:
     else:
         freqs, kind = obj.freq_bins, "sst"
     mod = np.abs(obj.coeffs)
-    bin_path = f"{prefix}.bin"
-    meta_path = f"{prefix}.meta.txt"
-    table_path = f"{prefix}.table.txt"
-    mod.astype("<f8").tofile(bin_path)
+    bin_path, meta_path, table_path = (f"{prefix}.{e}" for e in ("bin", "meta.txt", "table.txt"))
+    mod.astype("<f8", copy=False).tofile(bin_path)
     with open(meta_path, "w") as fh:
         fh.write(f"# kind = {kind}\n")
         fh.write(f"# shape = {mod.shape[0]} {mod.shape[1]}\n")
@@ -227,8 +224,5 @@ def save_map(prefix, obj) -> list:
         fh.write(",".join(f"{t:.16e}" for t in obj.times_tbar) + "\n")
     with open(table_path, "w") as fh:
         fh.write("# omega_bar,tbar,modulus\n")
-        for i, f in enumerate(freqs):
-            row = mod[i]
-            for j, t in enumerate(obj.times_tbar):
-                fh.write(f"{f:.16e},{t:.16e},{row[j]:.16e}\n")
+        _write_rows(fh, obj.times_tbar, mod, (f"{f:.16e}," for f in freqs))
     return [bin_path, meta_path, table_path]

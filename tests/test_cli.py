@@ -246,6 +246,26 @@ class TestExitCodes:
         assert err.count("\n") == 1 and named in err
         assert not (outdir / "correlation.csv").exists()
 
+    #: leaves band 0Q without a wavelet row on the configured grid
+    SHORT_GRID = "tbar_max = 100\nsamples = 4096"
+
+    @pytest.mark.parametrize("command", [["run", "{cfg}"],
+                                         ["sweep-axis", "{cfg}", "0,0,1"]])
+    def test_band_coverage_refused_before_output(self, tmp_path, capsys, command):
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, self.SHORT_GRID))
+        assert cli.main([a.format(cfg=cfgp) for a in command]) == 1
+        assert "band 0Q" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_analyze_skips_band_coverage(self, tmp_path):
+        # analyze takes its grid from the series file and writes no band traces
+        t = cce.time_grid(400.0, 256)
+        series = tmp_path / "series.csv"
+        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, self.SHORT_GRID))
+        assert cli.main(["analyze", str(cfgp), str(series)]) == 0
+        assert (outdir / "analyze_manifest.txt").exists()
+
     @pytest.mark.parametrize("command", ["run", "simulate", "analyze",
                                          "compare-orders", "sweep-axis"])
     def test_numeric_failure_is_2(self, tmp_path, capsys, monkeypatch, command):

@@ -216,5 +216,14 @@ class TestExports:
         assert np.allclose(raw, np.abs(scal.coeffs))
         meta = (tmp_path / "cwt.meta.txt").read_text()
         assert f"# shape = {scal.coeffs.shape[0]} {scal.coeffs.shape[1]}" in meta
-        table = (tmp_path / "cwt.table.txt").read_text().strip().splitlines()
-        assert len(table) == 1 + scal.coeffs.size
+        lines = meta.splitlines()
+        freqs = np.array(lines[lines.index("# omega_bar rows:") + 1].split(","), dtype=float)
+        times = np.array(lines[lines.index("# tbar columns:") + 1].split(","), dtype=float)
+        assert np.array_equal(freqs, scal.center_freqs)
+        assert np.array_equal(times, scal.times_tbar)
+        # 17 significant digits round-trip a double, so the long form is exact
+        table = np.loadtxt(files[2], delimiter=",")
+        assert table.shape == (scal.coeffs.size, 3)
+        assert np.array_equal(table[:, 0], np.repeat(freqs, len(times)))
+        assert np.array_equal(table[:, 1], np.tile(times, len(freqs)))
+        assert np.array_equal(table[:, 2], raw.ravel())
