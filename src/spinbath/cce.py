@@ -32,9 +32,8 @@ class CCEError(ValueError):
 @dataclass(frozen=True)
 class ClusterSet:
     """Connected clusters of spinful sites up to ``max_order_M`` under the
-    proximity graph with edges |r_ij| <= cutoff_Rc."""
+    proximity graph of ``enumerate_clusters``."""
     max_order_M: int
-    cutoff_Rc: float
     clusters: tuple                      # tuples of site positions' indices, sorted by (size, lex)
     subcluster_links: dict               # cluster -> tuple of proper subclusters in the set
 
@@ -50,13 +49,7 @@ class CorrelationSeries:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times_tbar, dtype=float)
-        if len(t) < 2 or t[0] != 0.0:
-            raise CCEError("time grid must start at 0 with at least two samples")
-        dt = np.diff(t)
-        if np.abs(dt - dt[0]).max() > 1e-9 * dt[0]:
-            raise CCEError("time grid must be uniform")
-        self.times_tbar = t
+        self.times_tbar = _uniform_grid(self.times_tbar)
         self.values = np.asarray(self.values, dtype=float)
 
     @property
@@ -64,7 +57,19 @@ class CorrelationSeries:
         return float(self.times_tbar[1] - self.times_tbar[0])
 
 
-def time_grid(tbar_max: float = 200.0, samples: int = 4096) -> np.ndarray:
+def _uniform_grid(times_tbar) -> np.ndarray:
+    """``times_tbar`` as a float array; CCEError unless it is uniform from 0
+    with at least two samples."""
+    t = np.asarray(times_tbar, dtype=float)
+    if len(t) < 2 or t[0] != 0.0:
+        raise CCEError("time grid must start at 0 with at least two samples")
+    dt = np.diff(t)
+    if np.abs(dt - dt[0]).max() > 1e-9 * dt[0]:
+        raise CCEError("time grid must be uniform")
+    return t
+
+
+def time_grid(tbar_max: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, tbar_max, samples)
 
 
@@ -111,18 +116,15 @@ def enumerate_clusters(realization: BathRealization, r_cutoff: float,
                 if s in present:
                     subs.append(s)
         links[c] = tuple(sorted(subs, key=lambda s: (len(s), s)))
-    return ClusterSet(max_order_M=M, cutoff_Rc=float(r_cutoff),
-                      clusters=clusters, subcluster_links=links)
+    return ClusterSet(max_order_M=M, clusters=clusters, subcluster_links=links)
 
 
 def cluster_correlation(cluster, realization: BathRealization,
-                        c_hf: float = 0.5, mask: TermMask = TermMask.full(),
-                        times_tbar: np.ndarray | None = None) -> np.ndarray:
+                        c_hf: float = 0.5, mask: TermMask = TermMask.full(), *,
+                        times_tbar: np.ndarray) -> np.ndarray:
     """Complex C_zeta(tbar) of one cluster by exact diagonalization and a
     direct exp of every phase: the dense oracle behind
     ``exact_bath_correlation``, kept apart from the batched trace path."""
-    if times_tbar is None:
-        times_tbar = time_grid()
     cluster = tuple(cluster)
     E, V = np.linalg.eigh(cluster_hamiltonians([cluster], realization, c_hf, mask)[0])
     b = bath_operator_diagonal(cluster, realization)
@@ -155,49 +157,41 @@ def combination_coefficients(cset: ClusterSet) -> dict:
     return {k: v for k, v in total.items() if v != 0}
 
 
-def _finalize_series(total: np.ndarray, times_tbar, order, realization,
-                     metadata=None) -> CorrelationSeries:
-    max_imag = float(np.abs(total.imag).max())
-    md = {"A_bar": realization.A_bar, "order": order, "max_imag": max_imag,
-          "n_spins": realization.n_spins}
-    if metadata:
-        md.update(metadata)
-    return CorrelationSeries(times_tbar=np.asarray(times_tbar, float),
-                             values=total.real, metadata=md)
+def _finalize_series(total: np.ndarray, times_tbar, realization,
+                     **metadata) -> CorrelationSeries:
+    md = {"A_bar": realization.A_bar, "max_imag": float(np.abs(total.imag).max()),
+          "n_spins": realization.n_spins, **metadata}
+    return CorrelationSeries(times_tbar=times_tbar, values=total.real, metadata=md)
 
 
 def exact_bath_correlation(realization: BathRealization, c_hf: float = 0.5,
-                           mask: TermMask = TermMask.full(),
-                           times_tbar: np.ndarray | None = None) -> CorrelationSeries:
+                           mask: TermMask = TermMask.full(), *,
+                           times_tbar: np.ndarray) -> CorrelationSeries:
     """Whole-bath evaluation of the trace formula; the reference the CCE
     recursion is tested against. Refuses Hilbert dimensions above 4096."""
-    if times_tbar is None:
-        times_tbar = time_grid()
     n = realization.n_spins
     d_local = int(round(2 * realization.species.spin_I)) + 1
     if d_local ** n > EXACT_DIM_CAP:
         raise CCEError(f"exact evaluation dimension {d_local}^{n} exceeds cap {EXACT_DIM_CAP}")
     cluster = tuple(range(n))
-    c = cluster_correlation(cluster, realization, c_hf, mask, times_tbar)
-    return _finalize_series(c, times_tbar, n, realization, {"mode": "exact"})
+    c = cluster_correlation(cluster, realization, c_hf, mask, times_tbar=times_tbar)
+    return _finalize_series(c, times_tbar, realization, order=n, mode="exact")
 
 
 # ---------------------------------------------------------------------------
 # batched CCE driver
 
 def compute_correlation(realization: BathRealization, cset: ClusterSet,
-                        c_hf: float = 0.5, mask: TermMask = TermMask.full(),
-                        times_tbar: np.ndarray | None = None,
-                        metadata: dict | None = None) -> CorrelationSeries:
+                        c_hf: float = 0.5, mask: TermMask = TermMask.full(), *,
+                        times_tbar: np.ndarray) -> CorrelationSeries:
     """Total CCE correlation, vectorized over clusters of equal size.
 
     Equal-size clusters share the structural operators of their pair terms, so
     Hamiltonian assembly, eigensolves and the trace formula all run stacked.
-    Results are accumulated in deterministic (size, lexicographic) order.
+    Results are accumulated in deterministic (size, lexicographic) order. A
+    grid that is not uniform from 0 is refused before any of that work.
     """
-    if times_tbar is None:
-        times_tbar = time_grid()
-    times_tbar = np.asarray(times_tbar, dtype=float)
+    times_tbar = _uniform_grid(times_tbar)
     if realization.n_spins == 0:
         raise CCEError("no spinful sites in realization")
     coeffs = combination_coefficients(cset)
@@ -211,10 +205,8 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
         weights = np.array([a for _, a in groups[size]], dtype=float)
         total += _group_correlation(clusters, weights, realization, c_hf, mask,
                                     times_tbar)
-    series = _finalize_series(total, times_tbar, cset.max_order_M, realization, metadata)
-    series.metadata["n_clusters"] = len(cset.clusters)
-    series.metadata.setdefault("mode", "cce")
-    return series
+    return _finalize_series(total, times_tbar, realization, order=cset.max_order_M,
+                            mode="cce", n_clusters=len(cset.clusters))
 
 
 def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
@@ -253,18 +245,17 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
 
 def _phase_table(freqs: np.ndarray, times: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """exp(1j * freqs[..., None] * times) on a uniform grid via a running
-    product (one complex multiply per element instead of one exp); the phase
-    drift over the grid stays near machine precision. Written into ``out``
-    (shape freqs.shape + (len(times),), any row strides) when given."""
+    """exp(1j * freqs[..., None] * times) on a uniform grid (the only grid
+    ``compute_correlation`` accepts) via a running product (one complex
+    multiply per element instead of one exp); the phase drift over the grid
+    stays near machine precision. Written into ``out`` (shape freqs.shape +
+    (len(times),), any row strides) when given."""
     if out is None:
         out = np.empty(freqs.shape + (len(times),), dtype=complex)
     dt = times[1] - times[0]
-    if np.abs(np.diff(times) - dt).max() <= 1e-9 * dt:
-        out[...] = np.exp(1j * freqs * (dt + 0j))[..., None]
-        out[..., 0] = np.exp(1j * freqs * times[0])
-        return np.cumprod(out, axis=-1, out=out)
-    return np.exp(1j * freqs[..., None] * times, out=out)
+    out[...] = np.exp(1j * freqs * (dt + 0j))[..., None]
+    out[..., 0] = np.exp(1j * freqs * times[0])
+    return np.cumprod(out, axis=-1, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,7 @@ class RunConfig:
         return m
 
     def species(self) -> lattice.SpeciesParams:
-        probe = lattice.SpeciesParams(self.spin, self.gamma, 1.0, self.L0)
-        e_dd = lattice.compute_E_dd(probe, self.a0)
+        e_dd = lattice.compute_E_dd(self.gamma, self.a0)
         return lattice.SpeciesParams(self.spin, self.gamma,
                                      self.A0_over_Edd * e_dd, self.L0)
 
@@ -102,24 +101,22 @@ def _finite(text: str) -> float:
 
 
 def _parse_axis(value: str) -> tuple[float, float, float]:
+    """Unit hf axis from ``x y z``, ``miller h k l`` or ``angles theta phi``."""
     parts = value.split()
-    if parts and parts[0] == "miller":
-        if len(parts) != 4:
-            raise ConfigError("hf_axis miller form needs three integers")
-        v = lattice.hf_axis_from_miller(*[_finite(p) for p in parts[1:]])
-        return tuple(v)
-    if parts and parts[0] == "angles":
+    if parts[:1] == ["angles"]:
         if len(parts) != 3:
             raise ConfigError("hf_axis angles form needs theta and phi in degrees")
-        v = lattice.hf_axis_from_angles(_finite(parts[1]), _finite(parts[2]))
-        return tuple(v)
-    if len(parts) == 3:
-        v = np.array([_finite(p) for p in parts])
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ConfigError("hf_axis cannot be the zero vector")
-        return tuple(v / n)
-    raise ConfigError(f"cannot parse hf_axis value {value!r}")
+        return tuple(lattice.hf_axis_from_angles(_finite(parts[1]), _finite(parts[2])))
+    if parts[:1] == ["miller"]:
+        if len(parts) != 4:
+            raise ConfigError("hf_axis miller form needs three integers")
+        parts = parts[1:]
+    elif len(parts) != 3:
+        raise ConfigError(f"cannot parse hf_axis value {value!r}")
+    try:
+        return tuple(lattice.hf_axis_from_miller(*[_finite(p) for p in parts]))
+    except lattice.LatticeError as exc:
+        raise ConfigError(f"hf_axis {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -177,8 +174,12 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
 
 
 def _validate(cfg: RunConfig) -> None:
+    two_i = 2 * cfg.spin
     checks = [("seed", cfg.seed >= 0), ("a0", cfg.a0 > 0), ("L0", cfg.L0 > 0),
               ("A0_over_Edd", cfg.A0_over_Edd > 0),
+              # gamma is negative for 29Si; half-integer as in SpeciesParams
+              ("gamma", cfg.gamma != 0),
+              ("spin", round(two_i) >= 1 and abs(two_i - round(two_i)) <= 1e-12),
               ("abundance", 0.0 <= cfg.abundance <= 1.0),
               ("order", 1 <= cfg.order <= 6),
               ("r_cutoff_a0", cfg.r_cutoff_a0 > 0),
@@ -285,8 +286,12 @@ class _Stage:
 
 
 def _outdir(cfg: RunConfig) -> Path:
+    """Make the output directory; each command calls this before its first stage."""
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create 'outdir' {outdir}: {exc.strerror}") from None
     return outdir
 
 
@@ -297,11 +302,10 @@ def _new_manifest(cfg: RunConfig, stage: _Stage) -> RunManifest:
 def _simulate(cfg: RunConfig, realization: lattice.BathRealization, order: int):
     """Bath -> clusters -> CCE correlation on the configured time grid.
     Returns (cluster set, raw series)."""
-    if realization.n_spins == 0:
-        raise cce.CCEError("no spinful sites")
     cset = cce.enumerate_clusters(realization, cfg.r_cutoff_a0 * realization.a0, order)
     times = cce.time_grid(cfg.tbar_max, cfg.samples)
-    series = cce.compute_correlation(realization, cset, cfg.c_hf, cfg.term_mask(), times)
+    series = cce.compute_correlation(realization, cset, cfg.c_hf, cfg.term_mask(),
+                                     times_tbar=times)
     return cset, series
 
 
@@ -381,25 +385,26 @@ def run_pipeline(cfg: RunConfig, realization: lattice.BathRealization | None = N
 def simulate(cfg: RunConfig) -> str:
     """Bath and CCE only: writes the raw and normalized correlation series and
     returns a one-line summary."""
+    outdir = _outdir(cfg)
     stage = _Stage()
     realization = stage.run("realization", _resolve_realization, cfg)
     cset, series = stage.run("cce", _simulate, cfg, realization, cfg.order)
-    paths, _ = _save_correlation(stage, series, _outdir(cfg), "")
+    paths, _ = _save_correlation(stage, series, outdir, "")
     return f"{paths[0]}: {len(cset.clusters)} clusters"
 
 
-def analyze_series(cfg: RunConfig, series_path, tag: str = "analyze") -> RunManifest:
+def analyze_series(cfg: RunConfig, series_path) -> RunManifest:
     """Analyze-only stage on an exported normalized correlation file."""
     outdir = _outdir(cfg)
     stage = _Stage()
     series = cce.load_series(series_path)
     cbar = series if series.metadata.get("normalized") else \
         stage.run("normalize", tfa.normalize_correlation, series)
-    files, _, _ = stage.run("analyze", _analyze, stage, cfg, cbar, outdir, f"{tag}_")
+    files, _, _ = stage.run("analyze", _analyze, stage, cfg, cbar, outdir, "analyze_")
     manifest = _new_manifest(cfg, stage)
     for f in files:
         manifest.products[f] = _sha256(f)
-    manifest.write(outdir / f"{tag}_manifest.txt")
+    manifest.write(outdir / "analyze_manifest.txt")
     return manifest
 
 
@@ -411,9 +416,9 @@ def compare_orders(cfg: RunConfig, orders) -> str:
         raise ConfigError("compare-orders needs at least two orders")
     for m in orders:
         _validate(replace(cfg, order=m))
+    outdir = _outdir(cfg)
     stage = _Stage()
     realization = stage.run("realization", _resolve_realization, cfg)
-    outdir = _outdir(cfg)
     curves = {}
     for m in orders:
         _, series = stage.run("cce", _simulate, cfg, realization, m)
@@ -441,6 +446,8 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     realization, including per-channel (B / CD / EF) mask decompositions."""
     if not axes:
         raise ConfigError("sweep-axis needs at least one axis")
+    _check_band_coverage(cfg)       # before outdir exists, as in run_pipeline
+    _outdir(cfg)
     realization = _Stage().run("realization", _resolve_realization, cfg)
     manifests = []
     for i, axis in enumerate(axes):
@@ -492,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(cfg: RunConfig) -> None:
-    realization = _resolve_realization(cfg)
     path = _outdir(cfg) / "realization.csv"
+    realization = _resolve_realization(cfg)
     lattice.save_realization(path, realization)
     print(f"{path}: N={realization.n_spins} A_bar={realization.A_bar:.6e}")
 

@@ -68,17 +68,11 @@ class LatticeSpec:
         if not 0.0 <= self.abundance_rho <= 1.0:
             raise LatticeError(f"abundance must lie in [0, 1], got {self.abundance_rho}")
 
-    @property
-    def n_sites(self) -> int:
-        nx, ny, nz = self.box_dims
-        return 8 * nx * ny * nz
-
 
 @dataclass(frozen=True)
 class PairGeometry:
     """Relative geometry of spin pairs in the hyperfine frame, one value per
     pair in every field."""
-    r_ij_norm: np.ndarray     # m
     cos_theta: np.ndarray     # cosine of the polar angle w.r.t. the hf axis
     phi_ij: np.ndarray        # rad, azimuth in (-pi, pi]
     prefactor: np.ndarray     # rad/s, (mu0/4pi) hbar gamma^2 / r^3
@@ -110,7 +104,7 @@ class BathRealization:
         object.__setattr__(self, "hf_axis", axis)
         if len(A) != len(pos):
             raise LatticeError("positions and hf couplings disagree in length")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:     # NaN fails too
             raise LatticeError("hf_axis must be a unit vector")
         if len(A) and (np.any(A <= 0) or np.any(A > self.species.A0 * (1 + 1e-12))):
             raise LatticeError("hyperfine couplings must satisfy 0 < A_i <= A0")
@@ -163,13 +157,13 @@ def assign_hf_couplings(positions: np.ndarray, species: SpeciesParams):
     return A, float(A.mean()) if len(A) else 0.0, float(A.std()) if len(A) else 0.0
 
 
-def compute_E_dd(species: SpeciesParams, a0: float) -> float:
-    """Dipole-dipole energy scale (rad/s) of two like spins one bond length
-    a0 sqrt(3)/4 apart."""
+def compute_E_dd(gamma: float, a0: float) -> float:
+    """Dipole-dipole energy scale (rad/s) of two like spins of gyromagnetic
+    ratio ``gamma`` one bond length a0 sqrt(3)/4 apart."""
     if a0 <= 0:
         raise LatticeError("a0 must be positive")
     bond = a0 * np.sqrt(3.0) / 4.0
-    return MU0_OVER_4PI * HBAR * species.gamma ** 2 / bond ** 3
+    return MU0_OVER_4PI * HBAR * gamma ** 2 / bond ** 3
 
 
 def rotation_to_axis(axis: np.ndarray) -> np.ndarray:
@@ -204,16 +198,19 @@ def pair_geometry(r_i: np.ndarray, r_j: np.ndarray, hf_axis: np.ndarray,
         raise LatticeError("coincident sites have no pair geometry")
     local = r @ rotation_to_axis(hf_axis)
     pref = MU0_OVER_4PI * HBAR * species.gamma ** 2 / norm ** 3
-    return PairGeometry(r_ij_norm=norm, cos_theta=local[..., 2] / norm,
+    return PairGeometry(cos_theta=local[..., 2] / norm,
                         phi_ij=np.arctan2(local[..., 1], local[..., 0]),
                         prefactor=pref)
 
 
 def hf_axis_from_miller(h: float, k: float, l: float) -> np.ndarray:
+    """Unit vector along (h, k, l). A direction whose norm is zero, overflows
+    or underflows too far to normalize to 1e-12 is refused."""
     v = np.array([h, k, l], dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise LatticeError("Miller direction cannot be the zero vector")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not 0 < n < np.inf or not abs(np.linalg.norm(v / n) - 1.0) <= 1e-12:
+        raise LatticeError(f"direction {h:g} {k:g} {l:g} cannot be normalized")
     return v / n
 
 
@@ -237,7 +234,7 @@ def build_realization(spec: LatticeSpec, hf_axis: np.ndarray) -> BathRealization
     A, A_bar, _ = assign_hf_couplings(sub, spec.species)
     axis = np.asarray(hf_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    e_dd = compute_E_dd(spec.species, spec.lattice_constant_a0)
+    e_dd = compute_E_dd(spec.species.gamma, spec.lattice_constant_a0)
     return BathRealization(positions=sub, hf_couplings_A=A, hf_axis=axis,
                            E_dd=e_dd, A_bar=A_bar, species=spec.species,
                            a0=spec.lattice_constant_a0,
@@ -287,8 +284,7 @@ def load_realization(path) -> BathRealization:
     rows = np.array(rows).reshape(-1, 4)
     try:
         # A0 stored as a ratio to E_dd so the header round-trips the model spec
-        tmp_species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=1.0, L0=L0)
-        e_dd = compute_E_dd(tmp_species, a0)
+        e_dd = compute_E_dd(gamma, a0)
         species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=ratio * e_dd, L0=L0)
         A = rows[:, 3]
         return BathRealization(positions=rows[:, :3], hf_couplings_A=A, hf_axis=axis,

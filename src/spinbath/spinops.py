@@ -1,4 +1,4 @@
-"""Spin-I matrices, tensor-product embedding and Hermitian eigensolves.
+"""Spin-I matrices and tensor-product embedding.
 
 Dense complex matrices throughout; cluster dimensions stay <= (2I+1)^4 = 256
 for the spin values in scope. Basis ordering is m = I down to -I.
@@ -54,19 +54,3 @@ def embed(op: np.ndarray, k: int, n: int, d: int) -> np.ndarray:
     right = np.eye(d ** (n - k - 1))
     return np.kron(np.kron(left, op), right)
 
-
-def check_hermitian(H: np.ndarray, rtol: float = 1e-12) -> None:
-    H = np.asarray(H)
-    scale = max(np.abs(H).max(), 1e-300)
-    if np.abs(H - H.conj().T).max() > rtol * scale:
-        raise SpinOpsError("matrix is not Hermitian within tolerance")
-
-
-def eigh(H: np.ndarray, rtol: float = 1e-12):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects inputs that are not Hermitian within ``rtol`` of the largest entry.
-    """
-    check_hermitian(H, rtol)
-    w, V = np.linalg.eigh(H)
-    return w, V

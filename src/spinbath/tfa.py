@@ -42,7 +42,6 @@ class Scalogram:
     times_tbar: np.ndarray
     coeffs: np.ndarray          # (n_scales, n_times) complex
     dcoeffs: np.ndarray         # time derivative d/db of coeffs
-    params: BumpParams
     metadata: dict = field(default_factory=dict)
 
 
@@ -51,7 +50,6 @@ class SSTMap:
     freq_bins: np.ndarray       # ascending omega_bar bins (log-spaced)
     times_tbar: np.ndarray
     coeffs: np.ndarray          # (n_bins, n_times) complex
-    threshold_gamma: float
     metadata: dict = field(default_factory=dict)
 
 
@@ -136,7 +134,6 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     coi = np.minimum(np.ceil(2.0 * np.pi * scales / (params.sigma * dt)), n).astype(int)
     return Scalogram(scales=scales, center_freqs=params.mu / scales,
                      times_tbar=np.arange(n) * dt, coeffs=W, dcoeffs=dW,
-                     params=params,
                      metadata={"voices_per_octave": voices_per_octave,
                                "coi_halfwidth_samples": coi})
 
@@ -173,7 +170,6 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     keep = (idx >= 0) & (idx < len(freqs))
     np.add.at(T, (idx[keep], cols[keep]), mass[rows[keep], cols[keep]])
     return SSTMap(freq_bins=freqs, times_tbar=scalogram.times_tbar, coeffs=T,
-                  threshold_gamma=float(gamma),
                   metadata=dict(scalogram.metadata))
 
 

@@ -17,8 +17,7 @@ CONVERGENCE_AXIS_DEG = (54.7356, 0.0)
 
 def species(spin=0.5, gamma=GAMMA_C13, a0=DIAMOND_A0, a0_ratio=1.0e4,
             L0=L0_DEFAULT) -> L.SpeciesParams:
-    probe = L.SpeciesParams(spin, gamma, 1.0, L0)
-    return L.SpeciesParams(spin, gamma, a0_ratio * L.compute_E_dd(probe, a0), L0)
+    return L.SpeciesParams(spin, gamma, a0_ratio * L.compute_E_dd(gamma, a0), L0)
 
 
 def bath_from_positions(pos, sp, axis, a0) -> L.BathRealization:
@@ -27,7 +26,7 @@ def bath_from_positions(pos, sp, axis, a0) -> L.BathRealization:
     A, abar, _ = L.assign_hf_couplings(pos, sp)
     return L.BathRealization(positions=pos, hf_couplings_A=A,
                              hf_axis=axis / np.linalg.norm(axis),
-                             E_dd=L.compute_E_dd(sp, a0), A_bar=abar,
+                             E_dd=L.compute_E_dd(sp.gamma, a0), A_bar=abar,
                              species=sp, a0=a0)
 
 

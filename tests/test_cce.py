@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbath import cce
+from spinbath import cce, cli
 from spinbath.hamiltonian import TermMask
 
 from baths import DIAMOND_A0, bath_from_positions, nn_pair, random_bath, species
@@ -15,7 +15,8 @@ def chain_bath(n, spacing=0.4e-9, spin=0.5):
 
 class TestTimeGrid:
     def test_defaults(self):
-        t = cce.time_grid()
+        cfg = cli.RunConfig()
+        t = cce.time_grid(cfg.tbar_max, cfg.samples)
         assert len(t) == 4096 and t[0] == 0.0 and t[-1] == pytest.approx(200.0)
 
     def test_series_validation(self):
@@ -160,6 +161,19 @@ class TestCCERecursion:
         assert s.metadata["n_spins"] == 3
         assert s.metadata["max_imag"] < 1e-10 * abs(s.values[0])
 
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 40) ** 2,
+                                       np.linspace(1.0, 11.0, 64), np.zeros(1)],
+                             ids=["non-uniform", "offset", "one-sample"])
+    def test_bad_grid_refused_before_eigensolves(self, monkeypatch, times):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Hamiltonians assembled for a grid that is refused")
+
+        bath = random_bath(np.random.default_rng(24), 3)
+        cset = cce.enumerate_clusters(bath, 1e-6, 2)
+        monkeypatch.setattr(cce, "cluster_hamiltonians", unreachable)
+        with pytest.raises(cce.CCEError, match="time grid"):
+            cce.compute_correlation(bath, cset, times_tbar=times)
+
     def test_exact_cap(self):
         bath = random_bath(np.random.default_rng(23), 7, spin=1.5)
         with pytest.raises(cce.CCEError):
@@ -177,10 +191,8 @@ class TestPhaseTable:
         ref = np.exp(1j * f[..., None] * t)
         assert np.abs(got - ref).max() < 1e-9
 
-    @pytest.mark.parametrize("times", [np.linspace(0.0, 37.0, 200),
-                                       np.linspace(0.0, 3.0, 40) ** 2])
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 37.0, 200)])
     def test_padded_out_is_bit_identical(self, times):
-        # uniform grid (running product) and non-uniform grid (direct exp)
         f = np.random.default_rng(8).normal(size=(3, 4))
         buf = np.empty((3, 4, len(times) | 1), dtype=complex)
         got = cce._phase_table(f, times, out=buf[:, :, :len(times)])

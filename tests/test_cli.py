@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinbath import cli
 from spinbath import cce, tfa
@@ -83,6 +84,17 @@ class TestParseConfig:
         assert np.allclose(cfg.hf_axis, [0, 0, 1])
         with pytest.raises(cli.ConfigError):
             cli.parse_config("hf_axis = 0 0")
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+    def test_axis_is_unit_or_refused(self, v):
+        # components whose norm overflows or underflows cannot be normalized
+        try:
+            axis = cli._parse_axis(" ".join(repr(x) for x in v))
+        except cli.ConfigError:
+            return
+        assert abs(np.linalg.norm(axis) - 1.0) <= 1e-12
 
     def test_mask_construction(self):
         cfg = cli.parse_config("mask_EF = false\nsecular = true")
@@ -174,7 +186,7 @@ class TestSubcommands:
         r1 = cce.load_series(outdir / "axis1" / "full_correlation.csv")
         assert r0.values[0] == pytest.approx(r1.values[0], rel=1e-12)
 
-    @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1"])
+    @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
     def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["sweep-axis", str(cfgp), "0,0,1", axis]) == 1
@@ -219,6 +231,14 @@ class TestExitCodes:
         pytest.param("", ["run", "{tmp}/absent.cfg"], 1, "absent.cfg", id="missing-config"),
         pytest.param("seed = -1", ["run", "{cfg}"], 1, "'seed'", id="negative-seed"),
         pytest.param("hf_axis = nan 0 1", ["run", "{cfg}"], 1, "'hf_axis'", id="nan-axis"),
+        # the norm overflows to inf, which would normalize the axis to zero
+        pytest.param("hf_axis = 1e200 0 0", ["run", "{cfg}"], 1, "'hf_axis'",
+                     id="overflowing-axis", marks=pytest.mark.filterwarnings("error")),
+        pytest.param("hf_axis = miller 1e200 0 0", ["run", "{cfg}"], 1, "'hf_axis'",
+                     id="overflowing-miller-axis", marks=pytest.mark.filterwarnings("error")),
+        # gamma may be negative (29Si) but not zero
+        pytest.param("gamma = 0", ["run", "{cfg}"], 1, "'gamma'", id="zero-gamma"),
+        pytest.param("spin = 0.3", ["run", "{cfg}"], 1, "'spin'", id="non-half-integer-spin"),
         pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
         pytest.param("sites = 10 11 10", ["run", "{cfg}"], 1, "'sites'",
                      id="repeated-site"),
@@ -245,6 +265,25 @@ class TestExitCodes:
         assert err.startswith(("config error: ", "runtime error: ")[code - 1])
         assert err.count("\n") == 1 and named in err
         assert not (outdir / "correlation.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["generate-bath", "{cfg}"], ["simulate", "{cfg}"],
+        ["analyze", "{cfg}", "{tmp}/series.csv"], ["run", "{cfg}"],
+        ["compare-orders", "{cfg}", "2", "3"], ["sweep-axis", "{cfg}", "0,0,1"]],
+        ids=lambda c: c[0])
+    def test_uncreatable_outdir_is_one_line(self, tmp_path, capsys, monkeypatch, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        # the first work of every command: the bath, or the series for analyze
+        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
+        monkeypatch.setattr(cce, "load_series", unreachable)
+        (tmp_path / "afile").write_text("")
+        cfgp, _ = write_cfg(tmp_path, FAST_BODY, tmp_path / "afile" / "out")
+        assert cli.main([a.format(tmp=tmp_path, cfg=cfgp) for a in command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'outdir'" in err
 
     #: leaves band 0Q without a wavelet row on the configured grid
     SHORT_GRID = "tbar_max = 100\nsamples = 4096"

@@ -69,8 +69,7 @@ class TestByteIdentity:
 
     def test_map_table(self, tmp_path):
         sst = tfa.SSTMap(freq_bins=EDGE[::-1].copy(), times_tbar=EDGE.copy(),
-                         coeffs=edge_rows(len(EDGE)).astype(complex),
-                         threshold_gamma=0.0)
+                         coeffs=edge_rows(len(EDGE)).astype(complex))
         files = tfa.save_map(tmp_path / "sst", sst)
         ref_map_table(tmp_path / "ref.txt", sst.freq_bins, sst.times_tbar,
                       np.abs(sst.coeffs))
@@ -82,10 +81,9 @@ class TestByteIdentity:
         freqs = np.array([1.0, 0.5, 0.05])
         coeffs = edge_rows(3).astype(complex)
         scal = tfa.Scalogram(scales=5.0 / freqs, center_freqs=freqs,
-                             times_tbar=EDGE.copy(), coeffs=coeffs, dcoeffs=coeffs,
-                             params=tfa.BumpParams())
+                             times_tbar=EDGE.copy(), coeffs=coeffs, dcoeffs=coeffs)
         sst = tfa.SSTMap(freq_bins=freqs[::-1].copy(), times_tbar=scal.times_tbar,
-                         coeffs=coeffs[::-1].copy(), threshold_gamma=0.0)
+                         coeffs=coeffs[::-1].copy())
         paths = cli._save_bands(scal, sst, tmp_path, "new_")
         assert len(paths) == 2 * len(cli.BANDS)
         for name, (lo, hi) in cli.BANDS.items():
@@ -104,8 +102,7 @@ def test_save_map_streams_rows(tmp_path):
     shape = (300, 4096)
     sst = tfa.SSTMap(freq_bins=np.geomspace(0.01, 3.0, shape[0]),
                      times_tbar=np.arange(shape[1]) * 0.05,
-                     coeffs=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                     threshold_gamma=0.0)
+                     coeffs=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     tracemalloc.start()
     try:
         tfa.save_map(tmp_path / "sst", sst)

@@ -14,8 +14,7 @@ MAGIC = np.arccos(1 / np.sqrt(3))
 
 
 def geom_at(theta, phi=0.3, prefactor=1.0):
-    return L.PairGeometry(r_ij_norm=1.0, cos_theta=np.cos(theta), phi_ij=phi,
-                          prefactor=prefactor)
+    return L.PairGeometry(cos_theta=np.cos(theta), phi_ij=phi, prefactor=prefactor)
 
 
 def cartesian_reference(cluster, bath, c_hf):

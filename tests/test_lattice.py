@@ -111,18 +111,17 @@ class TestHfCouplings:
 
 class TestEdd:
     def test_cubic_law(self):
-        sp = species()
-        assert L.compute_E_dd(sp, 2 * DIAMOND_A0) == pytest.approx(
-            L.compute_E_dd(sp, DIAMOND_A0) / 8, rel=1e-12)
+        assert L.compute_E_dd(GAMMA_C13, 2 * DIAMOND_A0) == pytest.approx(
+            L.compute_E_dd(GAMMA_C13, DIAMOND_A0) / 8, rel=1e-12)
 
     def test_gamma_squared(self):
-        a = L.compute_E_dd(L.SpeciesParams(0.5, GAMMA_C13, 1.0, 1e-9), DIAMOND_A0)
-        b = L.compute_E_dd(L.SpeciesParams(0.5, 2 * GAMMA_C13, 1.0, 1e-9), DIAMOND_A0)
+        a = L.compute_E_dd(GAMMA_C13, DIAMOND_A0)
+        b = L.compute_E_dd(2 * GAMMA_C13, DIAMOND_A0)
         assert b == pytest.approx(4 * a, rel=1e-12)
 
     def test_c13_golden_constant(self):
-        sp = L.SpeciesParams(0.5, GAMMA_C13, 1.0, 1e-9)
-        assert L.compute_E_dd(sp, DIAMOND_A0) == pytest.approx(E_DD_C13_DIAMOND, rel=1e-12)
+        assert L.compute_E_dd(GAMMA_C13, DIAMOND_A0) == pytest.approx(E_DD_C13_DIAMOND,
+                                                                     rel=1e-12)
 
 
 class TestPairGeometry:

@@ -78,18 +78,3 @@ class TestEmbed:
         emb = so.embed(op, 1, 3, 2)
         assert np.trace(emb).real == pytest.approx(4 * np.trace(op).real)
 
-
-class TestEigh:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(so.SpinOpsError):
-            so.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
-    def test_reconstruction(self, seed, n):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H = X + X.conj().T
-        w, V = so.eigh(H)
-        assert np.all(np.diff(w) >= 0)
-        assert np.allclose((V * w) @ V.conj().T, H, atol=1e-10)
