@@ -59,11 +59,13 @@ class CorrelationSeries:
 
 def _uniform_grid(times_tbar) -> np.ndarray:
     """``times_tbar`` as a float array; CCEError unless it is uniform from 0
-    with at least two samples."""
+    with a positive step and at least two samples."""
     t = np.asarray(times_tbar, dtype=float)
     if len(t) < 2 or t[0] != 0.0:
         raise CCEError("time grid must start at 0 with at least two samples")
     dt = np.diff(t)
+    if not dt[0] > 0:
+        raise CCEError(f"time grid must increase, got step {dt[0]!r}")
     if np.abs(dt - dt[0]).max() > 1e-9 * dt[0]:
         raise CCEError("time grid must be uniform")
     return t
@@ -267,15 +269,14 @@ def save_series(path, series: CorrelationSeries) -> None:
     with open(path, "w") as fh:
         for k in sorted(series.metadata):
             fh.write(f"# {k} = {series.metadata[k]}\n")
-        _write_rows(fh, series.times_tbar, [series.values])
+        _write_rows(fh, series.times_tbar, series.values)
 
 
-def _write_rows(fh, keys, rows, heads=("",)) -> None:
-    """Write ``head key,value`` lines at 17 significant digits per (head, row)
-    pair: keys formatted once, one ``%`` template and one write per row."""
-    cells = [f"{k:.16e},%.16e\n" for k in keys]
-    for head, row in zip(heads, rows):
-        fh.write((head + head.join(cells)) % tuple(row.tolist()))
+def _write_rows(fh, keys, values) -> None:
+    """Write ``key,value`` lines at 17 significant digits with one ``%``
+    template and one write."""
+    template = "".join(f"{k:.16e},%.16e\n" for k in keys)
+    fh.write(template % tuple(values.tolist()))
 
 
 def load_series(path) -> CorrelationSeries:

@@ -342,7 +342,7 @@ def _save_bands(scal, sst, outdir: Path, prefix: str) -> list:
             p = outdir / f"{prefix}band_{name}_{kind}.csv"
             with open(p, "w") as fh:
                 fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
-                cce._write_rows(fh, scal.times_tbar, [trace])
+                cce._write_rows(fh, scal.times_tbar, trace)
             paths.append(str(p))
     return paths
 

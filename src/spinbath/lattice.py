@@ -150,11 +150,11 @@ def sample_spinful_sites(positions: np.ndarray, rho: float, seed: int) -> np.nda
 def assign_hf_couplings(positions: np.ndarray, species: SpeciesParams):
     """Gaussian-envelope hyperfine couplings A_i = A0 exp(-r_i^2 / L0^2).
 
-    Returns (couplings, mean, standard deviation).
+    Returns (couplings, mean).
     """
     r2 = np.einsum("ij,ij->i", positions, positions)
     A = species.A0 * np.exp(-r2 / species.L0 ** 2)
-    return A, float(A.mean()) if len(A) else 0.0, float(A.std()) if len(A) else 0.0
+    return A, float(A.mean()) if len(A) else 0.0
 
 
 def compute_E_dd(gamma: float, a0: float) -> float:
@@ -231,7 +231,7 @@ def build_realization(spec: LatticeSpec, hf_axis: np.ndarray) -> BathRealization
     else:
         idx = sample_spinful_sites(pos, spec.abundance_rho, spec.seed)
     sub = pos[idx]
-    A, A_bar, _ = assign_hf_couplings(sub, spec.species)
+    A, A_bar = assign_hf_couplings(sub, spec.species)
     axis = np.asarray(hf_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     e_dd = compute_E_dd(spec.species.gamma, spec.lattice_constant_a0)

@@ -193,19 +193,19 @@ def band_amplitude(obj, omega_lo: float, omega_hi: float) -> np.ndarray:
 def save_spectrum(path, spec: Spectrum) -> None:
     with open(path, "w") as fh:
         fh.write("# omega_bar,power\n")
-        _write_rows(fh, spec.omega_bar, [spec.power])
+        _write_rows(fh, spec.omega_bar, spec.power)
 
 
 def save_map(prefix, obj) -> list:
-    """Binary modulus matrix (little-endian float64, row-major) plus a text
-    sidecar with the grids and a long-form (omega_bar, tbar, modulus) table.
-    Returns the list of files written."""
+    """Binary modulus matrix (little-endian float64, row-major, one row per
+    frequency) plus a text sidecar with the grids at 17 significant digits,
+    which together hold every map cell exactly. Returns the two paths."""
     if isinstance(obj, Scalogram):
         freqs, kind = obj.center_freqs, "cwt"
     else:
         freqs, kind = obj.freq_bins, "sst"
     mod = np.abs(obj.coeffs)
-    bin_path, meta_path, table_path = (f"{prefix}.{e}" for e in ("bin", "meta.txt", "table.txt"))
+    bin_path, meta_path = f"{prefix}.bin", f"{prefix}.meta.txt"
     mod.astype("<f8", copy=False).tofile(bin_path)
     with open(meta_path, "w") as fh:
         fh.write(f"# kind = {kind}\n")
@@ -218,7 +218,4 @@ def save_map(prefix, obj) -> list:
         fh.write(",".join(f"{f:.16e}" for f in freqs) + "\n")
         fh.write("# tbar columns:\n")
         fh.write(",".join(f"{t:.16e}" for t in obj.times_tbar) + "\n")
-    with open(table_path, "w") as fh:
-        fh.write("# omega_bar,tbar,modulus\n")
-        _write_rows(fh, obj.times_tbar, mod, (f"{f:.16e}," for f in freqs))
-    return [bin_path, meta_path, table_path]
+    return [bin_path, meta_path]

@@ -23,7 +23,7 @@ def species(spin=0.5, gamma=GAMMA_C13, a0=DIAMOND_A0, a0_ratio=1.0e4,
 def bath_from_positions(pos, sp, axis, a0) -> L.BathRealization:
     pos = np.asarray(pos, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    A, abar, _ = L.assign_hf_couplings(pos, sp)
+    A, abar = L.assign_hf_couplings(pos, sp)
     return L.BathRealization(positions=pos, hf_couplings_A=A,
                              hf_axis=axis / np.linalg.norm(axis),
                              E_dd=L.compute_E_dd(sp.gamma, a0), A_bar=abar,

@@ -214,3 +214,24 @@ class TestSeriesIO:
         assert back.metadata["A_bar"] == pytest.approx(1.5e7)
         assert back.metadata["order"] == 2
         assert back.metadata["mode"] == "cce"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 64),
+           st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data, n, dt):
+        # finite values, -0.0 and subnormals included
+        values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=n, max_size=n)))
+        t = np.arange(n) * dt
+        p = tmp_path_factory.mktemp("series") / "series.csv"
+        cce.save_series(p, cce.CorrelationSeries(t, values))
+        back = cce.load_series(p)
+        assert np.array_equal(back.times_tbar.view(np.uint64), t.view(np.uint64))
+        assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+        # the same grid with a zero step is refused, built or loaded
+        with pytest.raises(cce.CCEError, match="time grid"):
+            cce.CorrelationSeries(np.arange(n) * 0.0, values)
+        with open(p, "w") as fh:
+            cce._write_rows(fh, np.arange(n) * 0.0, values)
+        with pytest.raises(cce.CCEError, match="time grid"):
+            cce.load_series(p)

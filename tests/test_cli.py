@@ -130,17 +130,19 @@ class TestSubcommands:
         assert cli.main(["run", str(cfgp)]) == 0
         for name in ("realization.csv", "correlation.csv",
                      "correlation_normalized.csv", "spectrum.csv",
-                     "cwt.bin", "cwt.meta.txt", "cwt.table.txt",
-                     "sst.bin", "sst.meta.txt", "sst.table.txt",
+                     "cwt.bin", "cwt.meta.txt", "sst.bin", "sst.meta.txt",
                      "band_0Q_sst.csv", "band_1Q_cwt.csv", "band_2Q_sst.csv",
                      "manifest.txt"):
             assert (outdir / name).exists(), name
+        assert not list(outdir.glob("*.table.txt"))
         text = (outdir / "manifest.txt").read_text()
         for section in ("[config]", "[derived]", "[products]", "[timings]"):
             assert section in text
+        # every file written is hashed, and every hashed file exists
         import hashlib
-        digest = hashlib.sha256((outdir / "correlation.csv").read_bytes()).hexdigest()
-        assert digest in text
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in outdir.iterdir() if p.name != "manifest.txt"}
+        assert manifest_products(outdir / "manifest.txt") == written
 
     def test_run_determinism(self, tmp_path):
         cfg1, out1 = write_cfg(tmp_path, FAST_BODY, tmp_path / "o1", "a.cfg")
@@ -205,7 +207,7 @@ class TestSubcommands:
                            env={**env, "OPENBLAS_NUM_THREADS": threads},
                            check=True, timeout=300)
             products.append(manifest_products(outdir / "manifest.txt"))
-        assert len(products[0]) == 16
+        assert len(products[0]) == 14
         assert products[0] == products[1]
 
 
@@ -304,6 +306,17 @@ class TestExitCodes:
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, self.SHORT_GRID))
         assert cli.main(["analyze", str(cfgp), str(series)]) == 0
         assert (outdir / "analyze_manifest.txt").exists()
+
+    def test_zero_step_series_refused(self, tmp_path, capsys):
+        # every sample at tbar = 0 used to load and then divide by the zero step
+        series = tmp_path / "flat.csv"
+        series.write_text("0,1\n0,0.5\n0,0.2\n0,0.1\n")
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["analyze", str(cfgp), str(series)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "flat.csv" in err and "time grid" in err
+        assert not list(outdir.glob("analyze_*"))
 
     @pytest.mark.parametrize("command", ["run", "simulate", "analyze",
                                          "compare-orders", "sweep-axis"])

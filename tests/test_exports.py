@@ -1,8 +1,5 @@
-"""The 17-digit text exports, checked byte for byte against plain per-line
-f-string writers, and the map table checked for streaming one row at a time."""
-import tracemalloc
-from pathlib import Path
-
+"""The 17-digit text exports (series, spectrum and band traces), checked byte
+for byte against plain per-line f-string writers."""
 import numpy as np
 
 from spinbath import cce, cli, tfa
@@ -29,15 +26,6 @@ def ref_spectrum(path, spec):
         fh.write("# omega_bar,power\n")
         for w, p in zip(spec.omega_bar, spec.power):
             fh.write(f"{w:.16e},{p:.16e}\n")
-
-
-def ref_map_table(path, freqs, times, mod):
-    with open(path, "w") as fh:
-        fh.write("# omega_bar,tbar,modulus\n")
-        for i, f in enumerate(freqs):
-            row = mod[i]
-            for j, t in enumerate(times):
-                fh.write(f"{f:.16e},{t:.16e},{row[j]:.16e}\n")
 
 
 def ref_band(path, header, times, trace):
@@ -67,15 +55,6 @@ class TestByteIdentity:
         ref_spectrum(tmp_path / "ref.csv", spec)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_map_table(self, tmp_path):
-        sst = tfa.SSTMap(freq_bins=EDGE[::-1].copy(), times_tbar=EDGE.copy(),
-                         coeffs=edge_rows(len(EDGE)).astype(complex))
-        files = tfa.save_map(tmp_path / "sst", sst)
-        ref_map_table(tmp_path / "ref.txt", sst.freq_bins, sst.times_tbar,
-                      np.abs(sst.coeffs))
-        assert files[2] == f"{tmp_path / 'sst'}.table.txt"
-        assert Path(files[2]).read_bytes() == (tmp_path / "ref.txt").read_bytes()
-
     def test_band_files(self, tmp_path):
         # one row per band, so each band trace is |row| of the EDGE values
         freqs = np.array([1.0, 0.5, 0.05])
@@ -94,20 +73,3 @@ class TestByteIdentity:
                 new = tmp_path / f"new_band_{name}_{kind}.csv"
                 assert new.read_bytes() == ref.read_bytes()
 
-
-def test_save_map_streams_rows(tmp_path):
-    """Peak allocation stays far below the table size: rows are written one at
-    a time, never the whole table as text or the whole map as Python floats."""
-    rng = np.random.default_rng(0)
-    shape = (300, 4096)
-    sst = tfa.SSTMap(freq_bins=np.geomspace(0.01, 3.0, shape[0]),
-                     times_tbar=np.arange(shape[1]) * 0.05,
-                     coeffs=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    tracemalloc.start()
-    try:
-        tfa.save_map(tmp_path / "sst", sst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = (tmp_path / "sst.table.txt").stat().st_size
-    assert peak < size / 4, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB table"

@@ -81,19 +81,19 @@ class TestSampling:
 class TestHfCouplings:
     def test_origin_gives_A0(self):
         sp = species()
-        A, _, _ = L.assign_hf_couplings(np.zeros((1, 3)), sp)
+        A, _ = L.assign_hf_couplings(np.zeros((1, 3)), sp)
         assert A[0] == pytest.approx(sp.A0, rel=1e-15)
 
     def test_L0_gives_A0_over_e(self):
         sp = species()
-        A, _, _ = L.assign_hf_couplings(np.array([[sp.L0, 0, 0]]), sp)
+        A, _ = L.assign_hf_couplings(np.array([[sp.L0, 0, 0]]), sp)
         assert A[0] == pytest.approx(sp.A0 / np.e, rel=1e-14)
 
     def test_monotone_decreasing_in_radius(self):
         sp = species()
         r = np.linspace(0, 4e-9, 40)
         pos = np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=1)
-        A, _, _ = L.assign_hf_couplings(pos, sp)
+        A, _ = L.assign_hf_couplings(pos, sp)
         assert np.all(np.diff(A) < 0)
 
     def test_silicon_mean_coupling_matches_reported_scale(self):
@@ -104,7 +104,7 @@ class TestHfCouplings:
         means = []
         for seed in range(10):
             idx = L.sample_spinful_sites(pos, 0.02, seed)
-            _, abar, _ = L.assign_hf_couplings(pos[idx], spec.species)
+            _, abar = L.assign_hf_couplings(pos[idx], spec.species)
             means.append(abar)
         assert abs(np.mean(means) - 13.5e6) < 0.3 * 13.5e6
 
