@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
 from .lattice import BathRealization
 from .spinops import spin_matrices
 
-#: whole-bath exact diagonalization refuses Hilbert spaces above this
+#: Hilbert dimension cap of whole-bath ED and of a config's largest clusters
 EXACT_DIM_CAP = 4096
 
 
@@ -109,15 +110,9 @@ def enumerate_clusters(realization: BathRealization, r_cutoff: float,
 
     clusters = tuple(sorted((tuple(sorted(c)) for c in found), key=lambda c: (len(c), c)))
     present = set(clusters)
-    links = {}
-    for c in clusters:
-        subs = []
-        if len(c) > 1:
-            for bits in range(1, (1 << len(c)) - 1):
-                s = tuple(c[i] for i in range(len(c)) if bits >> i & 1)
-                if s in present:
-                    subs.append(s)
-        links[c] = tuple(sorted(subs, key=lambda s: (len(s), s)))
+    # combinations of a sorted tuple come out in (size, lex) order already
+    links = {c: tuple(s for k in range(1, len(c)) for s in combinations(c, k) if s in present)
+             for c in clusters}
     return ClusterSet(max_order_M=M, clusters=clusters, subcluster_links=links)
 
 
@@ -137,26 +132,19 @@ def cluster_correlation(cluster, realization: BathRealization,
 
 
 def combination_coefficients(cset: ClusterSet) -> dict:
-    """Integer weight of each cluster's raw correlation in the CCE total.
+    """Integer weight a(k) of each cluster's raw correlation in the CCE total.
 
-    Running the subtraction recursion symbolically (clusters in increasing
-    size) turns C(t) = sum_zeta Ctilde_zeta into a single weighted sum over
-    raw cluster correlations; zero-weight clusters can be skipped entirely.
+    Summing Ctilde_c = C_c - sum_{s < c present} Ctilde_s over the set gives
+    the superset identity a(k) = 1 - sum_{s > k present} a(s), solved exactly
+    in one pass from the largest clusters down. Zero weights are left out.
     """
-    vecs = {}
-    total = defaultdict(int)
-    for c in cset.clusters:
-        vec = defaultdict(int)
-        vec[c] = 1
+    above = defaultdict(int)             # cluster -> sum of its supersets' a
+    coeffs = {}
+    for c in reversed(cset.clusters):
+        coeffs[c] = a = 1 - above[c]
         for s in cset.subcluster_links[c]:
-            if s not in vecs:
-                raise CCEError(f"cluster set integrity violation: missing {s}")
-            for k, v in vecs[s].items():
-                vec[k] -= v
-        vecs[c] = dict(vec)
-        for k, v in vec.items():
-            total[k] += v
-    return {k: v for k, v in total.items() if v != 0}
+            above[s] += a
+    return {c: coeffs[c] for c in cset.clusters if coeffs[c]}
 
 
 def _finalize_series(total: np.ndarray, times_tbar, realization,
@@ -217,30 +205,37 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     """Weighted sum of correlations over same-size clusters, chunked to bound
     memory (phase arrays are (chunk, d^size, n_times) complex).
 
-    The phase table, its conjugate and W @ conj(P) live in three buffers
-    allocated once per group and reused by every chunk. Their rows are padded
-    to an odd length: the trace sum walks each buffer with a stride of one
-    row, and a power-of-two row (256 samples = 4 KiB) would map every step
-    onto the same cache set. The padding changes no arithmetic.
+    P and Q = W @ conj(P) live in two buffers reused by every chunk. Their
+    rows are padded to an odd length, which changes no arithmetic: the trace
+    sum walks each buffer with a one-row stride, and a power-of-two row (256
+    samples = 4 KiB) would map every step onto the same cache set. W is real,
+    so Q is a real GEMM on P's (re, im) float view, in ~1 MiB sub-blocks, and
+    a negation of Q.imag. That is bit-identical to the complex GEMM on conj(P):
+    both sum W_mk P_kt in k order, and negation commutes with rounding. Only
+    the sign of an exact zero in Q can differ (Im Q at t = 0, or a zero row of
+    W), and the trace sum does not see it.
     """
     dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
     nt = len(times_tbar)
     out = np.zeros(nt, dtype=complex)
 
     chunk = max(1, int(2 ** 22 / (dim * nt)))
+    block = max(1, 2 ** 16 // (dim * nt))
     shape = (min(chunk, len(clusters)), dim, nt | 1)
-    P_buf, Pc_buf, Q_buf = (np.empty(shape, dtype=complex) for _ in range(3))
+    P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for lo in range(0, len(clusters), chunk):
         cl = clusters[lo:lo + chunk]
-        w = weights[lo:lo + chunk]
         nc = len(cl)
         E, V = np.linalg.eigh(cluster_hamiltonians(cl, realization, c_hf, mask))
         b = bath_operator_diagonal(cl, realization)   # (nc, dim), diagonal of B
         Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
-        W = (np.abs(Bp) ** 2) * (w / dim)[:, None, None]
+        W = (np.abs(Bp) ** 2) * (weights[lo:lo + chunk] / dim)[:, None, None]
         P = _phase_table(E / realization.A_bar, times_tbar, out=P_buf[:nc, :, :nt])
-        Pc = np.conjugate(P, out=Pc_buf[:nc, :, :nt])
-        Q = np.matmul(W, Pc, out=Q_buf[:nc, :, :nt])
+        Q = Q_buf[:nc, :, :nt]
+        for s in range(0, nc, block):
+            Ps, Qs = P[s:s + block], Q[s:s + block]
+            np.matmul(W[s:s + block], Ps.view(float), out=Qs.view(float))
+            np.negative(Qs.imag, out=Qs.imag)
         out += np.einsum("cmt,cmt->t", P, Q, optimize=True)
     return out
 

@@ -179,7 +179,7 @@ def _validate(cfg: RunConfig) -> None:
               ("A0_over_Edd", cfg.A0_over_Edd > 0),
               # gamma is negative for 29Si; half-integer as in SpeciesParams
               ("gamma", cfg.gamma != 0),
-              ("spin", round(two_i) >= 1 and abs(two_i - round(two_i)) <= 1e-12),
+              ("spin", 0.5 <= two_i < math.inf and abs(two_i - round(two_i)) <= 1e-12),
               ("abundance", 0.0 <= cfg.abundance <= 1.0),
               ("order", 1 <= cfg.order <= 6),
               ("r_cutoff_a0", cfg.r_cutoff_a0 > 0),
@@ -192,6 +192,9 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok in checks:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
+    if (round(two_i) + 1) ** cfg.order > cce.EXACT_DIM_CAP:
+        raise ConfigError(f"'spin' = {cfg.spin:g} at 'order' = {cfg.order} gives clusters of "
+                          f"dimension {two_i + 1:g}^{cfg.order}, above {cce.EXACT_DIM_CAP}")
 
 
 def _check_band_coverage(cfg: RunConfig) -> None:

@@ -41,7 +41,7 @@ class SpeciesParams:
 
     def __post_init__(self):
         twoI = 2.0 * self.spin_I
-        if abs(twoI - round(twoI)) > 1e-12 or round(twoI) < 1:
+        if not 0.5 <= twoI < np.inf or abs(twoI - round(twoI)) > 1e-12:
             raise LatticeError(f"spin_I must be a positive half-integer, got {self.spin_I}")
         if self.A0 <= 0:
             raise LatticeError("A0 must be positive")
@@ -163,7 +163,11 @@ def compute_E_dd(gamma: float, a0: float) -> float:
     if a0 <= 0:
         raise LatticeError("a0 must be positive")
     bond = a0 * np.sqrt(3.0) / 4.0
-    return MU0_OVER_4PI * HBAR * gamma ** 2 / bond ** 3
+    with np.errstate(all="ignore"):
+        e_dd = MU0_OVER_4PI * HBAR * np.float64(gamma) ** 2 / bond ** 3
+    if not 0 < e_dd < np.inf:
+        raise LatticeError(f"gamma = {gamma:g} and a0 = {a0:g} give no finite E_dd")
+    return e_dd
 
 
 def rotation_to_axis(axis: np.ndarray) -> np.ndarray:

@@ -1,9 +1,13 @@
+from collections import defaultdict
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbath import cce, cli
-from spinbath.hamiltonian import TermMask
+from spinbath.hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
+from spinbath.spinops import spin_matrices
 
 from baths import DIAMOND_A0, bath_from_positions, nn_pair, random_bath, species
 
@@ -85,6 +89,56 @@ class TestCombinationCoefficients:
         cset = cce.enumerate_clusters(bath, 0.5e-9, 2)
         coeffs = cce.combination_coefficients(cset)
         assert coeffs == {(0,): 1, (1,): 1, (2,): 1}
+
+
+def reference_links(clusters):
+    """Subcluster links as the bitmask loop over all 2^n subsets built them."""
+    present = set(clusters)
+    links = {}
+    for c in clusters:
+        subs = []
+        if len(c) > 1:
+            for bits in range(1, (1 << len(c)) - 1):
+                s = tuple(c[i] for i in range(len(c)) if bits >> i & 1)
+                if s in present:
+                    subs.append(s)
+        links[c] = tuple(sorted(subs, key=lambda s: (len(s), s)))
+    return links
+
+
+def reference_coefficients(cset):
+    """CCE weights from the symbolic subtraction recursion, clusters in
+    increasing size, each Ctilde kept as a dict of raw-correlation weights."""
+    vecs = {}
+    total = defaultdict(int)
+    for c in cset.clusters:
+        vec = defaultdict(int)
+        vec[c] = 1
+        for s in cset.subcluster_links[c]:
+            for k, v in vecs[s].items():
+                vec[k] -= v
+        vecs[c] = dict(vec)
+        for k, v in vec.items():
+            total[k] += v
+    return {k: v for k, v in total.items() if v != 0}
+
+
+class TestBookkeepingMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["random", "chain"]), st.integers(1, 9), st.integers(1, 5),
+           st.floats(0.2, 2.0), st.integers(0, 2 ** 32 - 1))
+    def test_links_and_coefficients(self, kind, n, order, cutoff_nm, seed):
+        # cutoffs below the typical spacing leave the graph disconnected
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            bath = random_bath(rng, n, scale=0.7e-9)
+        else:
+            x = np.cumsum(rng.uniform(0.2e-9, 1.0e-9, n))
+            bath = bath_from_positions(np.c_[x, np.zeros((n, 2))], species(),
+                                       (0, 0, 1), DIAMOND_A0)
+        cset = cce.enumerate_clusters(bath, cutoff_nm * 1e-9, order)
+        assert cset.subcluster_links == reference_links(cset.clusters)
+        assert cce.combination_coefficients(cset) == reference_coefficients(cset)
 
 
 class TestClusterCorrelation:
@@ -178,6 +232,80 @@ class TestCCERecursion:
         bath = random_bath(np.random.default_rng(23), 7, spin=1.5)
         with pytest.raises(cce.CCEError):
             cce.exact_bath_correlation(bath, times_tbar=cce.time_grid(10, 64))
+
+
+def reference_group_correlation(clusters, weights, realization, c_hf, mask,
+                                times_tbar, check_q):
+    """The trace path before the real GEMM: three padded buffers, conj(P) by
+    ``np.conjugate`` and a complex ``np.matmul``. Hands each chunk's W and Q
+    to ``check_q``."""
+    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
+    nt = len(times_tbar)
+    out = np.zeros(nt, dtype=complex)
+    chunk = max(1, int(2 ** 22 / (dim * nt)))
+    shape = (min(chunk, len(clusters)), dim, nt | 1)
+    P_buf, Pc_buf, Q_buf = (np.empty(shape, dtype=complex) for _ in range(3))
+    for lo in range(0, len(clusters), chunk):
+        cl = clusters[lo:lo + chunk]
+        w = weights[lo:lo + chunk]
+        nc = len(cl)
+        E, V = np.linalg.eigh(cluster_hamiltonians(cl, realization, c_hf, mask))
+        b = bath_operator_diagonal(cl, realization)
+        Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
+        W = (np.abs(Bp) ** 2) * (w / dim)[:, None, None]
+        P = cce._phase_table(E / realization.A_bar, times_tbar, out=P_buf[:nc, :, :nt])
+        Pc = np.conjugate(P, out=Pc_buf[:nc, :, :nt])
+        Q = np.matmul(W, Pc, out=Q_buf[:nc, :, :nt])
+        check_q(W, Q)
+        out += np.einsum("cmt,cmt->t", P, Q, optimize=True)
+    return out
+
+
+class TestTraceMatchesReference:
+    # 223 clusters of dimension d on nt samples: a chunk of 218 clusters split
+    # into sub-blocks of 3 (the last one partial), then a partial chunk of 5
+    @pytest.mark.parametrize("spin,size,n_spins,nt,mask", [
+        (0.5, 4, 11, 1200, TermMask.full()),
+        (1.5, 3, 13, 300, TermMask.full()),
+        (0.5, 4, 11, 1200, TermMask.secular()),
+    ], ids=["spin-half-size-4", "spin-3/2-size-3", "secular"])
+    def test_bit_identical_to_complex_gemm(self, monkeypatch, spin, size, n_spins,
+                                          nt, mask):
+        dim = int(2 * spin + 1) ** size
+        assert int(2 ** 22 / (dim * nt)) == 218 and 2 ** 16 // (dim * nt) == 3
+        rng = np.random.default_rng(30 + size)
+        bath = random_bath(rng, n_spins, spin=spin)
+        clusters = np.array(list(combinations(range(n_spins), size))[:223])
+        # integer weights with zeros: a zero weight leaves every row of W zero
+        weights = rng.integers(-3, 4, len(clusters)).astype(float)
+        t = cce.time_grid(60.0, nt)
+
+        qs = []
+        einsum = np.einsum
+
+        def keep_q(subscripts, *ops, **kwargs):
+            if subscripts == "cmt,cmt->t":
+                qs.append(ops[1].copy())
+            return einsum(subscripts, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", keep_q)
+        got = cce._group_correlation(clusters, weights, bath, 0.5, mask, t)
+        monkeypatch.undo()
+        assert [len(q) for q in qs] == [218, 5]
+
+        zeros = []
+
+        def check_q(W, Q):
+            # equal in value; the sign of a zero may differ (Im Q at t = 0)
+            assert np.array_equal(qs.pop(0), Q)
+            zeros.append((W[(W != 0).any(axis=(1, 2))] == 0).mean())
+
+        ref = reference_group_correlation(clusters, weights, bath, 0.5, mask, t, check_q)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert not qs
+        # the secular Hamiltonian keeps total Mz, so W is exactly zero across
+        # Mz sectors even where the cluster weight is not
+        assert (min(zeros) > 0.1) == (mask == TermMask.secular())
 
 
 class TestPhaseTable:

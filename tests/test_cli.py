@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import cli
 from spinbath import cce, tfa
+
+#: value words as text: numbers (extreme and non-finite too), booleans and
+#: the hf_axis forms
+VALUE_TEXT = st.one_of(st.floats().map(repr), st.integers(-10 ** 30, 10 ** 30).map(str),
+                       st.sampled_from(["0", "0.5", "1.5", "100.5", "1e308", "1e-320", "nan",
+                                        "yes", "off", "miller", "angles", "1_0", "0x10"]),
+                       st.text(max_size=5))
 
 FAST_BODY = """
 a0 = 5.43e-10
@@ -95,6 +103,32 @@ class TestParseConfig:
         except cli.ConfigError:
             return
         assert abs(np.linalg.norm(axis) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("body, dim", [("spin = 100.5", "202^2"),
+                                           ("spin = 4.5\norder = 4", "10^4"),
+                                           ("spin = 2.5\norder = 6", "6^6")])
+    def test_cluster_dimension_over_cap_refused(self, body, dim):
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.parse_config(body)
+        msg = str(exc.value)
+        assert "'spin'" in msg and "'order'" in msg and dim in msg and "\n" not in msg
+
+    def test_cluster_dimension_at_cap_allowed(self):
+        assert (2 * 1.5 + 1) ** 6 == cce.EXACT_DIM_CAP
+        cfg = cli.parse_config("spin = 1.5\norder = 6")
+        assert (cfg.spin, cfg.order) == (1.5, 6)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from([f.name for f in dataclasses.fields(cli.RunConfig)]),
+                  st.lists(VALUE_TEXT, max_size=4).map(" ".join))
+        .map(" = ".join), st.text(max_size=30)), max_size=6).map("\n".join))
+    def test_fuzzed_config_parses_or_is_refused_in_one_line(self, text):
+        # known keys with fuzzed values reach every value parser and range check
+        try:
+            cli.parse_config(text)
+        except cli.ConfigError as exc:
+            assert "\n" not in str(exc)
 
     def test_mask_construction(self):
         cfg = cli.parse_config("mask_EF = false\nsecular = true")
@@ -241,6 +275,8 @@ class TestExitCodes:
         # gamma may be negative (29Si) but not zero
         pytest.param("gamma = 0", ["run", "{cfg}"], 1, "'gamma'", id="zero-gamma"),
         pytest.param("spin = 0.3", ["run", "{cfg}"], 1, "'spin'", id="non-half-integer-spin"),
+        # 2 * spin overflows to inf, which round() cannot take
+        pytest.param("spin = 1e308", ["run", "{cfg}"], 1, "'spin'", id="overflowing-spin"),
         pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
         pytest.param("sites = 10 11 10", ["run", "{cfg}"], 1, "'sites'",
                      id="repeated-site"),
@@ -267,6 +303,19 @@ class TestExitCodes:
         assert err.startswith(("config error: ", "runtime error: ")[code - 1])
         assert err.count("\n") == 1 and named in err
         assert not (outdir / "correlation.csv").exists()
+
+    def test_cluster_dimension_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started for a config over the dimension cap")
+
+        # guarded, so a missing check fails here instead of allocating the run
+        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "spin = 100.5"))
+        assert cli.main(["run", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'spin'" in err and "'order'" in err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("command", [
         ["generate-bath", "{cfg}"], ["simulate", "{cfg}"],

@@ -11,9 +11,27 @@ from baths import (DIAMOND_A0, GAMMA_C13, GAMMA_SI29, SILICON_A0, species)
 E_DD_C13_DIAMOND = 1.2956139623680327e4
 
 
+#: numeric fields as text: finite, extreme, non-finite and malformed
+NUMBER_TEXT = st.one_of(st.floats().map(repr), st.integers(-10 ** 30, 10 ** 30).map(str),
+                        st.sampled_from(["0", "-0", "0.5", "1e-320", "1e308", "nan", "inf",
+                                         "", " ", "1_0", "0x10"]))
+
+
 def silicon_spec(rho=0.02, seed=0, box=(10, 10, 7)):
     sp = species(gamma=GAMMA_SI29, a0=SILICON_A0)
     return L.LatticeSpec(SILICON_A0, box, sp, rho, seed=seed)
+
+
+class TestSpecies:
+    @pytest.mark.parametrize("spin", [0.0, 0.5 - 1e-9, 0.75, 1e308, np.inf, np.nan])
+    def test_spin_not_positive_half_integer_refused(self, spin):
+        # 2 * 1e308 overflows to inf, which round() cannot take
+        with pytest.raises(L.LatticeError, match="half-integer"):
+            L.SpeciesParams(spin, GAMMA_C13, 1e6, 1e-9)
+
+    @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5, 4.5, 0.5 + 1e-13])
+    def test_half_integer_spin_accepted(self, spin):
+        assert L.SpeciesParams(spin, GAMMA_C13, 1e6, 1e-9).spin_I == spin
 
 
 class TestBuildLattice:
@@ -123,6 +141,16 @@ class TestEdd:
         assert L.compute_E_dd(GAMMA_C13, DIAMOND_A0) == pytest.approx(E_DD_C13_DIAMOND,
                                                                      rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma,a0", [(1e200, DIAMOND_A0), (GAMMA_C13, 1e-200),
+                                          (GAMMA_C13, 1e300), (0.0, DIAMOND_A0)],
+                             ids=["gamma-overflow", "a0-underflow", "a0-overflow",
+                                  "zero-gamma"])
+    def test_no_finite_scale_refused(self, gamma, a0):
+        # gamma^2 overflows, bond^3 underflows or overflows, or E_dd is 0
+        with pytest.raises(L.LatticeError, match="E_dd"):
+            L.compute_E_dd(gamma, a0)
+
 
 class TestPairGeometry:
     def test_bond_111_against_001_axis_is_magic(self):
@@ -210,6 +238,31 @@ class TestRealization:
                               spec.abundance_rho, seed=99, explicit_sites=want)
         real = L.build_realization(spec2, np.array([0, 0, 1.0]))
         assert real.site_indices == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.one_of(NUMBER_TEXT, st.text(max_size=6)),
+                             min_size=1, max_size=9).map(",".join), max_size=4))
+    def test_fuzzed_file_loads_or_is_refused_in_one_line(self, tmp_path_factory, lines):
+        # arbitrary lines: wrong field counts and malformed numbers
+        path = tmp_path_factory.mktemp("fuzz") / "real.csv"
+        path.write_text("\n".join(lines))
+        try:
+            L.load_realization(path)
+        except L.LatticeError as exc:
+            assert "\n" not in str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(NUMBER_TEXT, min_size=8, max_size=8),
+           st.lists(st.lists(NUMBER_TEXT, min_size=5, max_size=5), max_size=3))
+    def test_fuzzed_values_load_or_are_refused_in_one_line(self, tmp_path_factory,
+                                                           head, rows):
+        # well-formed lines with extreme values reach every check on the values
+        path = tmp_path_factory.mktemp("fuzz") / "real.csv"
+        path.write_text("\n".join(",".join(r) for r in [head, *rows]))
+        try:
+            L.load_realization(path)
+        except L.LatticeError as exc:
+            assert "\n" not in str(exc)
 
     def test_save_load_round_trip(self, tmp_path):
         spec = silicon_spec(rho=0.05, seed=7, box=(3, 3, 3))
