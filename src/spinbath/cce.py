@@ -202,56 +202,77 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
 def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
                        realization: BathRealization, c_hf: float,
                        mask: TermMask, times_tbar: np.ndarray) -> np.ndarray:
-    """Weighted sum of correlations over same-size clusters, chunked to bound
-    memory (phase arrays are (chunk, d^size, n_times) complex).
+    """Weighted sum of correlations over same-size clusters.
 
-    P and Q = W @ conj(P) live in two buffers reused by every chunk. Their
-    rows are padded to an odd length, which changes no arithmetic: the trace
-    sum walks each buffer with a one-row stride, and a power-of-two row (256
-    samples = 4 KiB) would map every step onto the same cache set. W is real,
-    so Q is a real GEMM on P's (re, im) float view, in ~1 MiB sub-blocks, and
-    a negation of Q.imag. That is bit-identical to the complex GEMM on conj(P):
-    both sum W_mk P_kt in k order, and negation commutes with rounding. Only
-    the sign of an exact zero in Q can differ (Im Q at t = 0, or a zero row of
-    W), and the trace sum does not see it.
+    Clusters go in chunks of ~2**22 / (d * nt), which fix the K = nc * d rows
+    of each per-sample trace sum and so the bits of the result. Of a chunk
+    only E and the real W = w |B'|^2 / d are held whole: the eigen stage runs
+    on sub-blocks of ~2**16 / d**2 clusters, and P, Q = W @ conj(P) (a real
+    GEMM on P's float view, then -Q.imag) and the trace on 16-sample tiles.
+    These rules keep the bits of a chunk-wide P, Q and einsum("cmt,cmt->t")
+    under the OpenBLAS SkylakeX, Haswell and Sandybridge kernels:
+
+    - no cumprod row has length 2 (numpy's vectorized complex multiply
+      differs from its accumulate loop): nt % 16 joins the last tile, and a
+      later tile continues from the previous tile's last column, carried
+      into column 0 of its cumprod row;
+    - a grid of nt not a multiple of 4 is one tile: SkylakeX dgemm gives a
+      trailing 2 or 4 float columns bits that depend on the whole GEMM's
+      width (which also makes the real GEMM differ from a complex one on
+      conj(P) at nt = 1 or 2 mod 4 there);
+    - both operands of the per-sample dot keep a non-unit stride, which
+      selects OpenBLAS's sequential zdotu loop, as the einsum did;
+    - buffer rows have odd length, so the dot's row-by-row walk does not
+      map every step onto one cache set;
+    - a sub-block holds one cluster only if its chunk does: a one-cluster
+      stack takes other BLAS paths in the Hamiltonian assembly.
     """
     dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
-    nt = len(times_tbar)
+    nt, dt = len(times_tbar), times_tbar[1] - times_tbar[0]
     out = np.zeros(nt, dtype=complex)
 
     chunk = max(1, int(2 ** 22 / (dim * nt)))
-    block = max(1, 2 ** 16 // (dim * nt))
-    shape = (min(chunk, len(clusters)), dim, nt | 1)
+    tiles = _blocks(nt, 16 if nt % 4 == 0 else nt)
+    shape = (min(chunk, len(clusters)), dim, (nt - tiles[-1][0] + 1) | 1)
     P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for lo in range(0, len(clusters), chunk):
-        cl = clusters[lo:lo + chunk]
+        cl, w = clusters[lo:lo + chunk], weights[lo:lo + chunk]
         nc = len(cl)
-        E, V = np.linalg.eigh(cluster_hamiltonians(cl, realization, c_hf, mask))
-        b = bath_operator_diagonal(cl, realization)   # (nc, dim), diagonal of B
-        Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
-        W = (np.abs(Bp) ** 2) * (weights[lo:lo + chunk] / dim)[:, None, None]
-        P = _phase_table(E / realization.A_bar, times_tbar, out=P_buf[:nc, :, :nt])
-        Q = Q_buf[:nc, :, :nt]
-        for s in range(0, nc, block):
-            Ps, Qs = P[s:s + block], Q[s:s + block]
-            np.matmul(W[s:s + block], Ps.view(float), out=Qs.view(float))
-            np.negative(Qs.imag, out=Qs.imag)
-        out += np.einsum("cmt,cmt->t", P, Q, optimize=True)
+        E, W = np.empty((nc, dim)), np.empty((nc, dim, dim))
+        for s, e in _blocks(nc, max(2, 2 ** 16 // dim ** 2)):
+            E[s:e], V = np.linalg.eigh(cluster_hamiltonians(cl[s:e], realization, c_hf, mask))
+            b = bath_operator_diagonal(cl[s:e], realization)   # (e - s, dim), diagonal of B
+            Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
+            W[s:e] = (np.abs(Bp) ** 2) * (w[s:e] / dim)[:, None, None]
+        f = E / realization.A_bar
+        step, first = np.exp(1j * f * (dt + 0j)), np.exp(1j * f * times_tbar[0])
+        for t0, t1 in tiles:
+            o = int(t0 > 0)            # column 0 of a later tile holds the carry
+            P = _phase_table(step, first, P_buf[:nc, :, :o + t1 - t0])[..., o:]
+            first = P[..., -1]
+            Q = Q_buf[:nc, :, :t1 - t0]
+            np.matmul(W, P.view(float), out=Q.view(float))
+            np.negative(Q.imag, out=Q.imag)
+            Pk, Qk = P.reshape(nc * dim, -1), Q.reshape(nc * dim, -1)
+            out[t0:t1] += np.matmul(Pk.T[:, None, :], Qk.T[:, :, None])[:, 0, 0]
     return out
 
 
-def _phase_table(freqs: np.ndarray, times: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """exp(1j * freqs[..., None] * times) on a uniform grid (the only grid
-    ``compute_correlation`` accepts) via a running product (one complex
-    multiply per element instead of one exp); the phase drift over the grid
-    stays near machine precision. Written into ``out`` (shape freqs.shape +
-    (len(times),), any row strides) when given."""
-    if out is None:
-        out = np.empty(freqs.shape + (len(times),), dtype=complex)
-    dt = times[1] - times[0]
-    out[...] = np.exp(1j * freqs * (dt + 0j))[..., None]
-    out[..., 0] = np.exp(1j * freqs * times[0])
+def _blocks(n: int, size: int) -> list:
+    """(start, stop) of blocks of ``size`` over range(n), the remainder in the last."""
+    edges = [*range(0, max(n - size + 1, 1), size), n]
+    return list(zip(edges, edges[1:]))
+
+
+def _phase_table(step: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Running product first * step**k, k = 0, 1, ..., along the last axis of
+    ``out`` (any row strides). With step = exp(1j * f * dt) and first =
+    exp(1j * f * t0) that is exp(1j * f * t) on the uniform grid from t0 (the
+    only grid ``compute_correlation`` accepts) at one complex multiply per
+    element instead of one exp; the phase drift over the grid stays near
+    machine precision. ``first`` may be a column of ``out``."""
+    out[..., 0] = first
+    out[..., 1:] = step[..., None]
     return np.cumprod(out, axis=-1, out=out)
 
 

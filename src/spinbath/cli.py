@@ -192,6 +192,10 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok in checks:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
+    try:
+        lattice.compute_E_dd(cfg.gamma, cfg.a0)
+    except lattice.LatticeError as exc:
+        raise ConfigError(str(exc)) from None
     if (round(two_i) + 1) ** cfg.order > cce.EXACT_DIM_CAP:
         raise ConfigError(f"'spin' = {cfg.spin:g} at 'order' = {cfg.order} gives clusters of "
                           f"dimension {two_i + 1:g}^{cfg.order}, above {cce.EXACT_DIM_CAP}")

@@ -283,6 +283,8 @@ def load_realization(path) -> BathRealization:
             rows.append(_finite_floats(parts[1:], 4))
     except ValueError as exc:
         raise LatticeError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise LatticeError(f"{path}: no site rows after the header")
     a0, L0, ratio, spin_I, gamma = head[:5]
     axis = np.array(head[5:8])
     rows = np.array(rows).reshape(-1, 4)

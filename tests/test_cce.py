@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import defaultdict
 from itertools import combinations
 
@@ -207,6 +208,21 @@ class TestCCERecursion:
                    for c, a in cce.combination_coefficients(cset).items())
         assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
 
+    def test_trace_memory_is_tiled(self):
+        # order 2 on 4096 samples: 256 pairs (d = 4) per chunk, where P and Q
+        # spanning the grid would take 64 MiB each
+        bath = random_bath(np.random.default_rng(25), 40)
+        cset = cce.enumerate_clusters(bath, 1e-6, 2)
+        assert len(cset.by_size(2)) > 256
+        t = cce.time_grid(200.0, 4096)
+        tracemalloc.start()
+        try:
+            cce.compute_correlation(bath, cset, times_tbar=t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_metadata(self):
         bath = random_bath(np.random.default_rng(22), 3)
         cset = cce.enumerate_clusters(bath, 1e-6, 2)
@@ -234,6 +250,13 @@ class TestCCERecursion:
             cce.exact_bath_correlation(bath, times_tbar=cce.time_grid(10, 64))
 
 
+def reference_phase_table(freqs, times, out):
+    """The running-product phase table as one call over the whole grid."""
+    out[...] = np.exp(1j * freqs * ((times[1] - times[0]) + 0j))[..., None]
+    out[..., 0] = np.exp(1j * freqs * times[0])
+    return np.cumprod(out, axis=-1, out=out)
+
+
 def reference_group_correlation(clusters, weights, realization, c_hf, mask,
                                 times_tbar, check_q):
     """The trace path before the real GEMM: three padded buffers, conj(P) by
@@ -253,7 +276,7 @@ def reference_group_correlation(clusters, weights, realization, c_hf, mask,
         b = bath_operator_diagonal(cl, realization)
         Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
         W = (np.abs(Bp) ** 2) * (w / dim)[:, None, None]
-        P = cce._phase_table(E / realization.A_bar, times_tbar, out=P_buf[:nc, :, :nt])
+        P = reference_phase_table(E / realization.A_bar, times_tbar, P_buf[:nc, :, :nt])
         Pc = np.conjugate(P, out=Pc_buf[:nc, :, :nt])
         Q = np.matmul(W, Pc, out=Q_buf[:nc, :, :nt])
         check_q(W, Q)
@@ -261,9 +284,49 @@ def reference_group_correlation(clusters, weights, realization, c_hf, mask,
     return out
 
 
+def chunk_wide_group_correlation(clusters, weights, realization, c_hf, mask,
+                                 times_tbar):
+    """The trace path before the time axis was tiled: the eigen stage on the
+    whole chunk, P and Q in padded buffers spanning the grid, the real GEMM in
+    ~1 MiB sub-blocks and one einsum per chunk."""
+    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
+    nt = len(times_tbar)
+    out = np.zeros(nt, dtype=complex)
+    chunk = max(1, int(2 ** 22 / (dim * nt)))
+    block = max(1, 2 ** 16 // (dim * nt))
+    shape = (min(chunk, len(clusters)), dim, nt | 1)
+    P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for lo in range(0, len(clusters), chunk):
+        cl = clusters[lo:lo + chunk]
+        nc = len(cl)
+        E, V = np.linalg.eigh(cluster_hamiltonians(cl, realization, c_hf, mask))
+        b = bath_operator_diagonal(cl, realization)
+        Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
+        W = (np.abs(Bp) ** 2) * (weights[lo:lo + chunk] / dim)[:, None, None]
+        P = reference_phase_table(E / realization.A_bar, times_tbar, P_buf[:nc, :, :nt])
+        Q = Q_buf[:nc, :, :nt]
+        for s in range(0, nc, block):
+            Ps, Qs = P[s:s + block], Q[s:s + block]
+            np.matmul(W[s:s + block], Ps.view(float), out=Qs.view(float))
+            np.negative(Qs.imag, out=Qs.imag)
+        out += np.einsum("cmt,cmt->t", P, Q, optimize=True)
+    return out
+
+
+def group_inputs(spin, size, n_spins, n_clusters):
+    """A random bath with its first ``n_clusters`` clusters of ``size`` and
+    integer weights in [-3, 3], zeros included."""
+    rng = np.random.default_rng(30 + size)
+    bath = random_bath(rng, n_spins, spin=spin)
+    clusters = np.array(list(combinations(range(n_spins), size))[:n_clusters])
+    # a zero weight leaves every row of W zero
+    weights = rng.integers(-3, 4, len(clusters)).astype(float)
+    return bath, clusters, weights
+
+
 class TestTraceMatchesReference:
-    # 223 clusters of dimension d on nt samples: a chunk of 218 clusters split
-    # into sub-blocks of 3 (the last one partial), then a partial chunk of 5
+    # 223 clusters of dimension d on nt samples: a chunk of 218 clusters, then
+    # a partial chunk of 5, each traced over 16-sample tiles
     @pytest.mark.parametrize("spin,size,n_spins,nt,mask", [
         (0.5, 4, 11, 1200, TermMask.full()),
         (1.5, 3, 13, 300, TermMask.full()),
@@ -272,26 +335,29 @@ class TestTraceMatchesReference:
     def test_bit_identical_to_complex_gemm(self, monkeypatch, spin, size, n_spins,
                                           nt, mask):
         dim = int(2 * spin + 1) ** size
-        assert int(2 ** 22 / (dim * nt)) == 218 and 2 ** 16 // (dim * nt) == 3
-        rng = np.random.default_rng(30 + size)
-        bath = random_bath(rng, n_spins, spin=spin)
-        clusters = np.array(list(combinations(range(n_spins), size))[:223])
-        # integer weights with zeros: a zero weight leaves every row of W zero
-        weights = rng.integers(-3, 4, len(clusters)).astype(float)
+        assert int(2 ** 22 / (dim * nt)) == 218
+        bath, clusters, weights = group_inputs(spin, size, n_spins, 223)
         t = cce.time_grid(60.0, nt)
 
-        qs = []
-        einsum = np.einsum
+        tiles = []
+        matmul = np.matmul
 
-        def keep_q(subscripts, *ops, **kwargs):
-            if subscripts == "cmt,cmt->t":
-                qs.append(ops[1].copy())
-            return einsum(subscripts, *ops, **kwargs)
+        def keep_q(a, b, *args, **kwargs):
+            if b.dtype == complex:       # a tile's trace: b holds Q as (w, K, 1)
+                tiles.append(b[:, :, 0].T.copy())
+            return matmul(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(np, "einsum", keep_q)
+        monkeypatch.setattr(np, "matmul", keep_q)
         got = cce._group_correlation(clusters, weights, bath, 0.5, mask, t)
         monkeypatch.undo()
-        assert [len(q) for q in qs] == [218, 5]
+        qs = []                          # each chunk's (K, nt) Q, tile by tile
+        for q in tiles:
+            if qs and qs[-1].shape[1] < nt:
+                qs[-1] = np.concatenate([qs[-1], q], axis=1)
+            else:
+                qs.append(q)
+        qs = [q.reshape(-1, dim, nt) for q in qs]
+        assert len(tiles) == 2 * (nt // 16) and [len(q) for q in qs] == [218, 5]
 
         zeros = []
 
@@ -308,6 +374,40 @@ class TestTraceMatchesReference:
         assert (min(zeros) > 0.1) == (mask == TermMask.secular())
 
 
+class TestTiledTraceMatchesReference:
+    # nt = 36 and 1000 end in a merged tile of 20 and 24 samples; nt not a
+    # multiple of 4 is one tile. At nt = 1000 both sizes end in a partial
+    # chunk (262 clusters of d = 16, 65 of d = 64), and each full chunk in a
+    # remainder of the eigen sub-blocks (256 and 16 clusters) that joins the
+    # last sub-block: 6 clusters, and a single cluster
+    @pytest.mark.parametrize("nt", [2, 5, 15, 16, 17, 33, 36, 256, 1000, 1001])
+    @pytest.mark.parametrize("spin,size,n_spins,n_clusters,mask", [
+        (0.5, 4, 11, 270, TermMask.full()),
+        (1.5, 3, 13, 70, TermMask.full()),
+        (0.5, 4, 11, 270, TermMask.secular()),
+    ], ids=["spin-half-size-4", "spin-3/2-size-3", "secular"])
+    def test_bit_identical_to_chunk_wide_trace(self, spin, size, n_spins, n_clusters,
+                                              mask, nt):
+        dim = int(2 * spin + 1) ** size
+        chunk, sub = int(2 ** 22 / (dim * nt)), 2 ** 16 // dim ** 2
+        if nt == 1000:
+            assert n_clusters % chunk and chunk % sub in (1, 6)
+        bath, clusters, weights = group_inputs(spin, size, n_spins, n_clusters)
+        t = cce.time_grid(60.0, nt)
+        got = cce._group_correlation(clusters, weights, bath, 0.5, mask, t)
+        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, mask, t)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_large_clusters_bit_identical_to_chunk_wide_trace(self):
+        # d = 256 leaves 2**16 / d**2 = 1 cluster per sub-block; blocks of two
+        # keep the bits, since a one-cluster stack assembles other ones
+        bath, clusters, weights = group_inputs(1.5, 4, 8, 5)
+        t = cce.time_grid(60.0, 64)
+        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 class TestPhaseTable:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -315,7 +415,8 @@ class TestPhaseTable:
         rng = np.random.default_rng(seed)
         f = rng.normal(size=(3, 4))
         t = np.linspace(0.0, 37.0, 200)
-        got = cce._phase_table(f, t)
+        got = cce._phase_table(np.exp(1j * f * (t[1] - t[0])), np.exp(1j * f * t[0]),
+                               np.empty((3, 4, len(t)), dtype=complex))
         ref = np.exp(1j * f[..., None] * t)
         assert np.abs(got - ref).max() < 1e-9
 
@@ -323,10 +424,17 @@ class TestPhaseTable:
     def test_padded_out_is_bit_identical(self, times):
         f = np.random.default_rng(8).normal(size=(3, 4))
         buf = np.empty((3, 4, len(times) | 1), dtype=complex)
-        got = cce._phase_table(f, times, out=buf[:, :, :len(times)])
+        got = reference_phase_table(f, times, buf[:, :, :len(times)])
         assert np.shares_memory(got, buf)
-        ref = cce._phase_table(f, times)
+        ref = reference_phase_table(f, times, np.empty((3, 4, len(times)), dtype=complex))
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # 16-sample tiles, each continued from a column of the same buffer
+        step, first = np.exp(1j * f * ((times[1] - times[0]) + 0j)), np.exp(1j * f * times[0])
+        for t0 in range(0, len(times), 16):
+            o = int(t0 > 0)
+            tile = cce._phase_table(step, first, buf[:, :, :o + min(16, len(times) - t0)])[..., o:]
+            first = tile[..., -1]
+            assert np.array_equal(tile.view(np.uint64), ref[..., t0:t0 + 16].view(np.uint64))
 
 
 class TestSeriesIO:

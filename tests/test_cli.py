@@ -41,6 +41,15 @@ def with_keys(body, extra):
     return "\n".join(kept + [extra])
 
 
+def cli_env():
+    """The environment for ``python -m spinbath.cli``: this checkout's
+    sources first on PYTHONPATH, no output-directory override."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != cli.OUTDIR_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def write_cfg(tmp_path, body, outdir=None, name="run.cfg"):
     if outdir is None:
         outdir = tmp_path / "out"
@@ -230,9 +239,7 @@ class TestSubcommands:
         assert not outdir.exists()
 
     def test_products_identical_across_blas_threads(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != cli.OUTDIR_ENV}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = cli_env()
         products = []
         for threads in ("1", "2"):
             cfgp, outdir = write_cfg(tmp_path, FAST_BODY, tmp_path / f"out{threads}",
@@ -243,6 +250,24 @@ class TestSubcommands:
             products.append(manifest_products(outdir / "manifest.txt"))
         assert len(products[0]) == 14
         assert products[0] == products[1]
+
+    @pytest.mark.skipif((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+    @pytest.mark.xfail(strict=True, reason=(
+        "OpenBLAS splits a zdot of more than 10 000 elements across threads: the "
+        "trace sum of silicon order 3 at 256 samples has 16 384 rows (2048 "
+        "clusters of dimension 8 per chunk)"))
+    def test_order_3_correlation_identical_across_blas_threads(self, tmp_path):
+        env = cli_env()
+        series = []
+        for threads in ("1", "2"):
+            cfgp, outdir = write_cfg(tmp_path, "order = 3\nsamples = 256\n",
+                                     tmp_path / f"out{threads}", f"t{threads}.cfg")
+            subprocess.run([sys.executable, "-m", "spinbath.cli", "simulate", str(cfgp)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, timeout=300)
+            series.append((outdir / "correlation.csv").read_bytes())
+        assert series[0] == series[1]
 
 
 class TestExitCodes:
@@ -288,6 +313,10 @@ class TestExitCodes:
                      "band 0Q", id="band-below-lowest-scale"),
         pytest.param("realization_file = {tmp}/bad.csv", ["run", "{cfg}"], 1,
                      "bad.csv:1", id="malformed-realization"),
+        # a header and no site rows: refused before the mean coupling of none
+        pytest.param("realization_file = {tmp}/no-sites.csv", ["run", "{cfg}"], 1,
+                     "no-sites.csv: no site rows", id="realization-without-sites",
+                     marks=pytest.mark.filterwarnings("error")),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
                      id="malformed-series"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
@@ -296,6 +325,7 @@ class TestExitCodes:
     def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
                                    code, named):
         (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
+        (tmp_path / "no-sites.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n")
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body.format(tmp=tmp_path)))
         argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
         assert cli.main(argv) == code
@@ -303,6 +333,15 @@ class TestExitCodes:
         assert err.startswith(("config error: ", "runtime error: ")[code - 1])
         assert err.count("\n") == 1 and named in err
         assert not (outdir / "correlation.csv").exists()
+
+    @pytest.mark.parametrize("extra_body", ["gamma = 1e200", "a0 = 1e-300"])
+    def test_infinite_E_dd_refused_before_outdir(self, tmp_path, capsys, extra_body):
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
+        assert cli.main(["run", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "give no finite E_dd" in err
+        assert not outdir.exists()
 
     def test_cluster_dimension_refused_before_work(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
