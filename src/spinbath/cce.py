@@ -12,9 +12,8 @@ of A_bar.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -36,10 +35,6 @@ class ClusterSet:
     proximity graph of ``enumerate_clusters``."""
     max_order_M: int
     clusters: tuple                      # tuples of site positions' indices, sorted by (size, lex)
-    subcluster_links: dict               # cluster -> tuple of proper subclusters in the set
-
-    def by_size(self, n: int):
-        return [c for c in self.clusters if len(c) == n]
 
 
 @dataclass
@@ -87,33 +82,20 @@ def _proximity_adjacency(positions: np.ndarray, r_cutoff: float):
 def enumerate_clusters(realization: BathRealization, r_cutoff: float,
                        max_order: int) -> ClusterSet:
     """All connected subsets of spinful sites of size <= max_order under the
-    r_cutoff proximity graph (ESU-style enumeration, each subset once)."""
+    r_cutoff proximity graph, size by size: every connected k+1 subset is a
+    connected k subset plus one of its neighbours, and each size is sorted."""
     if max_order < 1:
         raise CCEError("max_order must be >= 1")
     n = realization.n_spins
     M = min(max_order, n)
     adj = _proximity_adjacency(realization.positions, r_cutoff)
-    found = []
-
-    def extend(sub: list, ext: set, nbhd: set, v: int):
-        found.append(tuple(sub))
-        if len(sub) == M:
-            return
-        ext = set(ext)
-        while ext:
-            w = ext.pop()
-            new = {u for u in adj[w] if u > v and u not in nbhd and u not in sub}
-            extend(sub + [w], ext | new, nbhd | adj[w], v)
-
-    for v in range(n):
-        extend([v], {u for u in adj[v] if u > v}, set(adj[v]) | {v}, v)
-
-    clusters = tuple(sorted((tuple(sorted(c)) for c in found), key=lambda c: (len(c), c)))
-    present = set(clusters)
-    # combinations of a sorted tuple come out in (size, lex) order already
-    links = {c: tuple(s for k in range(1, len(c)) for s in combinations(c, k) if s in present)
-             for c in clusters}
-    return ClusterSet(max_order_M=M, clusters=clusters, subcluster_links=links)
+    level = [(v,) for v in range(n)]
+    clusters = list(level)
+    for _ in range(M - 1):
+        level = sorted({tuple(sorted(c + (u,))) for c in level
+                        for u in set().union(*(adj[v] for v in c)).difference(c)})
+        clusters += level
+    return ClusterSet(max_order_M=M, clusters=tuple(clusters))
 
 
 def cluster_correlation(cluster, realization: BathRealization,
@@ -136,14 +118,19 @@ def combination_coefficients(cset: ClusterSet) -> dict:
 
     Summing Ctilde_c = C_c - sum_{s < c present} Ctilde_s over the set gives
     the superset identity a(k) = 1 - sum_{s > k present} a(s), solved exactly
-    in one pass from the largest clusters down. Zero weights are left out.
+    in one pass from the largest clusters down, walking each cluster's proper
+    subsets. Zero weights are left out; the rest come in set order.
     """
-    above = defaultdict(int)             # cluster -> sum of its supersets' a
+    # keyed by the set's clusters only: a larger dict of every subset, freed
+    # before the trace, raised glibc's mmap threshold and the run's peak RSS
+    above = dict.fromkeys(cset.clusters, 0)     # cluster -> sum of its supersets' a
     coeffs = {}
     for c in reversed(cset.clusters):
         coeffs[c] = a = 1 - above[c]
-        for s in cset.subcluster_links[c]:
-            above[s] += a
+        for k in range(1, len(c)):
+            for s in combinations(c, k):
+                if s in above:
+                    above[s] += a
     return {c: coeffs[c] for c in cset.clusters if coeffs[c]}
 
 
@@ -184,17 +171,12 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
     times_tbar = _uniform_grid(times_tbar)
     if realization.n_spins == 0:
         raise CCEError("no spinful sites in realization")
-    coeffs = combination_coefficients(cset)
-    groups = defaultdict(list)
-    for c, a in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        groups[len(c)].append((c, a))
-
+    coeffs = combination_coefficients(cset)         # in set order: one run per size
     total = np.zeros(len(times_tbar), dtype=complex)
-    for size in sorted(groups):
-        clusters = np.array([c for c, _ in groups[size]], dtype=int)
-        weights = np.array([a for _, a in groups[size]], dtype=float)
-        total += _group_correlation(clusters, weights, realization, c_hf, mask,
-                                    times_tbar)
+    for _, group in groupby(coeffs.items(), key=lambda kv: len(kv[0])):
+        clusters, weights = zip(*group)
+        total += _group_correlation(np.array(clusters, dtype=int), np.array(weights, dtype=float),
+                                    realization, c_hf, mask, times_tbar)
     return _finalize_series(total, times_tbar, realization, order=cset.max_order_M,
                             mode="cce", n_clusters=len(cset.clusters))
 

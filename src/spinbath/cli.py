@@ -421,6 +421,9 @@ def compare_orders(cfg: RunConfig, orders) -> str:
     orders = sorted(int(o) for o in orders)
     if len(orders) < 2:
         raise ConfigError("compare-orders needs at least two orders")
+    for lo, hi in zip(orders, orders[1:]):
+        if lo == hi:
+            raise ConfigError(f"compare-orders got order {lo} twice")
     for m in orders:
         _validate(replace(cfg, order=m))
     outdir = _outdir(cfg)
@@ -507,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(cfg: RunConfig) -> None:
     path = _outdir(cfg) / "realization.csv"
-    realization = _resolve_realization(cfg)
+    realization = _Stage().run("realization", _resolve_realization, cfg)
     lattice.save_realization(path, realization)
     print(f"{path}: N={realization.n_spins} A_bar={realization.A_bar:.6e}")
 
@@ -531,7 +534,7 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (PipelineError, cce.CCEError, tfa.TFAError) as exc:
+    except (PipelineError, cce.CCEError, tfa.TFAError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     return 0

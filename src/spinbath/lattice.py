@@ -77,10 +77,6 @@ class PairGeometry:
     phi_ij: np.ndarray        # rad, azimuth in (-pi, pi]
     prefactor: np.ndarray     # rad/s, (mu0/4pi) hbar gamma^2 / r^3
 
-    @property
-    def theta_ij(self) -> np.ndarray:
-        return np.arccos(np.clip(self.cos_theta, -1.0, 1.0))
-
 
 @dataclass(frozen=True)
 class BathRealization:

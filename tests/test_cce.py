@@ -31,34 +31,43 @@ class TestTimeGrid:
             cce.CorrelationSeries(np.array([0.0, 1.0, 3.0]), np.zeros(3))
 
 
+def by_size(cset, n):
+    return [c for c in cset.clusters if len(c) == n]
+
+
 class TestEnumeration:
     def test_chain_clusters(self):
         bath = chain_bath(4, spacing=0.4e-9)
         # cutoff covers one hop only: edges (0,1), (1,2), (2,3)
         cset = cce.enumerate_clusters(bath, 0.5e-9, 3)
-        assert cset.by_size(1) == [(0,), (1,), (2,), (3,)]
-        assert cset.by_size(2) == [(0, 1), (1, 2), (2, 3)]
-        assert cset.by_size(3) == [(0, 1, 2), (1, 2, 3)]
+        assert by_size(cset, 1) == [(0,), (1,), (2,), (3,)]
+        assert by_size(cset, 2) == [(0, 1), (1, 2), (2, 3)]
+        assert by_size(cset, 3) == [(0, 1, 2), (1, 2, 3)]
 
     def test_disconnected_pair_excluded(self):
         bath = chain_bath(2, spacing=2.0e-9)
         cset = cce.enumerate_clusters(bath, 0.5e-9, 2)
-        assert cset.by_size(2) == []
+        assert by_size(cset, 2) == []
 
     def test_complete_graph_counts(self):
         bath = random_bath(np.random.default_rng(0), 6, scale=0.2e-9)
         cset = cce.enumerate_clusters(bath, 1e-6, 4)
         from math import comb
         for k in range(1, 5):
-            assert len(cset.by_size(k)) == comb(6, k)
+            assert len(by_size(cset, k)) == comb(6, k)
 
-    def test_subcluster_links_are_subsets(self):
-        bath = random_bath(np.random.default_rng(1), 5, scale=0.4e-9)
-        cset = cce.enumerate_clusters(bath, 0.8e-9, 3)
-        for c, subs in cset.subcluster_links.items():
-            for s in subs:
-                assert set(s) < set(c)
-                assert s in cset.subcluster_links
+    def test_enumeration_memory(self):
+        # the silicon reference bath at order 4: the 24 080 cluster tuples
+        # take ~1.9 MiB, which leaves no room for a per-cluster subset table
+        bath = cli._resolve_realization(cli.RunConfig())
+        tracemalloc.start()
+        try:
+            cset = cce.enumerate_clusters(bath, 2.7 * bath.a0, 4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cset.clusters) == 24080
+        assert held < 4 * 2 ** 20
 
     def test_max_order_clamped_to_bath_size(self):
         bath = chain_bath(2)
@@ -92,8 +101,33 @@ class TestCombinationCoefficients:
         assert coeffs == {(0,): 1, (1,): 1, (2,): 1}
 
 
+def reference_clusters(bath, r_cutoff, max_order):
+    """Connected subsets of size <= max_order, from a bitmask over all 2^n
+    subsets and a breadth-first search on the cutoff graph, in (size, lex)
+    order."""
+    pos = bath.positions
+    n = len(pos)
+    close = np.linalg.norm(pos[:, None] - pos[None], axis=-1) <= r_cutoff
+    found = []
+    for bits in range(1, 1 << n):
+        sub = [i for i in range(n) if bits >> i & 1]
+        if len(sub) > max_order:
+            continue
+        seen, todo = {sub[0]}, [sub[0]]
+        while todo:
+            i = todo.pop()
+            for j in sub:
+                if j not in seen and close[i, j]:
+                    seen.add(j)
+                    todo.append(j)
+        if len(seen) == len(sub):
+            found.append(tuple(sub))
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
 def reference_links(clusters):
-    """Subcluster links as the bitmask loop over all 2^n subsets built them."""
+    """Proper subclusters of each cluster that are in the set, from a bitmask
+    over its subsets, in (size, lex) order."""
     present = set(clusters)
     links = {}
     for c in clusters:
@@ -110,12 +144,13 @@ def reference_links(clusters):
 def reference_coefficients(cset):
     """CCE weights from the symbolic subtraction recursion, clusters in
     increasing size, each Ctilde kept as a dict of raw-correlation weights."""
+    links = reference_links(cset.clusters)
     vecs = {}
     total = defaultdict(int)
     for c in cset.clusters:
         vec = defaultdict(int)
         vec[c] = 1
-        for s in cset.subcluster_links[c]:
+        for s in links[c]:
             for k, v in vecs[s].items():
                 vec[k] -= v
         vecs[c] = dict(vec)
@@ -128,7 +163,7 @@ class TestBookkeepingMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["random", "chain"]), st.integers(1, 9), st.integers(1, 5),
            st.floats(0.2, 2.0), st.integers(0, 2 ** 32 - 1))
-    def test_links_and_coefficients(self, kind, n, order, cutoff_nm, seed):
+    def test_clusters_and_coefficients(self, kind, n, order, cutoff_nm, seed):
         # cutoffs below the typical spacing leave the graph disconnected
         rng = np.random.default_rng(seed)
         if kind == "random":
@@ -138,8 +173,10 @@ class TestBookkeepingMatchesReference:
             bath = bath_from_positions(np.c_[x, np.zeros((n, 2))], species(),
                                        (0, 0, 1), DIAMOND_A0)
         cset = cce.enumerate_clusters(bath, cutoff_nm * 1e-9, order)
-        assert cset.subcluster_links == reference_links(cset.clusters)
-        assert cce.combination_coefficients(cset) == reference_coefficients(cset)
+        assert cset.clusters == reference_clusters(bath, cutoff_nm * 1e-9, order)
+        coeffs = cce.combination_coefficients(cset)
+        assert coeffs == reference_coefficients(cset)
+        assert list(coeffs) == [c for c in cset.clusters if c in coeffs]
 
 
 class TestClusterCorrelation:
@@ -202,7 +239,7 @@ class TestCCERecursion:
         t = cce.time_grid(40.0, 2048)
         assert 2 ** 22 // (64 * len(t)) == 32
         cset = cce.enumerate_clusters(bath, 1e-6, 3)
-        assert len(cset.by_size(3)) == 35
+        assert len(by_size(cset, 3)) == 35
         fast = cce.compute_correlation(bath, cset, times_tbar=t)
         slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
                    for c, a in cce.combination_coefficients(cset).items())
@@ -213,7 +250,7 @@ class TestCCERecursion:
         # spanning the grid would take 64 MiB each
         bath = random_bath(np.random.default_rng(25), 40)
         cset = cce.enumerate_clusters(bath, 1e-6, 2)
-        assert len(cset.by_size(2)) > 256
+        assert len(by_size(cset, 2)) > 256
         t = cce.time_grid(200.0, 4096)
         tracemalloc.start()
         try:

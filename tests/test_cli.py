@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbath import cli
-from spinbath import cce, tfa
+from spinbath import cce, lattice, tfa
 
 #: value words as text: numbers (extreme and non-finite too), booleans and
 #: the hf_axis forms
@@ -212,6 +212,14 @@ class TestSubcommands:
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["compare-orders", str(cfgp), "2"]) == 1
 
+    def test_compare_orders_rejects_repeated_order(self, tmp_path, capsys):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["compare-orders", str(cfgp), "2", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "order 2" in err
+        assert not outdir.exists()
+
     def test_compare_orders_rejects_out_of_range_order(self, tmp_path, capsys):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["compare-orders", str(cfgp), "0", "2"]) == 1
@@ -406,7 +414,29 @@ class TestExitCodes:
         assert "flat.csv" in err and "time grid" in err
         assert not list(outdir.glob("analyze_*"))
 
-    @pytest.mark.parametrize("command", ["run", "simulate", "analyze",
+    @pytest.mark.parametrize("command, product", [
+        ("generate-bath", "realization.csv"), ("simulate", "correlation.csv"),
+        ("simulate", "correlation_normalized.csv"), ("analyze", "analyze_cwt.bin"),
+        ("analyze", "analyze_manifest.txt"), ("run", "correlation.csv"),
+        ("run", "cwt.bin"), ("run", "manifest.txt"),
+        ("compare-orders", "cce3_correlation_normalized.csv"),
+        ("compare-orders", "order_deviations.csv"),
+        ("sweep-axis", "axis0/full_realization.csv")])
+    def test_unwritable_product_is_2(self, tmp_path, capsys, command, product):
+        # a directory where the product goes: the write fails with an OSError
+        t = cce.time_grid(400.0, 256)
+        series = tmp_path / "series.csv"
+        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        (outdir / product).mkdir(parents=True)
+        extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
+                 "sweep-axis": ["0,0,1"]}.get(command, [])
+        assert cli.main([command, str(cfgp), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert product in err
+
+    @pytest.mark.parametrize("command", ["generate-bath", "run", "simulate", "analyze",
                                          "compare-orders", "sweep-axis"])
     def test_numeric_failure_is_2(self, tmp_path, capsys, monkeypatch, command):
         def diverge(*args, **kwargs):
@@ -417,6 +447,8 @@ class TestExitCodes:
         cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
         monkeypatch.setattr(cce, "compute_correlation", diverge)
         monkeypatch.setattr(tfa, "cwt_bump", diverge)
+        if command == "generate-bath":          # its one stage builds the bath
+            monkeypatch.setattr(lattice, "build_realization", diverge)
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
         extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
                  "sweep-axis": ["0,0,1"]}.get(command, [])

@@ -152,23 +152,28 @@ class TestEdd:
             L.compute_E_dd(gamma, a0)
 
 
+def polar_angle(g):
+    """Polar angle of a pair w.r.t. the hf axis; cos_theta may overshoot 1 by an ulp."""
+    return np.arccos(np.clip(g.cos_theta, -1.0, 1.0))
+
+
 class TestPairGeometry:
     def test_bond_111_against_001_axis_is_magic(self):
         g = L.pair_geometry(np.zeros(3), np.array([1.0, 1, 1]),
                             np.array([0, 0, 1.0]), species())
-        assert g.theta_ij == pytest.approx(np.arccos(1 / np.sqrt(3)), abs=1e-9)
+        assert polar_angle(g) == pytest.approx(np.arccos(1 / np.sqrt(3)), abs=1e-9)
 
     def test_bond_parallel_to_axis(self):
         g = L.pair_geometry(np.zeros(3), np.array([1.0, 1, 1]),
                             np.array([1.0, 1, 1]) / np.sqrt(3), species())
-        assert g.theta_ij == pytest.approx(0.0, abs=1e-9)
+        assert polar_angle(g) == pytest.approx(0.0, abs=1e-9)
 
     def test_z_bond_z_axis(self):
         sp = species()
         r = 2e-10
         g = L.pair_geometry(np.zeros(3), np.array([0, 0, r]),
                             np.array([0, 0, 1.0]), sp)
-        assert g.theta_ij == pytest.approx(0.0, abs=1e-12)
+        assert polar_angle(g) == pytest.approx(0.0, abs=1e-12)
         expected = L.MU0_OVER_4PI * L.HBAR * sp.gamma ** 2 / r ** 3
         assert g.prefactor == pytest.approx(expected, rel=1e-14)
 
@@ -182,7 +187,7 @@ class TestPairGeometry:
                             np.array([0, 0, -1.0]), species())
         r = np.array([1.0, 2.0, 3.0])
         local = np.diag([1.0, -1.0, -1.0]).T @ r
-        assert g.theta_ij == pytest.approx(np.arccos(local[2] / np.linalg.norm(r)), abs=1e-12)
+        assert polar_angle(g) == pytest.approx(np.arccos(local[2] / np.linalg.norm(r)), abs=1e-12)
         assert g.phi_ij == pytest.approx(np.arctan2(local[1], local[0]), abs=1e-12)
 
     def test_identity_frame_for_z_axis(self):
@@ -204,7 +209,7 @@ class TestPairGeometry:
             Q[:, 0] = -Q[:, 0]
         g1 = L.pair_geometry(np.zeros(3), r, axis, species())
         g2 = L.pair_geometry(np.zeros(3), Q @ r, Q @ axis, species())
-        assert g2.theta_ij == pytest.approx(g1.theta_ij, abs=1e-10)
+        assert polar_angle(g2) == pytest.approx(polar_angle(g1), abs=1e-10)
 
 
 class TestRealization:
