@@ -192,16 +192,14 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     on sub-blocks of ~2**16 / d**2 clusters, and P, Q = W @ conj(P) (a real
     GEMM on P's float view, then -Q.imag) and the trace on 16-sample tiles.
     These rules keep the bits of a chunk-wide P, Q and einsum("cmt,cmt->t")
-    under the OpenBLAS SkylakeX, Haswell and Sandybridge kernels:
+    under the OpenBLAS SkylakeX, Haswell and Sandybridge kernels, except in
+    the last samples of a tile of a grid of nt >= 32 not a multiple of 4,
+    where SkylakeX dgemm edge kernels may round otherwise:
 
     - no cumprod row has length 2 (numpy's vectorized complex multiply
       differs from its accumulate loop): nt % 16 joins the last tile, and a
       later tile continues from the previous tile's last column, carried
       into column 0 of its cumprod row;
-    - a grid of nt not a multiple of 4 is one tile: SkylakeX dgemm gives a
-      trailing 2 or 4 float columns bits that depend on the whole GEMM's
-      width (which also makes the real GEMM differ from a complex one on
-      conj(P) at nt = 1 or 2 mod 4 there);
     - both operands of the per-sample dot keep a non-unit stride, which
       selects OpenBLAS's sequential zdotu loop, as the einsum did;
     - buffer rows have odd length, so the dot's row-by-row walk does not
@@ -214,7 +212,7 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     out = np.zeros(nt, dtype=complex)
 
     chunk = max(1, int(2 ** 22 / (dim * nt)))
-    tiles = _blocks(nt, 16 if nt % 4 == 0 else nt)
+    tiles = _blocks(nt, 16)
     shape = (min(chunk, len(clusters)), dim, (nt - tiles[-1][0] + 1) | 1)
     P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for lo in range(0, len(clusters), chunk):

@@ -181,7 +181,7 @@ def _validate(cfg: RunConfig) -> None:
               ("gamma", cfg.gamma != 0),
               ("spin", 0.5 <= two_i < math.inf and abs(two_i - round(two_i)) <= 1e-12),
               ("abundance", 0.0 <= cfg.abundance <= 1.0),
-              ("order", 1 <= cfg.order <= 6),
+              ("order", 2 <= cfg.order <= 6),
               ("r_cutoff_a0", cfg.r_cutoff_a0 > 0),
               ("c_hf", cfg.c_hf >= 0), ("tbar_max", cfg.tbar_max > 0),
               ("samples", cfg.samples >= 16),
@@ -429,6 +429,8 @@ def compare_orders(cfg: RunConfig, orders) -> str:
     outdir = _outdir(cfg)
     stage = _Stage()
     realization = stage.run("realization", _resolve_realization, cfg)
+    if orders[-1] > realization.n_spins:
+        raise ConfigError(f"order {orders[-1]} exceeds the bath's {realization.n_spins} spins")
     curves = {}
     for m in orders:
         _, series = stage.run("cce", _simulate, cfg, realization, m)
@@ -452,8 +454,8 @@ CHANNELS = {"B": TermMask(True, True, False, False),
 
 
 def sweep_hf_axis(cfg: RunConfig, axes) -> list:
-    """Run the pipeline per hyperfine axis (unit 3-vectors) on one fixed
-    realization, including per-channel (B / CD / EF) mask decompositions."""
+    """Run the pipeline per hyperfine axis (divided by its norm as ``run`` does)
+    on one fixed realization, with per-channel (B / CD / EF) mask decompositions."""
     if not axes:
         raise ConfigError("sweep-axis needs at least one axis")
     _check_band_coverage(cfg)       # before outdir exists, as in run_pipeline
@@ -461,7 +463,7 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     realization = _Stage().run("realization", _resolve_realization, cfg)
     manifests = []
     for i, axis in enumerate(axes):
-        fixed = replace(realization, hf_axis=np.asarray(axis))
+        fixed = replace(realization, hf_axis=np.asarray(axis) / np.linalg.norm(axis))
         sub = replace(cfg, outdir=str(Path(cfg.outdir) / f"axis{i}"), hf_axis=tuple(axis))
         manifests.append(run_pipeline(sub, realization=fixed, tag="full"))
         for name, mask in CHANNELS.items():

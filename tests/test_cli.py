@@ -33,6 +33,9 @@ voices = 8
 #: FAST_BODY with the hf axis left at its default, so a case can set it
 BASE_BODY = FAST_BODY.replace("hf_axis = 0 0 1\n", "")
 
+#: FAST_BODY on three sites, so that ``compare-orders 2 3`` is in range
+THREE_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12")
+
 
 def with_keys(body, extra):
     """``body`` with every key that ``extra`` sets replaced by extra's line."""
@@ -222,9 +225,25 @@ class TestSubcommands:
 
     def test_compare_orders_rejects_out_of_range_order(self, tmp_path, capsys):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["compare-orders", str(cfgp), "0", "2"]) == 1
-        assert "'order'" in capsys.readouterr().err
-        assert not outdir.exists()
+        # order 1 has a constant correlation, which cannot be normalized
+        for order in ("0", "1"):
+            assert cli.main(["compare-orders", str(cfgp), order, "2"]) == 1
+            assert "'order'" in capsys.readouterr().err
+            assert not outdir.exists()
+
+    def test_compare_orders_rejects_order_above_spin_count(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("CCE run for an order above the spin count")
+
+        monkeypatch.setattr(cce, "compute_correlation", unreachable)
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        # order 3 would be clamped to the bath's two spins: two equal rows
+        assert cli.main(["compare-orders", str(cfgp), "2", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "order 3" in err and "2 spins" in err
+        assert not (outdir / "order_deviations.csv").exists()
 
     def test_sweep_axis(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
@@ -238,6 +257,19 @@ class TestSubcommands:
         r0 = cce.load_series(outdir / "axis0" / "full_correlation.csv")
         r1 = cce.load_series(outdir / "axis1" / "full_correlation.csv")
         assert r0.values[0] == pytest.approx(r1.values[0], rel=1e-12)
+
+    def test_sweep_axis_full_products_match_run(self, tmp_path):
+        # the parsed axis is divided by its norm once more in build_realization
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["sweep-axis", str(cfgp), "1,1,0"]) == 0
+        runp, rundir = write_cfg(tmp_path, with_keys(FAST_BODY, "hf_axis = 1 1 0"),
+                                 tmp_path / "run-out", "run1.cfg")
+        assert cli.main(["run", str(runp)]) == 0
+        names = sorted(p.name for p in rundir.iterdir() if p.name != "manifest.txt")
+        assert len(names) == 14
+        for name in names:
+            assert (outdir / "axis0" / f"full_{name}").read_bytes() == \
+                (rundir / name).read_bytes(), name
 
     @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
     def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
@@ -313,6 +345,8 @@ class TestExitCodes:
         pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
         pytest.param("sites = 10 11 10", ["run", "{cfg}"], 1, "'sites'",
                      id="repeated-site"),
+        # a lone spin's correlation is constant, so normalizing it fails
+        pytest.param("order = 1", ["run", "{cfg}"], 1, "'order'", id="order-1"),
         # a grid whose Nyquist frequency lies below the 1Q and 2Q bands
         pytest.param("tbar_max = 1e9\nsamples = 16", ["run", "{cfg}"], 1,
                      "band 1Q", id="bands-above-nyquist"),
@@ -427,7 +461,8 @@ class TestExitCodes:
         t = cce.time_grid(400.0, 256)
         series = tmp_path / "series.csv"
         cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        body = THREE_SITE_BODY if command == "compare-orders" else FAST_BODY
+        cfgp, outdir = write_cfg(tmp_path, body)
         (outdir / product).mkdir(parents=True)
         extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
                  "sweep-axis": ["0,0,1"]}.get(command, [])
@@ -449,7 +484,8 @@ class TestExitCodes:
         monkeypatch.setattr(tfa, "cwt_bump", diverge)
         if command == "generate-bath":          # its one stage builds the bath
             monkeypatch.setattr(lattice, "build_realization", diverge)
-        cfgp, _ = write_cfg(tmp_path, FAST_BODY)
+        body = THREE_SITE_BODY if command == "compare-orders" else FAST_BODY
+        cfgp, _ = write_cfg(tmp_path, body)
         extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
                  "sweep-axis": ["0,0,1"]}.get(command, [])
         assert cli.main([command, str(cfgp), *extra]) == 2
