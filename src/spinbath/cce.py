@@ -188,9 +188,10 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
 
     Clusters go in chunks of ~2**22 / (d * nt), which fix the K = nc * d rows
     of each per-sample trace sum and so the bits of the result. Of a chunk
-    only E and the real W = w |B'|^2 / d are held whole: the eigen stage runs
-    on sub-blocks of ~2**16 / d**2 clusters, and P, Q = W @ conj(P) (a real
-    GEMM on P's float view, then -Q.imag) and the trace on 16-sample tiles.
+    only E and the real W = w |B'|^2 / d are held whole, in buffers reused by
+    every chunk: the eigen stage runs on sub-blocks of ~2**16 / d**2
+    clusters, and P, Q = W @ conj(P) (a real GEMM on P's float view, then
+    -Q.imag) and the trace on 16-sample tiles.
     These rules keep the bits of a chunk-wide P, Q and einsum("cmt,cmt->t")
     under the OpenBLAS SkylakeX, Haswell and Sandybridge kernels, except in
     the last samples of a tile of a grid of nt >= 32 not a multiple of 4,
@@ -215,10 +216,11 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     tiles = _blocks(nt, 16)
     shape = (min(chunk, len(clusters)), dim, (nt - tiles[-1][0] + 1) | 1)
     P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    E_buf, W_buf = np.empty(shape[:2]), np.empty(shape[:2] + (dim,))
     for lo in range(0, len(clusters), chunk):
         cl, w = clusters[lo:lo + chunk], weights[lo:lo + chunk]
         nc = len(cl)
-        E, W = np.empty((nc, dim)), np.empty((nc, dim, dim))
+        E, W = E_buf[:nc], W_buf[:nc]
         for s, e in _blocks(nc, max(2, 2 ** 16 // dim ** 2)):
             E[s:e], V = np.linalg.eigh(cluster_hamiltonians(cl[s:e], realization, c_hf, mask))
             b = bath_operator_diagonal(cl[s:e], realization)   # (e - s, dim), diagonal of B

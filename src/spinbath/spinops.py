@@ -1,4 +1,4 @@
-"""Spin-I matrices and tensor-product embedding.
+"""Spin-I matrices.
 
 Dense complex matrices throughout; cluster dimensions stay <= (2I+1)^4 = 256
 for the spin values in scope. Basis ordering is m = I down to -I.
@@ -38,19 +38,3 @@ def spin_matrices(spin_I: float) -> SpinMatrices:
         mm = m[col]
         Ip[col - 1, col] = np.sqrt(spin_I * (spin_I + 1) - mm * (mm + 1))
     return SpinMatrices(spin_I=spin_I, dim=d, Iz=Iz, Iplus=Ip, Iminus=Ip.conj().T)
-
-
-def embed(op: np.ndarray, k: int, n: int, d: int) -> np.ndarray:
-    """identity x ... x op (slot k) x ... x identity on a d^n space.
-
-    Slot 0 varies slowest (leftmost kron factor).
-    """
-    op = np.asarray(op)
-    if op.shape != (d, d):
-        raise SpinOpsError(f"operator shape {op.shape} does not match local dim {d}")
-    if not 0 <= k < n:
-        raise SpinOpsError(f"slot {k} out of range for {n} slots")
-    left = np.eye(d ** k)
-    right = np.eye(d ** (n - k - 1))
-    return np.kron(np.kron(left, op), right)
-

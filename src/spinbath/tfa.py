@@ -99,6 +99,12 @@ def default_scales(n: int, dt: float, params: BumpParams,
     return a_min * 2.0 ** (k / voices_per_octave)
 
 
+def _row_blocks(shape: tuple, cells: int) -> list:
+    """Consecutive row slices of a (rows, cols) map, ~`cells` cells each."""
+    b = max(1, cells // max(shape[1], 1))
+    return [slice(i, min(i + b, shape[0])) for i in range(0, shape[0], b)]
+
+
 def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
              voices_per_octave: int = 32,
              scales: np.ndarray | None = None) -> Scalogram:
@@ -108,7 +114,8 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     support lies at positive frequencies only, so the transform is analytic
     for real input. The time derivative (spectral, exact for the band-limited
     kernel) is stored alongside for synchrosqueezing. Input is zero-padded to
-    the next power of two.
+    the next power of two, npad. The inverse FFTs of both products run
+    batched, max(1, 2^16 // npad) scales per reused (2, block, npad) buffer.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -120,16 +127,21 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     need = max(n, int(np.ceil(2.0 * np.pi * scales.max() / (params.sigma * dt))))
     need = min(need, 16 * n)        # absurd scales still fail the support check
     npad = 1 << int(np.ceil(np.log2(need)))
-    X = np.fft.fft(x, npad)
-    omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+    pos = slice(1, (npad + 1) // 2)     # the bump support, as mu > sigma > 0
+    X = np.fft.fft(x, npad)[pos]
+    omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[pos]
     W = np.empty((len(scales), n), dtype=complex)
     dW = np.empty_like(W)
-    for i, a in enumerate(scales):
-        win = np.sqrt(a) * _bump_window(a * omega, params)
-        if not win.any():
-            raise TFAError(f"scale {a} has empty bump support inside the sampled band")
-        W[i] = np.fft.ifft(X * win)[:n]
-        dW[i] = np.fft.ifft(X * win * 1j * omega)[:n]
+    blocks = _row_blocks((len(scales), npad), 2 ** 16)
+    buf = np.zeros((2, blocks[0].stop, npad), dtype=complex)
+    for r in blocks:
+        for j, a in enumerate(scales[r]):
+            win = np.sqrt(a) * _bump_window(a * omega, params)
+            if not win.any():
+                raise TFAError(f"scale {a} has empty bump support inside the sampled band")
+            buf[0, j, pos] = X * win
+            buf[1, j, pos] = X * win * 1j * omega
+        W[r], dW[r] = np.fft.ifft(buf[:, :r.stop - r.start])[..., :n]
     # approximate edge-effect halfwidth per scale, in samples
     coi = np.minimum(np.ceil(2.0 * np.pi * scales / (params.sigma * dt)), n).astype(int)
     return Scalogram(scales=scales, center_freqs=params.mu / scales,
@@ -144,31 +156,31 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     The phase-transform frequency is Re(-i dW/W) wherever |W| exceeds
     gamma * max|W|; each retained cell contributes W * a^(-3/2) * da to the
     nearest log-spaced frequency bin (the scale grid's own center
-    frequencies).
+    frequencies). Both passes walk max(1, 2^15 // n_times) scale rows at a
+    time, in row order, so every bin sums its cells in row-major order.
     """
     if gamma < 0:
         raise TFAError("gamma must be nonnegative")
-    W = scalogram.coeffs
-    absW = np.abs(W)
-    thr = gamma * absW.max() if absW.size else 0.0
-    sel = absW > thr
-
-    w_inst = np.full(W.shape, np.nan)
-    w_inst[sel] = np.real(-1j * scalogram.dcoeffs[sel] / W[sel])
+    W, dW = scalogram.coeffs, scalogram.dcoeffs
+    blocks = _row_blocks(W.shape, 2 ** 15)
+    thr = gamma * np.max([np.abs(W[r]).max() for r in blocks]) if W.size else 0.0
 
     freqs = scalogram.center_freqs[::-1]            # ascending
     log_f = np.log2(freqs)
     dlog = (log_f[-1] - log_f[0]) / max(len(freqs) - 1, 1)
     a = scalogram.scales
-    da = np.gradient(a)
-    mass = W * (a ** -1.5 * da)[:, None]
+    weight = a ** -1.5 * np.gradient(a)
 
     T = np.zeros((len(freqs), W.shape[1]), dtype=complex)
-    valid = sel & (w_inst > 0)
-    rows, cols = np.nonzero(valid)
-    idx = np.rint((np.log2(w_inst[valid]) - log_f[0]) / dlog).astype(int)
-    keep = (idx >= 0) & (idx < len(freqs))
-    np.add.at(T, (idx[keep], cols[keep]), mass[rows[keep], cols[keep]])
+    for r in blocks:
+        Wb, dWb, wb = W[r], dW[r], weight[r]
+        rows, cols = np.nonzero(np.abs(Wb) > thr)
+        w_inst = np.real(-1j * dWb[rows, cols] / Wb[rows, cols])
+        up = w_inst > 0
+        idx = np.rint((np.log2(w_inst[up]) - log_f[0]) / dlog).astype(int)
+        keep = (idx >= 0) & (idx < len(freqs))
+        rows, cols = rows[up][keep], cols[up][keep]
+        np.add.at(T, (idx[keep], cols), Wb[rows, cols] * wb[rows])
     return SSTMap(freq_bins=freqs, times_tbar=scalogram.times_tbar, coeffs=T,
                   metadata=dict(scalogram.metadata))
 
@@ -204,12 +216,13 @@ def save_map(prefix, obj) -> list:
         freqs, kind = obj.center_freqs, "cwt"
     else:
         freqs, kind = obj.freq_bins, "sst"
-    mod = np.abs(obj.coeffs)
     bin_path, meta_path = f"{prefix}.bin", f"{prefix}.meta.txt"
-    mod.astype("<f8", copy=False).tofile(bin_path)
+    with open(bin_path, "wb") as fh:        # a row block at a time: no map-sized copy
+        for r in _row_blocks(obj.coeffs.shape, 2 ** 15):
+            np.abs(obj.coeffs[r]).astype("<f8", copy=False).tofile(fh)
     with open(meta_path, "w") as fh:
         fh.write(f"# kind = {kind}\n")
-        fh.write(f"# shape = {mod.shape[0]} {mod.shape[1]}\n")
+        fh.write("# shape = %d %d\n" % obj.coeffs.shape)
         for k, v in sorted(obj.metadata.items()):
             if isinstance(v, np.ndarray):
                 continue

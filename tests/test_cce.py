@@ -454,6 +454,24 @@ class TestTiledTraceMatchesReference:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
+    def test_chunk_buffers_are_reused(self):
+        # spin 3/2 pairs (d = 16) on 64 samples: chunks of 4096 clusters,
+        # whose W takes 8 MiB. Two and a half chunks peak less than a quarter
+        # of that above one, so no chunk's W is held while the next one's is
+        # allocated
+        bath, clusters, weights = group_inputs(1.5, 2, 145, 10240)
+        t = cce.time_grid(60.0, 64)
+        assert 2 ** 22 // (16 * len(t)) == 4096
+        peaks = []
+        for n in (4096, 10240):
+            tracemalloc.start()
+            try:
+                cce._group_correlation(clusters[:n], weights[:n], bath, 0.5, TermMask.full(), t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * 2 ** 20
+
     def test_large_clusters_bit_identical_to_chunk_wide_trace(self):
         # d = 256 leaves 2**16 / d**2 = 1 cluster per sub-block; blocks of two
         # keep the bits, since a one-cluster stack assembles other ones

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import hamiltonian as ham
 from spinbath import lattice as L
-from spinbath.spinops import embed, spin_matrices
+from spinbath.spinops import spin_matrices
 
 from baths import nn_pair, random_bath
+from embedding import embed
 
 MAGIC = np.arccos(1 / np.sqrt(3))
 
@@ -19,9 +20,9 @@ def geom_at(theta, phi=0.3, prefactor=1.0):
 
 def cartesian_reference(cluster, bath, c_hf):
     """c_hf sum A_i Iz_i + sum_pairs pref (3 (I1.n)(I2.n) - I1.I2), built site
-    by site with spinops.embed from the bond vectors, with no code shared with
-    the alphabet assembly. Spin operators are quantized along the hf axis, in
-    the frame of lattice.rotation_to_axis."""
+    by site with embedding.embed from the bond vectors, with no code shared
+    with the alphabet assembly. Spin operators are quantized along the hf
+    axis, in the frame of lattice.rotation_to_axis."""
     spins = spin_matrices(bath.species.spin_I)
     d, n = spins.dim, len(cluster)
     Ix = (spins.Iplus + spins.Iminus) / 2
@@ -233,3 +234,30 @@ class TestClusterHamiltonian:
         h0 = ham.cluster_hamiltonians([(0, 1)], bath, 0.0)[0]
         b = ham.bath_operator_diagonal((0, 1), bath)
         assert np.allclose(h1 - h0, np.diag(b))
+
+
+class TestEmbed:
+    def test_two_slot_kron(self):
+        m = spin_matrices(0.5)
+        assert np.allclose(embed(m.Iz, 0, 2, 2), np.kron(m.Iz, np.eye(2)))
+        assert np.allclose(embed(m.Iz, 1, 2, 2), np.kron(np.eye(2), m.Iz))
+
+    def test_slot_operators_commute(self):
+        m = spin_matrices(1.0)
+        A = embed(m.Iplus, 0, 3, 3)
+        B = embed(m.Iz, 2, 3, 3)
+        assert np.allclose(A @ B, B @ A)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            embed(np.eye(3), 0, 2, 2)
+
+    def test_slot_out_of_range(self):
+        with pytest.raises(ValueError):
+            embed(np.eye(2), 2, 2, 2)
+
+    def test_trace_multiplicative(self):
+        m = spin_matrices(0.5)
+        op = m.Iz @ m.Iz
+        emb = embed(op, 1, 3, 2)
+        assert np.trace(emb).real == pytest.approx(4 * np.trace(op).real)

@@ -50,31 +50,3 @@ class TestSpinMatrices:
         m = so.spin_matrices(I)
         # tr(Iz^2) = d * I(I+1)/3
         assert np.trace(m.Iz @ m.Iz).real == pytest.approx(m.dim * I * (I + 1) / 3)
-
-
-class TestEmbed:
-    def test_two_slot_kron(self):
-        m = so.spin_matrices(0.5)
-        assert np.allclose(so.embed(m.Iz, 0, 2, 2), np.kron(m.Iz, np.eye(2)))
-        assert np.allclose(so.embed(m.Iz, 1, 2, 2), np.kron(np.eye(2), m.Iz))
-
-    def test_slot_operators_commute(self):
-        m = so.spin_matrices(1.0)
-        A = so.embed(m.Iplus, 0, 3, 3)
-        B = so.embed(m.Iz, 2, 3, 3)
-        assert np.allclose(A @ B, B @ A)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(so.SpinOpsError):
-            so.embed(np.eye(3), 0, 2, 2)
-
-    def test_slot_out_of_range(self):
-        with pytest.raises(so.SpinOpsError):
-            so.embed(np.eye(2), 2, 2, 2)
-
-    def test_trace_multiplicative(self):
-        m = so.spin_matrices(0.5)
-        op = m.Iz @ m.Iz
-        emb = so.embed(op, 1, 3, 2)
-        assert np.trace(emb).real == pytest.approx(4 * np.trace(op).real)
-

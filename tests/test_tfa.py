@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,40 @@ def tone_series(omega=0.5, n=2048, tmax=400.0, amp=1.0):
 def make_series(values, tmax=400.0):
     t = np.linspace(0.0, tmax, len(values))
     return CorrelationSeries(t, values)
+
+
+def beat_series(n, dt=0.37):
+    """Two tones and white noise: many retained cells, several per SST bin."""
+    t = np.arange(n) * dt
+    noise = np.random.default_rng(n).normal(size=n)
+    return np.cos(0.9 * t) + 0.5 * np.cos(2.3 * t) + 0.3 * noise, dt
+
+
+def padded_length(n, dt, scales, p):
+    """The CWT's FFT length: the next power of two of max(n, 2 pi a_max /
+    (sigma dt)), capped at 16 n before rounding."""
+    need = max(n, int(np.ceil(2.0 * np.pi * scales.max() / (p.sigma * dt))))
+    return 1 << int(np.ceil(np.log2(min(need, 16 * n))))
+
+
+def whole_map_sst(scal, gamma):
+    """The SST reassignment on the whole map at once: every retained cell in
+    one np.add.at call, in row-major order."""
+    W = scal.coeffs
+    absW = np.abs(W)
+    sel = absW > gamma * absW.max()
+    w_inst = np.full(W.shape, np.nan)
+    w_inst[sel] = np.real(-1j * scal.dcoeffs[sel] / W[sel])
+    log_f = np.log2(scal.center_freqs[::-1])
+    dlog = (log_f[-1] - log_f[0]) / (len(log_f) - 1)
+    valid = sel & (w_inst > 0)
+    rows, cols = np.nonzero(valid)
+    idx = np.rint((np.log2(w_inst[valid]) - log_f[0]) / dlog).astype(int)
+    keep = (idx >= 0) & (idx < len(log_f))
+    mass = W * (scal.scales ** -1.5 * np.gradient(scal.scales))[:, None]
+    T = np.zeros(W.shape, dtype=complex)
+    np.add.at(T, (idx[keep], cols[keep]), mass[rows[keep], cols[keep]])
+    return T
 
 
 class TestBumpParams:
@@ -122,9 +158,38 @@ class TestCWT:
         ay = tfa.cwt_bump(y, dt)
         assert np.abs(axy.coeffs - 2 * ax.coeffs - 3 * ay.coeffs).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_rows_match_one_scale_transforms(self, n):
+        # every row, so the first and last scale of each FFT block and the
+        # rows of a trailing partial block are all checked (npad = 2048 here,
+        # for 193 and 194 scales)
+        x, dt = beat_series(n)
+        p = tfa.BumpParams()
+        scal = tfa.cwt_bump(x, dt, p)
+        npad = padded_length(n, dt, scal.scales, p)
+        X = np.fft.fft(x, npad)
+        omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        for i, a in enumerate(scal.scales):
+            win = np.sqrt(a) * tfa._bump_window(a * omega, p)
+            np.testing.assert_array_equal(scal.coeffs[i], np.fft.ifft(X * win)[:n])
+            np.testing.assert_array_equal(scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])
+
     def test_scale_out_of_band_rejected(self):
         with pytest.raises(tfa.TFAError):
             tfa.cwt_bump(np.ones(256), 0.1, scales=np.array([1e9]))
+
+    def test_underflowing_window_is_empty_support(self):
+        # the scale's only bin inside |u| < 1 sits at u = 0.9995, where the
+        # window exp(1 - 1/(1 - u^2)) ~ exp(-999) underflows to exactly 0.0
+        n, dt, p = 256, 0.1, tfa.BumpParams()
+        npad = 16 * n
+        omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        a = (p.mu + 0.9995 * p.sigma) / omega[1]
+        assert padded_length(n, dt, np.array([a]), p) == npad
+        assert np.flatnonzero(np.abs(a * omega - p.mu) < p.sigma).tolist() == [1]
+        assert not tfa._bump_window(a * omega, p).any()
+        with pytest.raises(tfa.TFAError, match="empty bump support"):
+            tfa.cwt_bump(np.ones(n), dt, p, scales=np.array([a]))
 
     def test_voices_control_grid_density(self):
         t, x = tone_series(n=1024)
@@ -176,6 +241,40 @@ class TestSST:
         strict = tfa.synchrosqueeze(self.scal, gamma=0.5)
         lax = tfa.synchrosqueeze(self.scal, gamma=0.0)
         assert np.abs(strict.coeffs).sum() < np.abs(lax.coeffs).sum()
+
+
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("gamma", [0.0, 1e-8, 0.5])
+def test_sst_matches_whole_map_reassignment(n, gamma):
+    x, dt = beat_series(n)
+    scal = tfa.cwt_bump(x, dt)
+    np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
+                                  whole_map_sst(scal, gamma))
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak traced memory above what was held before it."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = fn(*args)
+    return out, tracemalloc.get_traced_memory()[1] - base
+
+
+class TestWorkingSet:
+    def test_no_map_sized_temporaries(self, tmp_path):
+        # besides W, dW and T the layer holds only blocks: a few scales' FFTs
+        # in the CWT, a few rows of cells in the SST and in the map export
+        t, x = tone_series(omega=0.5, n=4096, tmax=400 * np.pi)
+        tracemalloc.start()
+        try:
+            scal, cwt_peak = traced_peak(tfa.cwt_bump, x, t[1] - t[0])
+            sst, sst_peak = traced_peak(tfa.synchrosqueeze, scal)
+            _, save_peak = traced_peak(tfa.save_map, tmp_path / "sst", sst)
+        finally:
+            tracemalloc.stop()
+        assert cwt_peak <= scal.coeffs.nbytes + scal.dcoeffs.nbytes + 8 * 2 ** 20
+        assert sst_peak <= 1.5 * sst.coeffs.nbytes
+        assert save_peak <= 2 ** 20
 
 
 class TestBandAmplitude:
