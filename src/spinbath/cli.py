@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -196,9 +196,14 @@ def _validate(cfg: RunConfig) -> None:
         lattice.compute_E_dd(cfg.gamma, cfg.a0)
     except lattice.LatticeError as exc:
         raise ConfigError(str(exc)) from None
-    if (round(two_i) + 1) ** cfg.order > cce.EXACT_DIM_CAP:
-        raise ConfigError(f"'spin' = {cfg.spin:g} at 'order' = {cfg.order} gives clusters of "
-                          f"dimension {two_i + 1:g}^{cfg.order}, above {cce.EXACT_DIM_CAP}")
+    _check_cluster_dim(f"'spin' = {cfg.spin:g}", cfg.spin, cfg.order)
+
+
+def _check_cluster_dim(what: str, spin: float, order: int) -> None:
+    """Refuse a spin whose clusters at ``order`` exceed the dimension cap."""
+    if (round(2 * spin) + 1) ** order > cce.EXACT_DIM_CAP:
+        raise ConfigError(f"{what} at 'order' = {order} gives clusters of "
+                          f"dimension {2 * spin + 1:g}^{order}, above {cce.EXACT_DIM_CAP}")
 
 
 def _check_band_coverage(cfg: RunConfig) -> None:
@@ -250,37 +255,26 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    config_echo: dict
-    derived: dict
-    products: dict = field(default_factory=dict)   # path -> sha256
-    timings: dict = field(default_factory=dict)    # stage -> seconds
+class RunRecord:
+    """One command's run: makes the output directory, times the stages and
+    rewraps their failures with the stage name, names the products and writes
+    the manifest with their hashes."""
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("[config]\n")
-            for k in sorted(self.config_echo):
-                fh.write(f"{k} = {self.config_echo[k]}\n")
-            fh.write("\n[derived]\n")
-            for k in sorted(self.derived):
-                fh.write(f"{k} = {self.derived[k]}\n")
-            fh.write("\n[products]\n")
-            for k in sorted(self.products):
-                fh.write(f"{k} = {self.products[k]}\n")
-            fh.write("\n[timings]\n")
-            for k in sorted(self.timings):
-                fh.write(f"{k} = {self.timings[k]:.3f}\n")
-
-
-class _Stage:
-    """Collects wall-clock timings and rewraps stage failures with the name;
-    input errors and failures of a nested stage pass through unchanged."""
-
-    def __init__(self):
-        self.timings = {}
+    def __init__(self, cfg: RunConfig, tag: str = ""):
+        self.outdir = Path(cfg.outdir)
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create 'outdir' {self.outdir}: {exc.strerror}") from None
+        self.prefix = (tag + "_") if tag else ""
+        self.config_echo = dict(vars(cfg))
+        self.derived = {}
+        self.products = {}      # path -> sha256, hashed by write()
+        self.timings = {}       # stage -> seconds
 
     def run(self, name, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` timed as stage ``name``; input errors and
+        failures of a nested stage pass through unchanged."""
         t0 = time.perf_counter()
         try:
             result = fn(*args, **kwargs)
@@ -291,19 +285,42 @@ class _Stage:
         self.timings[name] = time.perf_counter() - t0
         return result
 
+    def path(self, name: str, shared: bool = False) -> Path:
+        """Product ``outdir/{prefix}{name}``, recorded; a ``shared`` product
+        (the bath that every tagged run in the directory uses) takes no prefix."""
+        p = self.outdir / (name if shared else self.prefix + name)
+        self.products[str(p)] = ""
+        return p
 
-def _outdir(cfg: RunConfig) -> Path:
-    """Make the output directory; each command calls this before its first stage."""
-    outdir = Path(cfg.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create 'outdir' {outdir}: {exc.strerror}") from None
-    return outdir
+    def write(self) -> None:
+        """Hash every recorded product and write ``{prefix}manifest.txt``,
+        which lists them relative to its own directory."""
+        for p in self.products:
+            self.products[p] = _sha256(p)
+        with open(self.outdir / f"{self.prefix}manifest.txt", "w") as fh:
+            fh.write("[config]\n")
+            for k in sorted(self.config_echo):
+                fh.write(f"{k} = {self.config_echo[k]}\n")
+            fh.write("\n[derived]\n")
+            for k in sorted(self.derived):
+                fh.write(f"{k} = {self.derived[k]}\n")
+            fh.write("\n[products]\n")
+            for p in sorted(self.products):
+                fh.write(f"{Path(p).relative_to(self.outdir)} = {self.products[p]}\n")
+            fh.write("\n[timings]\n")
+            for k in sorted(self.timings):
+                fh.write(f"{k} = {self.timings[k]:.3f}\n")
 
 
-def _new_manifest(cfg: RunConfig, stage: _Stage) -> RunManifest:
-    return RunManifest(config_echo=dict(vars(cfg)), derived={}, timings=stage.timings)
+def _bath(record: RunRecord, cfg: RunConfig, order: int) -> lattice.BathRealization:
+    """The realization for a CCE up to ``order``. A realization file brings
+    its own spin, which ``_validate`` did not see: it is refused here, before
+    any cluster is assembled, if it takes a cluster over the dimension cap."""
+    realization = record.run("realization", _resolve_realization, cfg)
+    if cfg.realization_file:
+        _check_cluster_dim(f"spin {realization.species.spin_I:g} of realization file "
+                           f"{cfg.realization_file}", realization.species.spin_I, order)
+    return realization
 
 
 def _simulate(cfg: RunConfig, realization: lattice.BathRealization, order: int):
@@ -316,103 +333,84 @@ def _simulate(cfg: RunConfig, realization: lattice.BathRealization, order: int):
     return cset, series
 
 
-def _save_correlation(stage: _Stage, series, outdir: Path, prefix: str):
-    """Write the raw and the normalized series. Returns (paths, normalized)."""
-    cpath = outdir / f"{prefix}correlation.csv"
-    cce.save_series(cpath, series)
-    cbar = stage.run("normalize", tfa.normalize_correlation, series)
-    nbpath = outdir / f"{prefix}correlation_normalized.csv"
-    cce.save_series(nbpath, cbar)
-    return [str(cpath), str(nbpath)], cbar
+def _save_correlation(record: RunRecord, series):
+    """Write the raw and the normalized series. Returns the normalized one."""
+    cce.save_series(record.path("correlation.csv"), series)
+    cbar = record.run("normalize", tfa.normalize_correlation, series)
+    cce.save_series(record.path("correlation_normalized.csv"), cbar)
+    return cbar
 
 
-def _analyze(stage: _Stage, cfg: RunConfig, cbar, outdir: Path, prefix: str):
+def _analyze(record: RunRecord, cfg: RunConfig, cbar):
     """Spectrum, CWT and SST of a normalized series, with the spectrum and
-    both maps exported. Returns (paths, scalogram, SST map)."""
-    spectrum = stage.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
-    scal = stage.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
-                     tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-    sst = stage.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
-    spath = outdir / f"{prefix}spectrum.csv"
-    tfa.save_spectrum(spath, spectrum)
-    files = [str(spath)]
-    files += tfa.save_map(outdir / f"{prefix}cwt", scal)
-    files += tfa.save_map(outdir / f"{prefix}sst", sst)
-    return files, scal, sst
+    both maps exported. Returns (scalogram, SST map)."""
+    spectrum = record.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
+    scal = record.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
+                      tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    sst = record.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
+    tfa.save_spectrum(record.path("spectrum.csv"), spectrum)
+    for kind, obj in (("cwt", scal), ("sst", sst)):
+        record.path(f"{kind}.meta.txt")     # save_map's sidecar to {kind}.bin
+        tfa.save_map(record.path(f"{kind}.bin").with_suffix(""), obj)
+    return scal, sst
 
 
-def _save_bands(scal, sst, outdir: Path, prefix: str) -> list:
-    paths = []
+def _save_bands(record: RunRecord, scal, sst) -> None:
     for name, (lo, hi) in BANDS.items():
         for kind, obj in (("cwt", scal), ("sst", sst)):
             trace = tfa.band_amplitude(obj, lo, hi)
-            p = outdir / f"{prefix}band_{name}_{kind}.csv"
-            with open(p, "w") as fh:
+            with open(record.path(f"band_{name}_{kind}.csv"), "w") as fh:
                 fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
                 cce._write_rows(fh, scal.times_tbar, trace)
-            paths.append(str(p))
-    return paths
 
 
 def run_pipeline(cfg: RunConfig, realization: lattice.BathRealization | None = None,
-                 tag: str = "") -> RunManifest:
+                 tag: str = "") -> RunRecord:
     """Full pipeline: bath -> CCE correlation -> spectrum -> CWT -> SST ->
     band traces, everything written under cfg.outdir with content hashes."""
     _check_band_coverage(cfg)
-    outdir = _outdir(cfg)
-    prefix = (tag + "_") if tag else ""
-    stage = _Stage()
+    record = RunRecord(cfg, tag)
     if realization is None:
-        realization = stage.run("realization", _resolve_realization, cfg)
-    cset, series = stage.run("cce", _simulate, cfg, realization, cfg.order)
-    rpath = outdir / f"{prefix}realization.csv"
-    lattice.save_realization(rpath, realization)
-    files, cbar = _save_correlation(stage, series, outdir, prefix)
-    files.insert(0, str(rpath))
-    maps, scal, sst = stage.run("analyze", _analyze, stage, cfg, cbar, outdir, prefix)
-    files += maps
-    files += stage.run("bands", _save_bands, scal, sst, outdir, prefix)
+        realization = _bath(record, cfg, cfg.order)
+    cset, series = record.run("cce", _simulate, cfg, realization, cfg.order)
+    lattice.save_realization(record.path("realization.csv", shared=True), realization)
+    cbar = _save_correlation(record, series)
+    scal, sst = record.run("analyze", _analyze, record, cfg, cbar)
+    record.run("bands", _save_bands, record, scal, sst)
 
-    manifest = _new_manifest(cfg, stage)
     sizes = Counter(len(c) for c in cset.clusters)
-    manifest.derived.update({
+    record.derived.update({
         "A_bar": series.metadata["A_bar"],
         "sigma_hf": realization.sigma_hf,
         "E_dd": realization.E_dd,
         "n_spinful": realization.n_spins,
+        "spin_I": realization.species.spin_I,
         "cluster_counts": dict(sorted(sizes.items())),
         "max_imag": series.metadata["max_imag"],
     })
-    for f in files:
-        manifest.products[f] = _sha256(f)
-    manifest.write(outdir / f"{prefix}manifest.txt")
-    return manifest
+    record.write()
+    return record
 
 
 def simulate(cfg: RunConfig) -> str:
     """Bath and CCE only: writes the raw and normalized correlation series and
     returns a one-line summary."""
-    outdir = _outdir(cfg)
-    stage = _Stage()
-    realization = stage.run("realization", _resolve_realization, cfg)
-    cset, series = stage.run("cce", _simulate, cfg, realization, cfg.order)
-    paths, _ = _save_correlation(stage, series, outdir, "")
-    return f"{paths[0]}: {len(cset.clusters)} clusters"
+    record = RunRecord(cfg)
+    realization = _bath(record, cfg, cfg.order)
+    cset, series = record.run("cce", _simulate, cfg, realization, cfg.order)
+    _save_correlation(record, series)
+    return f"{record.outdir / 'correlation.csv'}: {len(cset.clusters)} clusters"
 
 
-def analyze_series(cfg: RunConfig, series_path) -> RunManifest:
+def analyze_series(cfg: RunConfig, series_path) -> RunRecord:
     """Analyze-only stage on an exported normalized correlation file."""
-    outdir = _outdir(cfg)
-    stage = _Stage()
+    record = RunRecord(cfg, "analyze")
     series = cce.load_series(series_path)
     cbar = series if series.metadata.get("normalized") else \
-        stage.run("normalize", tfa.normalize_correlation, series)
-    files, _, _ = stage.run("analyze", _analyze, stage, cfg, cbar, outdir, "analyze_")
-    manifest = _new_manifest(cfg, stage)
-    for f in files:
-        manifest.products[f] = _sha256(f)
-    manifest.write(outdir / "analyze_manifest.txt")
-    return manifest
+        record.run("normalize", tfa.normalize_correlation, series)
+    record.run("analyze", _analyze, record, cfg, cbar)
+    record.write()
+    return record
 
 
 def compare_orders(cfg: RunConfig, orders) -> str:
@@ -426,16 +424,15 @@ def compare_orders(cfg: RunConfig, orders) -> str:
             raise ConfigError(f"compare-orders got order {lo} twice")
     for m in orders:
         _validate(replace(cfg, order=m))
-    outdir = _outdir(cfg)
-    stage = _Stage()
-    realization = stage.run("realization", _resolve_realization, cfg)
+    record = RunRecord(cfg)
+    realization = _bath(record, cfg, orders[-1])
     if orders[-1] > realization.n_spins:
         raise ConfigError(f"order {orders[-1]} exceeds the bath's {realization.n_spins} spins")
     curves = {}
     for m in orders:
-        _, series = stage.run("cce", _simulate, cfg, realization, m)
-        curves[m] = stage.run("normalize", tfa.normalize_correlation, series)
-        cce.save_series(outdir / f"cce{m}_correlation_normalized.csv", curves[m])
+        _, series = record.run("cce", _simulate, cfg, realization, m)
+        curves[m] = record.run("normalize", tfa.normalize_correlation, series)
+        cce.save_series(record.path(f"cce{m}_correlation_normalized.csv"), curves[m])
     ref = curves[orders[-1]].values
     lines = ["# order,max_dev,l2_dev"]
     n = len(ref)
@@ -443,7 +440,7 @@ def compare_orders(cfg: RunConfig, orders) -> str:
         d = curves[m].values - ref
         lines.append(f"{m},{np.abs(d).max():.16e},{np.sqrt((d**2).sum() / n):.16e}")
     report = "\n".join(lines) + "\n"
-    (outdir / "order_deviations.csv").write_text(report)
+    record.path("order_deviations.csv").write_text(report)
     return report
 
 
@@ -455,23 +452,23 @@ CHANNELS = {"B": TermMask(True, True, False, False),
 
 def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     """Run the pipeline per hyperfine axis (divided by its norm as ``run`` does)
-    on one fixed realization, with per-channel (B / CD / EF) mask decompositions."""
+    on one fixed realization, with per-channel (B / CD / EF) mask decompositions.
+    Each axis directory holds one ``realization.csv``, listed by every manifest."""
     if not axes:
         raise ConfigError("sweep-axis needs at least one axis")
     _check_band_coverage(cfg)       # before outdir exists, as in run_pipeline
-    _outdir(cfg)
-    realization = _Stage().run("realization", _resolve_realization, cfg)
-    manifests = []
+    realization = _bath(RunRecord(cfg), cfg, cfg.order)
+    records = []
     for i, axis in enumerate(axes):
         fixed = replace(realization, hf_axis=np.asarray(axis) / np.linalg.norm(axis))
         sub = replace(cfg, outdir=str(Path(cfg.outdir) / f"axis{i}"), hf_axis=tuple(axis))
-        manifests.append(run_pipeline(sub, realization=fixed, tag="full"))
+        records.append(run_pipeline(sub, realization=fixed, tag="full"))
         for name, mask in CHANNELS.items():
             chan = replace(sub, mask_A=mask.enable_A, mask_B=mask.enable_B,
                            mask_CD=mask.enable_CD, mask_EF=mask.enable_EF,
                            secular=False)
-            manifests.append(run_pipeline(chan, realization=fixed, tag=f"chan{name}"))
-    return manifests
+            records.append(run_pipeline(chan, realization=fixed, tag=f"chan{name}"))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(cfg: RunConfig) -> None:
-    path = _outdir(cfg) / "realization.csv"
-    realization = _Stage().run("realization", _resolve_realization, cfg)
+    record = RunRecord(cfg)
+    realization = record.run("realization", _resolve_realization, cfg)
+    path = record.path("realization.csv")
     lattice.save_realization(path, realization)
     print(f"{path}: N={realization.n_spins} A_bar={realization.A_bar:.6e}")
 

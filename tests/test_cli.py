@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -62,10 +64,14 @@ def write_cfg(tmp_path, body, outdir=None, name="run.cfg"):
 
 
 def manifest_products(path):
-    """[products] section of a manifest as {file name: sha256}."""
+    """[products] section of a manifest as {name as listed: sha256}."""
     section = path.read_text().split("[products]\n")[1].split("\n\n")[0]
-    pairs = (line.split(" = ") for line in section.splitlines())
-    return {Path(k).name: v for k, v in pairs}
+    return dict(line.split(" = ") for line in section.splitlines())
+
+
+def hashes(paths):
+    """{file name: sha256} of the files ``paths``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
 class TestParseConfig:
@@ -185,10 +191,37 @@ class TestSubcommands:
         for section in ("[config]", "[derived]", "[products]", "[timings]"):
             assert section in text
         # every file written is hashed, and every hashed file exists
-        import hashlib
-        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in outdir.iterdir() if p.name != "manifest.txt"}
+        written = hashes(p for p in outdir.iterdir() if p.name != "manifest.txt")
         assert manifest_products(outdir / "manifest.txt") == written
+
+    def test_manifest_gives_the_realization_files_spin(self, tmp_path):
+        gen, bath = write_cfg(tmp_path, with_keys(FAST_BODY, "spin = 1.5"),
+                              tmp_path / "bath", "bath.cfg")
+        assert cli.main(["generate-bath", str(gen)]) == 0
+        cfgp, outdir = write_cfg(tmp_path, with_keys(
+            FAST_BODY, f"realization_file = {bath / 'realization.csv'}"))
+        assert cli.main(["run", str(cfgp)]) == 0
+        text = (outdir / "manifest.txt").read_text()
+        # the config's spin is echoed, the spin the CCE used is derived
+        assert "\nspin = 0.5\n" in text and "\nspin_I = 1.5\n" in text
+
+    def test_manifest_verifies_after_the_directory_moves(self, tmp_path):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["run", str(cfgp)]) == 0
+        moved = shutil.move(outdir, tmp_path / "elsewhere" / "copy")
+        listed = manifest_products(moved / "manifest.txt")
+        assert len(listed) == 14
+        for name, digest in listed.items():
+            assert hashlib.sha256((moved / name).read_bytes()).hexdigest() == digest, name
+
+    def test_analyze_manifest_lists_what_it_wrote(self, tmp_path):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["simulate", str(cfgp)]) == 0
+        assert cli.main(["analyze", str(cfgp), str(outdir / "correlation.csv")]) == 0
+        written = hashes(p for p in outdir.glob("analyze_*")
+                         if p.name != "analyze_manifest.txt")
+        assert len(written) == 5
+        assert manifest_products(outdir / "analyze_manifest.txt") == written
 
     def test_run_determinism(self, tmp_path):
         cfg1, out1 = write_cfg(tmp_path, FAST_BODY, tmp_path / "o1", "a.cfg")
@@ -267,9 +300,23 @@ class TestSubcommands:
         assert cli.main(["run", str(runp)]) == 0
         names = sorted(p.name for p in rundir.iterdir() if p.name != "manifest.txt")
         assert len(names) == 14
+        # the realization is the directory's bath, so it takes no variant prefix
+        assert sorted(p.name for p in (outdir / "axis0").glob("*realization*")) == \
+            ["realization.csv"]
         for name in names:
-            assert (outdir / "axis0" / f"full_{name}").read_bytes() == \
+            swept = name if name == "realization.csv" else f"full_{name}"
+            assert (outdir / "axis0" / swept).read_bytes() == \
                 (rundir / name).read_bytes(), name
+
+    def test_sweep_axis_manifests_list_what_they_wrote(self, tmp_path):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["sweep-axis", str(cfgp), "0,0,1"]) == 0
+        d = outdir / "axis0"
+        for tag in ("full", "chanB", "chanCD", "chanEF"):
+            written = hashes([d / "realization.csv"] + [
+                p for p in d.glob(f"{tag}_*") if p.name != f"{tag}_manifest.txt"])
+            assert len(written) == 14
+            assert manifest_products(d / f"{tag}_manifest.txt") == written, tag
 
     @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
     def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
@@ -398,6 +445,30 @@ class TestExitCodes:
         assert "'spin'" in err and "'order'" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command, order", [
+        (["run", "{cfg}"], 4), (["simulate", "{cfg}"], 4), (["sweep-axis", "{cfg}", "0,0,1"], 4),
+        # checked at the highest order compared, not at the config's order
+        (["compare-orders", "{cfg}", "2", "4"], 2)],
+        ids=["run", "simulate", "sweep-axis", "compare-orders"])
+    def test_realization_file_spin_over_cap_refused(self, tmp_path, capsys, monkeypatch,
+                                                    command, order):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("CCE run for clusters over the dimension cap")
+
+        # the config's spin 1/2 passes at order 4; the file's spin 9/2 gives 10^4
+        gen, bath = write_cfg(tmp_path, with_keys(FAST_BODY, "spin = 4.5\nsites = 10 11 12 13"),
+                              tmp_path / "bath", "bath.cfg")
+        assert cli.main(["generate-bath", str(gen)]) == 0
+        monkeypatch.setattr(cce, "compute_correlation", unreachable)
+        cfgp, outdir = write_cfg(tmp_path, with_keys(
+            FAST_BODY, f"realization_file = {bath / 'realization.csv'}\norder = {order}"))
+        capsys.readouterr()
+        assert cli.main([a.format(cfg=cfgp) for a in command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "spin 4.5" in err and "realization.csv" in err and "'order' = 4" in err
+        assert not list(outdir.rglob("*.csv"))
+
     @pytest.mark.parametrize("command", [
         ["generate-bath", "{cfg}"], ["simulate", "{cfg}"],
         ["analyze", "{cfg}", "{tmp}/series.csv"], ["run", "{cfg}"],
@@ -455,7 +526,7 @@ class TestExitCodes:
         ("run", "cwt.bin"), ("run", "manifest.txt"),
         ("compare-orders", "cce3_correlation_normalized.csv"),
         ("compare-orders", "order_deviations.csv"),
-        ("sweep-axis", "axis0/full_realization.csv")])
+        ("sweep-axis", "axis0/realization.csv")])
     def test_unwritable_product_is_2(self, tmp_path, capsys, command, product):
         # a directory where the product goes: the write fails with an OSError
         t = cce.time_grid(400.0, 256)

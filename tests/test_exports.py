@@ -63,8 +63,9 @@ class TestByteIdentity:
                              times_tbar=EDGE.copy(), coeffs=coeffs, dcoeffs=coeffs)
         sst = tfa.SSTMap(freq_bins=freqs[::-1].copy(), times_tbar=scal.times_tbar,
                          coeffs=coeffs[::-1].copy())
-        paths = cli._save_bands(scal, sst, tmp_path, "new_")
-        assert len(paths) == 2 * len(cli.BANDS)
+        record = cli.RunRecord(cli.RunConfig(outdir=str(tmp_path)), "new")
+        cli._save_bands(record, scal, sst)
+        assert len(record.products) == 2 * len(cli.BANDS)
         for name, (lo, hi) in cli.BANDS.items():
             for kind, obj in (("cwt", scal), ("sst", sst)):
                 ref = tmp_path / f"ref_band_{name}_{kind}.csv"
