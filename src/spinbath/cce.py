@@ -36,6 +36,10 @@ class ClusterSet:
     max_order_M: int
     clusters: tuple                      # tuples of site positions' indices, sorted by (size, lex)
 
+    def up_to(self, m: int) -> "ClusterSet":
+        """The clusters of size <= m: the set ``enumerate_clusters`` gives at order m."""
+        return ClusterSet(min(m, self.max_order_M), tuple(c for c in self.clusters if len(c) <= m))
+
 
 @dataclass
 class CorrelationSeries:

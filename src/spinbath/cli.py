@@ -267,7 +267,8 @@ class RunRecord:
         except OSError as exc:
             raise ConfigError(f"cannot create 'outdir' {self.outdir}: {exc.strerror}") from None
         self.prefix = (tag + "_") if tag else ""
-        self.config_echo = dict(vars(cfg))
+        # no outdir: the manifest sits in it, and may be moved with it
+        self.config_echo = {k: v for k, v in vars(cfg).items() if k != "outdir"}
         self.derived = {}
         self.products = {}      # path -> sha256, hashed by write()
         self.timings = {}       # stage -> seconds
@@ -297,40 +298,33 @@ class RunRecord:
         which lists them relative to its own directory."""
         for p in self.products:
             self.products[p] = _sha256(p)
-        with open(self.outdir / f"{self.prefix}manifest.txt", "w") as fh:
-            fh.write("[config]\n")
-            for k in sorted(self.config_echo):
-                fh.write(f"{k} = {self.config_echo[k]}\n")
-            fh.write("\n[derived]\n")
-            for k in sorted(self.derived):
-                fh.write(f"{k} = {self.derived[k]}\n")
-            fh.write("\n[products]\n")
-            for p in sorted(self.products):
-                fh.write(f"{Path(p).relative_to(self.outdir)} = {self.products[p]}\n")
-            fh.write("\n[timings]\n")
-            for k in sorted(self.timings):
-                fh.write(f"{k} = {self.timings[k]:.3f}\n")
+        sections = {"config": self.config_echo, "derived": self.derived,
+                    "products": {str(Path(p).relative_to(self.outdir)): digest
+                                 for p, digest in self.products.items()},
+                    "timings": {k: f"{t:.3f}" for k, t in self.timings.items()}}
+        text = []
+        for name, items in sections.items():
+            text.append(f"[{name}]\n" + "".join(f"{k} = {items[k]}\n" for k in sorted(items)))
+        (self.outdir / f"{self.prefix}manifest.txt").write_text("\n".join(text))
 
 
-def _bath(record: RunRecord, cfg: RunConfig, order: int) -> lattice.BathRealization:
-    """The realization for a CCE up to ``order``. A realization file brings
-    its own spin, which ``_validate`` did not see: it is refused here, before
-    any cluster is assembled, if it takes a cluster over the dimension cap."""
+def _bath(record: RunRecord, cfg: RunConfig, order: int):
+    """The realization and its clusters up to ``order``, two timed stages.
+    A realization file's own spin, unseen by ``_validate``, is refused before
+    the enumeration if it takes a cluster over the dimension cap."""
     realization = record.run("realization", _resolve_realization, cfg)
     if cfg.realization_file:
         _check_cluster_dim(f"spin {realization.species.spin_I:g} of realization file "
                            f"{cfg.realization_file}", realization.species.spin_I, order)
-    return realization
+    cset = record.run("clusters", cce.enumerate_clusters, realization,
+                      cfg.r_cutoff_a0 * realization.a0, order)
+    return realization, cset
 
 
-def _simulate(cfg: RunConfig, realization: lattice.BathRealization, order: int):
-    """Bath -> clusters -> CCE correlation on the configured time grid.
-    Returns (cluster set, raw series)."""
-    cset = cce.enumerate_clusters(realization, cfg.r_cutoff_a0 * realization.a0, order)
-    times = cce.time_grid(cfg.tbar_max, cfg.samples)
-    series = cce.compute_correlation(realization, cset, cfg.c_hf, cfg.term_mask(),
-                                     times_tbar=times)
-    return cset, series
+def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce"):
+    """CCE correlation of ``cset`` on the configured time grid, timed as ``stage``."""
+    return record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
+                      cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
 
 
 def _save_correlation(record: RunRecord, series):
@@ -364,15 +358,17 @@ def _save_bands(record: RunRecord, scal, sst) -> None:
                 cce._write_rows(fh, scal.times_tbar, trace)
 
 
-def run_pipeline(cfg: RunConfig, realization: lattice.BathRealization | None = None,
-                 tag: str = "") -> RunRecord:
+def run_pipeline(cfg: RunConfig) -> RunRecord:
     """Full pipeline: bath -> CCE correlation -> spectrum -> CWT -> SST ->
     band traces, everything written under cfg.outdir with content hashes."""
     _check_band_coverage(cfg)
-    record = RunRecord(cfg, tag)
-    if realization is None:
-        realization = _bath(record, cfg, cfg.order)
-    cset, series = record.run("cce", _simulate, cfg, realization, cfg.order)
+    record = RunRecord(cfg)
+    return _pipeline(record, cfg, *_bath(record, cfg, cfg.order))
+
+
+def _pipeline(record: RunRecord, cfg: RunConfig, realization, cset) -> RunRecord:
+    """``run_pipeline`` after the bath stage, on a given bath and cluster set."""
+    series = _cce(record, cfg, realization, cset)
     lattice.save_realization(record.path("realization.csv", shared=True), realization)
     cbar = _save_correlation(record, series)
     scal, sst = record.run("analyze", _analyze, record, cfg, cbar)
@@ -396,9 +392,9 @@ def simulate(cfg: RunConfig) -> str:
     """Bath and CCE only: writes the raw and normalized correlation series and
     returns a one-line summary."""
     record = RunRecord(cfg)
-    realization = _bath(record, cfg, cfg.order)
-    cset, series = record.run("cce", _simulate, cfg, realization, cfg.order)
-    _save_correlation(record, series)
+    realization, cset = _bath(record, cfg, cfg.order)
+    _save_correlation(record, _cce(record, cfg, realization, cset))
+    record.write()
     return f"{record.outdir / 'correlation.csv'}: {len(cset.clusters)} clusters"
 
 
@@ -425,13 +421,13 @@ def compare_orders(cfg: RunConfig, orders) -> str:
     for m in orders:
         _validate(replace(cfg, order=m))
     record = RunRecord(cfg)
-    realization = _bath(record, cfg, orders[-1])
-    if orders[-1] > realization.n_spins:
+    realization, cset = _bath(record, cfg, orders[-1])
+    if orders[-1] > cset.max_order_M:
         raise ConfigError(f"order {orders[-1]} exceeds the bath's {realization.n_spins} spins")
     curves = {}
-    for m in orders:
-        _, series = record.run("cce", _simulate, cfg, realization, m)
-        curves[m] = record.run("normalize", tfa.normalize_correlation, series)
+    for m in orders:    # the order-m set is the order-M set's clusters of size <= m
+        series = _cce(record, cfg, realization, cset.up_to(m), f"cce{m}")
+        curves[m] = record.run(f"normalize{m}", tfa.normalize_correlation, series)
         cce.save_series(record.path(f"cce{m}_correlation_normalized.csv"), curves[m])
     ref = curves[orders[-1]].values
     lines = ["# order,max_dev,l2_dev"]
@@ -441,6 +437,7 @@ def compare_orders(cfg: RunConfig, orders) -> str:
         lines.append(f"{m},{np.abs(d).max():.16e},{np.sqrt((d**2).sum() / n):.16e}")
     report = "\n".join(lines) + "\n"
     record.path("order_deviations.csv").write_text(report)
+    record.write()
     return report
 
 
@@ -452,58 +449,56 @@ CHANNELS = {"B": TermMask(True, True, False, False),
 
 def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     """Run the pipeline per hyperfine axis (divided by its norm as ``run`` does)
-    on one fixed realization, with per-channel (B / CD / EF) mask decompositions.
-    Each axis directory holds one ``realization.csv``, listed by every manifest."""
+    on one fixed realization and cluster set, with per-channel (B / CD / EF)
+    mask decompositions. Each axis directory holds one ``realization.csv``;
+    every manifest lists it and gives the timings of the shared bath stage."""
     if not axes:
         raise ConfigError("sweep-axis needs at least one axis")
     _check_band_coverage(cfg)       # before outdir exists, as in run_pipeline
-    realization = _bath(RunRecord(cfg), cfg, cfg.order)
+    bath = RunRecord(cfg)
+    realization, cset = _bath(bath, cfg, cfg.order)
     records = []
     for i, axis in enumerate(axes):
         fixed = replace(realization, hf_axis=np.asarray(axis) / np.linalg.norm(axis))
         sub = replace(cfg, outdir=str(Path(cfg.outdir) / f"axis{i}"), hf_axis=tuple(axis))
-        records.append(run_pipeline(sub, realization=fixed, tag="full"))
+        variants = {"full": sub}
         for name, mask in CHANNELS.items():
-            chan = replace(sub, mask_A=mask.enable_A, mask_B=mask.enable_B,
-                           mask_CD=mask.enable_CD, mask_EF=mask.enable_EF,
-                           secular=False)
-            records.append(run_pipeline(chan, realization=fixed, tag=f"chan{name}"))
+            variants[f"chan{name}"] = replace(
+                sub, mask_A=mask.enable_A, mask_B=mask.enable_B,
+                mask_CD=mask.enable_CD, mask_EF=mask.enable_EF, secular=False)
+        for tag, variant in variants.items():
+            record = RunRecord(variant, tag)
+            record.timings.update(bath.timings)
+            records.append(_pipeline(record, variant, fixed, cset))
     return records
 
 
 # ---------------------------------------------------------------------------
 # command line
 
-def _add_config_arg(p):
-    p.add_argument("config", help="path to key-value configuration file")
+#: subcommand -> (help, the argument after the config file as the name and
+#: keywords of ``add_argument``, if it takes one)
+COMMANDS = {
+    "generate-bath": ("build and export a bath realization", None),
+    "simulate": ("run CCE and export the correlation series", None),
+    "analyze": ("time-frequency analysis of an exported series",
+                ("series", {"help": "correlation series file"})),
+    "run": ("full pipeline", None),
+    "compare-orders": ("CCE order convergence report", ("orders", {"nargs": "+", "type": int})),
+    "sweep-axis": ("pipeline over several hf axes on a fixed bath", ("axes", {
+        "nargs": "+", "help": "axes as comma-separated triplets, e.g. 0,0,1 1,1,1"})),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spinbath",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate-bath", help="build and export a bath realization")
-    _add_config_arg(p)
-
-    p = sub.add_parser("simulate", help="run CCE and export the correlation series")
-    _add_config_arg(p)
-
-    p = sub.add_parser("analyze", help="time-frequency analysis of an exported series")
-    _add_config_arg(p)
-    p.add_argument("series", help="correlation series file")
-
-    p = sub.add_parser("run", help="full pipeline")
-    _add_config_arg(p)
-
-    p = sub.add_parser("compare-orders", help="CCE order convergence report")
-    _add_config_arg(p)
-    p.add_argument("orders", nargs="+", type=int)
-
-    p = sub.add_parser("sweep-axis", help="pipeline over several hf axes on a fixed bath")
-    _add_config_arg(p)
-    p.add_argument("axes", nargs="+",
-                   help="axes as comma-separated triplets, e.g. 0,0,1 1,1,1")
+    for name, (text, extra) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config", help="path to key-value configuration file")
+        if extra:
+            p.add_argument(extra[0], **extra[1])
     return ap
 
 
@@ -512,6 +507,7 @@ def _cmd_generate(cfg: RunConfig) -> None:
     realization = record.run("realization", _resolve_realization, cfg)
     path = record.path("realization.csv")
     lattice.save_realization(path, realization)
+    record.write()
     print(f"{path}: N={realization.n_spins} A_bar={realization.A_bar:.6e}")
 
 

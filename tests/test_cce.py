@@ -10,7 +10,7 @@ from spinbath import cce, cli
 from spinbath.hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
 from spinbath.spinops import spin_matrices
 
-from baths import DIAMOND_A0, bath_from_positions, nn_pair, random_bath, species
+from baths import DIAMOND_A0, SILICON_A0, bath_from_positions, nn_pair, random_bath, species
 
 
 def chain_bath(n, spacing=0.4e-9, spin=0.5):
@@ -77,6 +77,16 @@ class TestEnumeration:
     def test_bad_order(self):
         with pytest.raises(cce.CCEError):
             cce.enumerate_clusters(chain_bath(2), 1e-9, 0)
+
+    @pytest.mark.parametrize("bath, r_cutoff", [
+        (cli._resolve_realization(cli.RunConfig()), 2.7 * SILICON_A0),
+        (random_bath(np.random.default_rng(0), 9, spin=1.5, scale=0.5e-9), 0.8e-9),
+        # three spins: the order-4 set is clamped to the bath size
+        (chain_bath(3), 0.5e-9)], ids=["silicon", "spin-3/2", "clamped"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_prefix_is_the_lower_order_set(self, bath, r_cutoff, m):
+        full = cce.enumerate_clusters(bath, r_cutoff, 4)
+        assert full.up_to(m) == cce.enumerate_clusters(bath, r_cutoff, m)
 
 
 class TestCombinationCoefficients:

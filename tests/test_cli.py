@@ -38,6 +38,9 @@ BASE_BODY = FAST_BODY.replace("hf_axis = 0 0 1\n", "")
 #: FAST_BODY on three sites, so that ``compare-orders 2 3`` is in range
 THREE_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12")
 
+#: FAST_BODY on four mutually close sites: one connected cluster of each size
+FOUR_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12 13")
+
 
 def with_keys(body, extra):
     """``body`` with every key that ``extra`` sets replaced by extra's line."""
@@ -63,10 +66,15 @@ def write_cfg(tmp_path, body, outdir=None, name="run.cfg"):
     return p, Path(outdir)
 
 
+def manifest_section(path, name):
+    """[name] section of a manifest as {key: value as written}."""
+    section = path.read_text().split(f"[{name}]\n")[1].split("\n\n")[0]
+    return dict(line.split(" = ") for line in section.splitlines())
+
+
 def manifest_products(path):
     """[products] section of a manifest as {name as listed: sha256}."""
-    section = path.read_text().split("[products]\n")[1].split("\n\n")[0]
-    return dict(line.split(" = ") for line in section.splitlines())
+    return manifest_section(path, "products")
 
 
 def hashes(paths):
@@ -213,6 +221,8 @@ class TestSubcommands:
         assert len(listed) == 14
         for name, digest in listed.items():
             assert hashlib.sha256((moved / name).read_bytes()).hexdigest() == digest, name
+        # no line names the directory it was written in, outdir included
+        assert str(tmp_path) not in (moved / "manifest.txt").read_text()
 
     def test_analyze_manifest_lists_what_it_wrote(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
@@ -222,6 +232,16 @@ class TestSubcommands:
                          if p.name != "analyze_manifest.txt")
         assert len(written) == 5
         assert manifest_products(outdir / "analyze_manifest.txt") == written
+
+    @pytest.mark.parametrize("command, count", [
+        (["generate-bath"], 1), (["simulate"], 2), (["compare-orders", "2", "3"], 3)],
+        ids=["generate-bath", "simulate", "compare-orders"])
+    def test_manifest_lists_what_it_wrote(self, tmp_path, command, count):
+        cfgp, outdir = write_cfg(tmp_path, THREE_SITE_BODY)
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
+        written = hashes(p for p in outdir.iterdir() if p.name != "manifest.txt")
+        assert len(written) == count
+        assert manifest_products(outdir / "manifest.txt") == written
 
     def test_run_determinism(self, tmp_path):
         cfg1, out1 = write_cfg(tmp_path, FAST_BODY, tmp_path / "o1", "a.cfg")
@@ -243,6 +263,23 @@ class TestSubcommands:
         # the highest order is its own reference
         last = out.strip().splitlines()[-1].split(",")
         assert float(last[1]) == 0.0
+
+    def test_compare_orders_matches_simulate(self, tmp_path):
+        # each order traces its prefix of the highest order's cluster set
+        cfgp, outdir = write_cfg(tmp_path, FOUR_SITE_BODY)
+        assert cli.main(["compare-orders", str(cfgp), "2", "3", "4"]) == 0
+        for m in (2, 3, 4):
+            simp, simdir = write_cfg(tmp_path, with_keys(FOUR_SITE_BODY, f"order = {m}"),
+                                     tmp_path / f"sim{m}", f"sim{m}.cfg")
+            assert cli.main(["simulate", str(simp)]) == 0
+            assert (outdir / f"cce{m}_correlation_normalized.csv").read_bytes() == \
+                (simdir / "correlation_normalized.csv").read_bytes(), m
+
+    def test_compare_orders_times_each_order(self, tmp_path):
+        cfgp, outdir = write_cfg(tmp_path, THREE_SITE_BODY)
+        assert cli.main(["compare-orders", str(cfgp), "2", "3"]) == 0
+        assert set(manifest_section(outdir / "manifest.txt", "timings")) == {
+            "realization", "clusters", "cce2", "normalize2", "cce3", "normalize3"}
 
     def test_compare_orders_needs_two(self, tmp_path, capsys):
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
@@ -317,6 +354,37 @@ class TestSubcommands:
                 p for p in d.glob(f"{tag}_*") if p.name != f"{tag}_manifest.txt"])
             assert len(written) == 14
             assert manifest_products(d / f"{tag}_manifest.txt") == written, tag
+
+    def test_sweep_axis_manifests_time_the_shared_bath(self, tmp_path):
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["sweep-axis", str(cfgp), "0,0,1", "1,2,3"]) == 0
+        manifests = sorted(outdir.glob("axis*/*_manifest.txt"))
+        assert len(manifests) == 8
+        shared = [{k: v for k, v in manifest_section(m, "timings").items()
+                   if k in ("realization", "clusters")} for m in manifests]
+        assert set(shared[0]) == {"realization", "clusters"}
+        assert all(s == shared[0] for s in shared)
+
+    @pytest.mark.parametrize("command, body, order", [
+        (["run"], FAST_BODY, 2), (["simulate"], FAST_BODY, 2),
+        # enumerated at the highest order; the lower orders trace its prefixes
+        (["compare-orders", "2", "3"], THREE_SITE_BODY, 3),
+        # the axis and the channel masks move no site
+        (["sweep-axis", "0,0,1", "1,2,3"], FAST_BODY, 2)],
+        ids=["run", "simulate", "compare-orders", "sweep-axis"])
+    def test_each_command_enumerates_its_clusters_once(self, tmp_path, monkeypatch,
+                                                       command, body, order):
+        orders = []
+        enumerate_clusters = cce.enumerate_clusters
+
+        def counted(realization, r_cutoff, max_order):
+            orders.append(max_order)
+            return enumerate_clusters(realization, r_cutoff, max_order)
+
+        monkeypatch.setattr(cce, "enumerate_clusters", counted)
+        cfgp, _ = write_cfg(tmp_path, body)
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
+        assert orders == [order]
 
     @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
     def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
