@@ -13,6 +13,7 @@ of A_bar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 
 import numpy as np
@@ -39,6 +40,12 @@ class ClusterSet:
     def up_to(self, m: int) -> "ClusterSet":
         """The clusters of size <= m: the set ``enumerate_clusters`` gives at order m."""
         return ClusterSet(min(m, self.max_order_M), tuple(c for c in self.clusters if len(c) <= m))
+
+    @cached_property
+    def weights(self) -> dict:
+        """``combination_coefficients`` of the set, computed once: they depend
+        on the clusters alone, so every axis and mask of a sweep shares them."""
+        return combination_coefficients(self)
 
 
 @dataclass
@@ -175,7 +182,7 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
     times_tbar = _uniform_grid(times_tbar)
     if realization.n_spins == 0:
         raise CCEError("no spinful sites in realization")
-    coeffs = combination_coefficients(cset)         # in set order: one run per size
+    coeffs = cset.weights                           # in set order: one run per size
     total = np.zeros(len(times_tbar), dtype=complex)
     for _, group in groupby(coeffs.items(), key=lambda kv: len(kv[0])):
         clusters, weights = zip(*group)
@@ -276,9 +283,23 @@ def save_series(path, series: CorrelationSeries) -> None:
 
 def _write_rows(fh, keys, values) -> None:
     """Write ``key,value`` lines at 17 significant digits with one ``%``
-    template and one write."""
-    template = "".join(f"{k:.16e},%.16e\n" for k in keys)
+    template and one write. The key column comes from ``_key_cells``, so a
+    grid that several files print is formatted once."""
+    cells = _key_cells(keys)
+    template = ",%.16e\n".join(cells) + ",%.16e\n" if cells else ""
     fh.write(template % tuple(values.tolist()))
+
+
+def _key_cells(keys) -> tuple:
+    """Each of ``keys`` at 17 significant digits, memoized on the float64
+    bytes of the grid: a grid that differs in one bit, the sign of a zero
+    included, is formatted anew."""
+    return _format_grid(np.asarray(keys, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=8)
+def _format_grid(grid: bytes) -> tuple:
+    return tuple(f"{k:.16e}" for k in np.frombuffer(grid).tolist())
 
 
 def load_series(path) -> CorrelationSeries:

@@ -101,12 +101,13 @@ def _finite(text: str) -> float:
 
 
 def _parse_axis(value: str) -> tuple[float, float, float]:
-    """Unit hf axis from ``x y z``, ``miller h k l`` or ``angles theta phi``."""
+    """Unit hf axis from ``x y z``, ``miller h k l`` or ``angles theta phi``,
+    as plain floats, so the manifest echoes it alike under any numpy."""
     parts = value.split()
     if parts[:1] == ["angles"]:
         if len(parts) != 3:
             raise ConfigError("hf_axis angles form needs theta and phi in degrees")
-        return tuple(lattice.hf_axis_from_angles(_finite(parts[1]), _finite(parts[2])))
+        return tuple(lattice.hf_axis_from_angles(_finite(parts[1]), _finite(parts[2])).tolist())
     if parts[:1] == ["miller"]:
         if len(parts) != 4:
             raise ConfigError("hf_axis miller form needs three integers")
@@ -114,7 +115,7 @@ def _parse_axis(value: str) -> tuple[float, float, float]:
     elif len(parts) != 3:
         raise ConfigError(f"cannot parse hf_axis value {value!r}")
     try:
-        return tuple(lattice.hf_axis_from_miller(*[_finite(p) for p in parts]))
+        return tuple(lattice.hf_axis_from_miller(*[_finite(p) for p in parts]).tolist())
     except lattice.LatticeError as exc:
         raise ConfigError(f"hf_axis {exc}") from None
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cce import CorrelationSeries, _write_rows
+from .cce import CorrelationSeries, _key_cells, _write_rows
 
 
 class TFAError(ValueError):
@@ -116,6 +116,10 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     kernel) is stored alongside for synchrosqueezing. Input is zero-padded to
     the next power of two, npad. The inverse FFTs of both products run
     batched, max(1, 2^16 // npad) scales per reused (2, block, npad) buffer.
+    Each scale's window is evaluated and written on its support bins only,
+    (mu -+ sigma) / a padded by one bin, a block's supports at once, and the
+    buffer is cleared only where the previous block wrote; every other bin
+    stays zero.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -132,16 +136,29 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[pos]
     W = np.empty((len(scales), n), dtype=complex)
     dW = np.empty_like(W)
+    # support bins of each scale; the extra bin on each side covers rounding
+    # of a * omega against (omega -+ sigma / a) at the edges of |u| < 1
+    lo = np.searchsorted(omega, (params.mu - params.sigma) / scales) - 1
+    hi = np.searchsorted(omega, (params.mu + params.sigma) / scales) + 1
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, len(omega))
     blocks = _row_blocks((len(scales), npad), 2 ** 16)
     buf = np.zeros((2, blocks[0].stop, npad), dtype=complex)
+    rows = cols = np.zeros(0, dtype=int)        # the buffer cells the last block wrote
     for r in blocks:
-        for j, a in enumerate(scales[r]):
-            win = np.sqrt(a) * _bump_window(a * omega, params)
-            if not win.any():
-                raise TFAError(f"scale {a} has empty bump support inside the sampled band")
-            buf[0, j, pos] = X * win
-            buf[1, j, pos] = X * win * 1j * omega
-        W[r], dW[r] = np.fft.ifft(buf[:, :r.stop - r.start])[..., :n]
+        buf[:, rows, cols] = 0
+        m = hi[r] - lo[r]                       # a block's supports, end to end
+        rows = np.repeat(np.arange(len(m)), m)
+        bins = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m - lo[r], m)
+        a = scales[r][rows]
+        win = np.sqrt(a) * _bump_window(a * omega[bins], params)
+        empty = np.bincount(rows, win != 0, len(m)) == 0
+        if empty.any():
+            raise TFAError(f"scale {scales[r][empty.argmax()]} has empty bump "
+                           "support inside the sampled band")
+        cols = bins + pos.start
+        buf[0, rows, cols] = X[bins] * win
+        buf[1, rows, cols] = X[bins] * win * 1j * omega[bins]
+        W[r], dW[r] = np.fft.ifft(buf[:, :len(m)])[..., :n]
     # approximate edge-effect halfwidth per scale, in samples
     coi = np.minimum(np.ceil(2.0 * np.pi * scales / (params.sigma * dt)), n).astype(int)
     return Scalogram(scales=scales, center_freqs=params.mu / scales,
@@ -157,7 +174,10 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     gamma * max|W|; each retained cell contributes W * a^(-3/2) * da to the
     nearest log-spaced frequency bin (the scale grid's own center
     frequencies). Both passes walk max(1, 2^15 // n_times) scale rows at a
-    time, in row order, so every bin sums its cells in row-major order.
+    time, in row order, so every bin sums its cells in row-major order. The
+    phase transform runs on the whole block (exact zeros of W give inf or
+    nan there, which no retained cell reads), and the retained cells, taken
+    by flat index, scatter through one flat index into T in that order.
     """
     if gamma < 0:
         raise TFAError("gamma must be nonnegative")
@@ -171,16 +191,19 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     a = scalogram.scales
     weight = a ** -1.5 * np.gradient(a)
 
-    T = np.zeros((len(freqs), W.shape[1]), dtype=complex)
+    n_cols = W.shape[1]
+    T = np.zeros((len(freqs), n_cols), dtype=complex)
     for r in blocks:
-        Wb, dWb, wb = W[r], dW[r], weight[r]
-        rows, cols = np.nonzero(np.abs(Wb) > thr)
-        w_inst = np.real(-1j * dWb[rows, cols] / Wb[rows, cols])
-        up = w_inst > 0
-        idx = np.rint((np.log2(w_inst[up]) - log_f[0]) / dlog).astype(int)
+        Wb = W[r]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_inst = np.real(-1j * dW[r] / Wb)
+        sel = (np.abs(Wb) > thr) & (w_inst > 0)
+        idx = np.rint((np.log2(w_inst[sel]) - log_f[0]) / dlog).astype(int)
         keep = (idx >= 0) & (idx < len(freqs))
-        rows, cols = rows[up][keep], cols[up][keep]
-        np.add.at(T, (idx[keep], cols), Wb[rows, cols] * wb[rows])
+        cells = np.flatnonzero(sel)[keep]           # row-major in the block
+        rows, cols = np.divmod(cells, n_cols)
+        np.add.at(T.reshape(-1), idx[keep] * n_cols + cols,
+                  Wb.reshape(-1)[cells] * weight[r][rows])
     return SSTMap(freq_bins=freqs, times_tbar=scalogram.times_tbar, coeffs=T,
                   metadata=dict(scalogram.metadata))
 
@@ -227,8 +250,6 @@ def save_map(prefix, obj) -> list:
             if isinstance(v, np.ndarray):
                 continue
             fh.write(f"# {k} = {v}\n")
-        fh.write("# omega_bar rows:\n")
-        fh.write(",".join(f"{f:.16e}" for f in freqs) + "\n")
-        fh.write("# tbar columns:\n")
-        fh.write(",".join(f"{t:.16e}" for t in obj.times_tbar) + "\n")
+        for axis, grid in (("omega_bar rows", freqs), ("tbar columns", obj.times_tbar)):
+            fh.write(f"# {axis}:\n" + ",".join(_key_cells(grid)) + "\n")
     return [bin_path, meta_path]

@@ -119,6 +119,13 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("hf_axis = 0 0")
 
+    @pytest.mark.parametrize("form", ["1 1 0", "miller 1 1 0", "angles 90 45"])
+    def test_axis_is_plain_floats(self, form):
+        # numpy scalars would echo as np.float64(...) in every manifest
+        axis = cli.parse_config(f"hf_axis = {form}").hf_axis
+        assert [type(c) for c in axis] == [float] * 3
+        assert np.allclose(axis, [np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-12)
+
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
@@ -385,6 +392,39 @@ class TestSubcommands:
         cfgp, _ = write_cfg(tmp_path, body)
         assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
         assert orders == [order]
+
+    def test_manifests_echo_the_axis_as_plain_floats(self, tmp_path):
+        axis = "hf_axis = (0.7071067811865475, 0.7071067811865475, 0.0)"
+        runp, rundir = write_cfg(tmp_path, with_keys(FAST_BODY, "hf_axis = 1 1 0"),
+                                 tmp_path / "run-out", "run1.cfg")
+        assert cli.main(["run", str(runp)]) == 0
+        assert axis in (rundir / "manifest.txt").read_text().splitlines()
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["sweep-axis", str(cfgp), "0,0,1", "1,1,0"]) == 0
+        for i, line in enumerate(["hf_axis = (0.0, 0.0, 1.0)", axis]):
+            for m in sorted((outdir / f"axis{i}").glob("*_manifest.txt")):
+                assert line in m.read_text().splitlines(), m.name
+
+    @pytest.mark.parametrize("command, body, calls", [
+        (["run"], FAST_BODY, 1),
+        # one weight set per order: the order-2 set is the order-3 set's prefix
+        (["compare-orders", "2", "3"], THREE_SITE_BODY, 2),
+        # every axis and channel mask runs on the one cluster set and its weights
+        (["sweep-axis", "0,0,1", "1,2,3"], FAST_BODY, 1)],
+        ids=["run", "compare-orders", "sweep-axis"])
+    def test_each_cluster_set_is_weighed_once(self, tmp_path, monkeypatch,
+                                              command, body, calls):
+        sets = []
+        combination_coefficients = cce.combination_coefficients
+
+        def counted(cset):
+            sets.append(len(cset.clusters))
+            return combination_coefficients(cset)
+
+        monkeypatch.setattr(cce, "combination_coefficients", counted)
+        cfgp, _ = write_cfg(tmp_path, body)
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
+        assert len(sets) == calls
 
     @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
     def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):

@@ -1,5 +1,7 @@
 """The 17-digit text exports (series, spectrum and band traces), checked byte
 for byte against plain per-line f-string writers."""
+import io
+
 import numpy as np
 
 from spinbath import cce, cli, tfa
@@ -74,3 +76,23 @@ class TestByteIdentity:
                 new = tmp_path / f"new_band_{name}_{kind}.csv"
                 assert new.read_bytes() == ref.read_bytes()
 
+
+def plain_rows(keys, values):
+    return "".join(f"{k:.16e},{v:.16e}\n" for k, v in zip(keys, values))
+
+
+def test_rows_never_reuse_another_grids_keys():
+    # equal-length grids that differ in one key, or only in the sign of a
+    # zero key, interleaved and then cycled through more grids than any
+    # memo of formatted grids could hold, each file against a plain writer
+    base = np.linspace(0.0, 1e5 / 3, len(EDGE))
+    one_key = base.copy()
+    one_key[7] = np.nextafter(one_key[7], np.inf)
+    neg_zero = base.copy()
+    neg_zero[0] = -0.0
+    shifted = [base + i for i in range(1, 12)]
+    for keys in [base, one_key, base, neg_zero, one_key, neg_zero, base, *shifted, *shifted,
+                 neg_zero, base]:
+        fh = io.StringIO()
+        cce._write_rows(fh, keys, EDGE)
+        assert fh.getvalue() == plain_rows(keys, EDGE)

@@ -174,6 +174,29 @@ class TestCWT:
             np.testing.assert_array_equal(scal.coeffs[i], np.fft.ifft(X * win)[:n])
             np.testing.assert_array_equal(scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])
 
+    def test_rows_match_one_scale_transforms_on_custom_scales(self):
+        # the first scale's support is the first positive bin alone and the
+        # second's ends at the last one; the rest alternate wide and narrow
+        # supports, so each of the three blocks (16 scales at npad = 16 n)
+        # reuses buffer rows that held wide and narrow supports before
+        n, dt, p = 256, 0.1, tfa.BumpParams()
+        npad = 16 * n
+        omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        first, last = p.mu / omega[1], p.mu / omega[npad // 2 - 1]
+        k = np.arange(45)
+        scales = np.r_[first, last, np.where(k % 2, 0.3 * first / (1 + k), last * (1 + k / 20))]
+        assert padded_length(n, dt, scales, p) == npad
+        x, _ = beat_series(n, dt)
+        scal = tfa.cwt_bump(x, dt, p, scales=scales)
+        X = np.fft.fft(x, npad)
+        support = [np.flatnonzero(tfa._bump_window(a * omega, p)) for a in scales]
+        assert support[0].tolist() == [1] and support[1][-1] == npad // 2 - 1
+        assert max(len(s) for s in support[2::2]) > 100 > 10 > min(len(s) for s in support[3::2])
+        for i, a in enumerate(scales):
+            win = np.sqrt(a) * tfa._bump_window(a * omega, p)
+            np.testing.assert_array_equal(scal.coeffs[i], np.fft.ifft(X * win)[:n])
+            np.testing.assert_array_equal(scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])
+
     def test_scale_out_of_band_rejected(self):
         with pytest.raises(tfa.TFAError):
             tfa.cwt_bump(np.ones(256), 0.1, scales=np.array([1e9]))
@@ -248,6 +271,22 @@ class TestSST:
 def test_sst_matches_whole_map_reassignment(n, gamma):
     x, dt = beat_series(n)
     scal = tfa.cwt_bump(x, dt)
+    np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
+                                  whole_map_sst(scal, gamma))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [0.0, 1e-8])
+def test_sst_with_exact_zero_cells_matches_whole_map_reassignment(gamma):
+    # exact zeros of W (a whole row, a column, scattered cells) make the
+    # block-wide phase transform divide by zero; no warning may escape
+    x, dt = beat_series(256)
+    scal = tfa.cwt_bump(x, dt)
+    W = scal.coeffs
+    W[5] = 0.0
+    W[:, 17] = 0.0
+    W[np.random.default_rng(3).random(W.shape) < 0.05] = 0.0
+    scal.dcoeffs[5, ::2] = 0.0
     np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
                                   whole_map_sst(scal, gamma))
 
