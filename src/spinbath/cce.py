@@ -201,19 +201,21 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     of each per-sample trace sum and so the bits of the result. Of a chunk
     only E and the real W = w |B'|^2 / d are held whole, in buffers reused by
     every chunk: the eigen stage runs on sub-blocks of ~2**16 / d**2
-    clusters, and P, Q = W @ conj(P) (a real GEMM on P's float view, then
-    -Q.imag) and the trace on 16-sample tiles.
-    These rules keep the bits of a chunk-wide P, Q and einsum("cmt,cmt->t")
-    under the OpenBLAS SkylakeX, Haswell and Sandybridge kernels, except in
-    the last samples of a tile of a grid of nt >= 32 not a multiple of 4,
-    where SkylakeX dgemm edge kernels may round otherwise:
+    clusters, and P, Q = W @ P (a real GEMM on P's float view) and the trace
+    sum_k conj(Q) P on 16-sample tiles.
+    These rules keep the bits of a chunk-wide P, Q = W @ conj(P) and
+    einsum("cmt,cmt->t") under the OpenBLAS SkylakeX, Haswell and Sandybridge
+    kernels, except in the last samples of a tile of a grid of nt >= 32 not a
+    multiple of 4, where SkylakeX dgemm edge kernels may round otherwise:
 
-    - no cumprod row has length 2 (numpy's vectorized complex multiply
-      differs from its accumulate loop): nt % 16 joins the last tile, and a
-      later tile continues from the previous tile's last column, carried
-      into column 0 of its cumprod row;
-    - both operands of the per-sample dot keep a non-unit stride, which
-      selects OpenBLAS's sequential zdotu loop, as the einsum did;
+    - the phase table is built column by column on strided columns (see
+      ``_phase_table``): nt % 16 joins the last tile, and a later tile
+      continues from the previous tile's last column, carried into its
+      column 0;
+    - the per-sample dot is ``vecdot(Q, P)`` with both operands at a non-unit
+      stride, which selects OpenBLAS's sequential zdotc loop: its
+      accumulators are the exact negations of zdotu's on conj(Q), as the
+      einsum summed them;
     - buffer rows have odd length, so the dot's row-by-row walk does not
       map every step onto one cache set;
     - a sub-block holds one cluster only if its chunk does: a one-cluster
@@ -245,9 +247,7 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
             first = P[..., -1]
             Q = Q_buf[:nc, :, :t1 - t0]
             np.matmul(W, P.view(float), out=Q.view(float))
-            np.negative(Q.imag, out=Q.imag)
-            Pk, Qk = P.reshape(nc * dim, -1), Q.reshape(nc * dim, -1)
-            out[t0:t1] += np.matmul(Pk.T[:, None, :], Qk.T[:, :, None])[:, 0, 0]
+            out[t0:t1] += np.vecdot(Q.reshape(nc * dim, -1), P.reshape(nc * dim, -1), axis=0)
     return out
 
 
@@ -259,14 +259,21 @@ def _blocks(n: int, size: int) -> list:
 
 def _phase_table(step: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Running product first * step**k, k = 0, 1, ..., along the last axis of
-    ``out`` (any row strides). With step = exp(1j * f * dt) and first =
-    exp(1j * f * t0) that is exp(1j * f * t) on the uniform grid from t0 (the
-    only grid ``compute_correlation`` accepts) at one complex multiply per
-    element instead of one exp; the phase drift over the grid stays near
-    machine precision. ``first`` may be a column of ``out``."""
+    ``out``. With step = exp(1j * f * dt) and first = exp(1j * f * t0) that
+    is exp(1j * f * t) on the uniform grid from t0 (the only grid
+    ``compute_correlation`` accepts) at one complex multiply per element
+    instead of one exp; the phase drift over the grid stays near machine
+    precision. ``first`` may be a column of ``out``.
+
+    One multiply per column: on strided columns (``out``'s last axis is its
+    fastest) numpy takes its scalar complex loop, a_r b_r - a_i b_i without
+    FMA, which gives the bits of ``np.cumprod``'s accumulate loop for every
+    row length. A contiguous multiply takes the SIMD loop and rounds
+    otherwise."""
     out[..., 0] = first
-    out[..., 1:] = step[..., None]
-    return np.cumprod(out, axis=-1, out=out)
+    for k in range(1, out.shape[-1]):
+        np.multiply(out[..., k - 1], step, out=out[..., k])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -387,14 +387,14 @@ class TestTraceMatchesReference:
         t = cce.time_grid(60.0, nt)
 
         tiles = []
-        matmul = np.matmul
+        vecdot = np.vecdot
 
         def keep_q(a, b, *args, **kwargs):
-            if b.dtype == complex:       # a tile's trace: b holds Q as (w, K, 1)
-                tiles.append(b[:, :, 0].T.copy())
-            return matmul(a, b, *args, **kwargs)
+            # a tile's trace conjugates its first operand, W @ P as (K, w)
+            tiles.append(np.conj(a))
+            return vecdot(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(np, "matmul", keep_q)
+        monkeypatch.setattr(np, "vecdot", keep_q)
         got = cce._group_correlation(clusters, weights, bath, 0.5, mask, t)
         monkeypatch.undo()
         qs = []                          # each chunk's (K, nt) Q, tile by tile
@@ -504,8 +504,11 @@ class TestPhaseTable:
         ref = np.exp(1j * f[..., None] * t)
         assert np.abs(got - ref).max() < 1e-9
 
-    @pytest.mark.parametrize("times", [np.linspace(0.0, 37.0, 200)])
-    def test_padded_out_is_bit_identical(self, times):
+    # tiles of one and two samples continue from the carry column at 17 and
+    # 18 samples; 2 and 3 are one short tile
+    @pytest.mark.parametrize("nt", [2, 3, 17, 18, 200, 201])
+    def test_padded_out_is_bit_identical(self, nt):
+        times = np.linspace(0.0, 37.0, nt)
         f = np.random.default_rng(8).normal(size=(3, 4))
         buf = np.empty((3, 4, len(times) | 1), dtype=complex)
         got = reference_phase_table(f, times, buf[:, :, :len(times)])

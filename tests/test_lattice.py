@@ -141,7 +141,6 @@ class TestEdd:
         assert L.compute_E_dd(GAMMA_C13, DIAMOND_A0) == pytest.approx(E_DD_C13_DIAMOND,
                                                                      rel=1e-12)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gamma,a0", [(1e200, DIAMOND_A0), (GAMMA_C13, 1e-200),
                                           (GAMMA_C13, 1e300), (0.0, DIAMOND_A0)],
                              ids=["gamma-overflow", "a0-underflow", "a0-overflow",
