@@ -218,8 +218,8 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
       einsum summed them;
     - buffer rows have odd length, so the dot's row-by-row walk does not
       map every step onto one cache set;
-    - a sub-block holds one cluster only if its chunk does: a one-cluster
-      stack takes other BLAS paths in the Hamiltonian assembly.
+    - a sub-block holds one cluster only if its chunk does: a one-row
+      ``A[clusters] @ mz.T`` in ``bath_operator_diagonal`` rounds otherwise.
     """
     dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
     nt, dt = len(times_tbar), times_tbar[1] - times_tbar[0]

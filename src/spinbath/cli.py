@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +75,8 @@ class RunConfig:
     outdir: str = "out"
 
     def term_mask(self) -> TermMask:
-        m = TermMask(self.mask_A, self.mask_B, self.mask_CD, self.mask_EF)
-        if self.secular:
-            m = TermMask(m.enable_A, m.enable_B, False, False)
-        return m
+        return TermMask(self.mask_A, self.mask_B, self.mask_CD and not self.secular,
+                        self.mask_EF and not self.secular)
 
     def species(self) -> lattice.SpeciesParams:
         e_dd = lattice.compute_E_dd(self.gamma, self.a0)
@@ -86,8 +84,12 @@ class RunConfig:
                                      self.A0_over_Edd * e_dd, self.L0)
 
 
-_BOOL = {"true": True, "1": True, "yes": True, "on": True,
-         "false": False, "0": False, "no": False, "off": False}
+def _boolean(text: str) -> bool:
+    words = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+    if text.lower() not in words:
+        raise ConfigError(f"not a boolean: {text!r}")
+    return words[text.lower()]
 
 
 def _finite(text: str) -> float:
@@ -145,31 +147,24 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+#: a key's value parser, by the type of its RunConfig default (None: a string)
+_PARSERS = {bool: _boolean, int: int, float: _finite, str: str, type(None): str}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
 def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
     if key == "hf_axis":
         cfg.hf_axis = _parse_axis(value)
-    elif key == "box":
-        dims = tuple(int(p) for p in value.split())
-        if len(dims) != 3:
+    elif key in ("box", "sites"):
+        ints = tuple(int(p) for p in value.split())
+        if key == "box" and len(ints) != 3:
             raise ConfigError("box needs three integers")
-        cfg.box = dims
-    elif key == "sites":
-        sites = tuple(int(p) for p in value.split())
-        repeated = sorted(k for k, n in Counter(sites).items() if n > 1)
-        if repeated:
+        repeated = sorted(k for k, n in Counter(ints).items() if n > 1)
+        if key == "sites" and repeated:
             raise ConfigError(f"repeated site index {repeated[0]}")
-        cfg.sites = sites
-    elif key in ("secular", "mask_A", "mask_B", "mask_CD", "mask_EF"):
-        if value.lower() not in _BOOL:
-            raise ConfigError(f"bad boolean for {key!r}: {value!r}")
-        setattr(cfg, key, _BOOL[value.lower()])
-    elif key in ("seed", "order", "samples", "voices", "zero_pad"):
-        setattr(cfg, key, int(value))
-    elif key in ("a0", "abundance", "spin", "gamma", "A0_over_Edd", "L0",
-                 "c_hf", "r_cutoff_a0", "tbar_max", "mu", "sigma", "gamma_sst"):
-        setattr(cfg, key, _finite(value))
-    elif key in ("realization_file", "outdir"):
-        setattr(cfg, key, value)
+        setattr(cfg, key, ints)
+    elif key in _DEFAULTS:
+        setattr(cfg, key, _PARSERS[type(_DEFAULTS[key])](value))
     else:
         raise ConfigError(f"unknown configuration key {key!r}")
 
@@ -209,9 +204,9 @@ def _check_cluster_dim(what: str, spin: float, order: int) -> None:
 
 def _check_band_coverage(cfg: RunConfig) -> None:
     """Every band in BANDS needs at least one CWT row (the SST bins are the
-    same frequencies) on the configured time grid and voice count. The grid
-    step tbar_max / (samples - 1) is the one ``cce.time_grid`` produces."""
-    scales = tfa.default_scales(cfg.samples, cfg.tbar_max / (cfg.samples - 1),
+    same frequencies) on the configured time grid and voice count."""
+    times = cce.time_grid(cfg.tbar_max, cfg.samples)
+    scales = tfa.default_scales(cfg.samples, times[1] - times[0],
                                 tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
     freqs = cfg.mu / scales
     for name, (lo, hi) in BANDS.items():
@@ -323,9 +318,21 @@ def _bath(record: RunRecord, cfg: RunConfig, order: int):
 
 
 def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce"):
-    """CCE correlation of ``cset`` on the configured time grid, timed as ``stage``."""
-    return record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
-                      cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
+    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values:
+    the CCE refuses an empty bath before ``sigma_hf`` of no couplings can warn."""
+    series = record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
+                        cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
+    sizes = Counter(len(c) for c in cset.clusters)
+    record.derived.update({
+        "A_bar": series.metadata["A_bar"],
+        "sigma_hf": realization.sigma_hf,
+        "E_dd": realization.E_dd,
+        "n_spinful": realization.n_spins,
+        "spin_I": realization.species.spin_I,
+        "cluster_counts": dict(sorted(sizes.items())),
+        "max_imag": series.metadata["max_imag"],
+    })
+    return series
 
 
 def _save_correlation(record: RunRecord, series):
@@ -345,8 +352,7 @@ def _analyze(record: RunRecord, cfg: RunConfig, cbar):
     sst = record.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
     tfa.save_spectrum(record.path("spectrum.csv"), spectrum)
     for kind, obj in (("cwt", scal), ("sst", sst)):
-        record.path(f"{kind}.meta.txt")     # save_map's sidecar to {kind}.bin
-        tfa.save_map(record.path(f"{kind}.bin").with_suffix(""), obj)
+        tfa.save_map(record.path(f"{kind}.bin"), record.path(f"{kind}.meta.txt"), obj)
     return scal, sst
 
 
@@ -374,17 +380,6 @@ def _pipeline(record: RunRecord, cfg: RunConfig, realization, cset) -> RunRecord
     cbar = _save_correlation(record, series)
     scal, sst = record.run("analyze", _analyze, record, cfg, cbar)
     record.run("bands", _save_bands, record, scal, sst)
-
-    sizes = Counter(len(c) for c in cset.clusters)
-    record.derived.update({
-        "A_bar": series.metadata["A_bar"],
-        "sigma_hf": realization.sigma_hf,
-        "E_dd": realization.E_dd,
-        "n_spinful": realization.n_spins,
-        "spin_I": realization.species.spin_I,
-        "cluster_counts": dict(sorted(sizes.items())),
-        "max_imag": series.metadata["max_imag"],
-    })
     record.write()
     return record
 
@@ -442,10 +437,11 @@ def compare_orders(cfg: RunConfig, orders) -> str:
     return report
 
 
-#: channel decompositions: A is always retained (it only shifts levels)
-CHANNELS = {"B": TermMask(True, True, False, False),
-            "CD": TermMask(True, False, True, False),
-            "EF": TermMask(True, False, False, True)}
+#: each channel's mask fields: its own term and A (which only shifts levels)
+#: on, the other terms and the secular mode off
+CHANNELS = {name: {"secular": False, "mask_A": True,
+                   **{f"mask_{term}": term == name for term in ("B", "CD", "EF")}}
+            for name in ("B", "CD", "EF")}
 
 
 def sweep_hf_axis(cfg: RunConfig, axes) -> list:
@@ -462,11 +458,8 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     for i, axis in enumerate(axes):
         fixed = replace(realization, hf_axis=np.asarray(axis) / np.linalg.norm(axis))
         sub = replace(cfg, outdir=str(Path(cfg.outdir) / f"axis{i}"), hf_axis=tuple(axis))
-        variants = {"full": sub}
-        for name, mask in CHANNELS.items():
-            variants[f"chan{name}"] = replace(
-                sub, mask_A=mask.enable_A, mask_B=mask.enable_B,
-                mask_CD=mask.enable_CD, mask_EF=mask.enable_EF, secular=False)
+        variants = {"full": sub, **{f"chan{name}": replace(sub, **masks)
+                                    for name, masks in CHANNELS.items()}}
         for tag, variant in variants.items():
             record = RunRecord(variant, tag)
             record.timings.update(bath.timings)
@@ -478,16 +471,23 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
 # command line
 
 #: subcommand -> (help, the argument after the config file as the name and
-#: keywords of ``add_argument``, if it takes one)
+#: keywords of ``add_argument`` if it takes one, handler of (config, parsed
+#: arguments)); a handler looks its command function up when it is called
 COMMANDS = {
-    "generate-bath": ("build and export a bath realization", None),
-    "simulate": ("run CCE and export the correlation series", None),
+    "generate-bath": ("build and export a bath realization", None,
+                      lambda cfg, args: _cmd_generate(cfg)),
+    "simulate": ("run CCE and export the correlation series", None,
+                 lambda cfg, args: print(simulate(cfg))),
     "analyze": ("time-frequency analysis of an exported series",
-                ("series", {"help": "correlation series file"})),
-    "run": ("full pipeline", None),
-    "compare-orders": ("CCE order convergence report", ("orders", {"nargs": "+", "type": int})),
+                ("series", {"help": "correlation series file"}),
+                lambda cfg, args: analyze_series(cfg, args.series)),
+    "run": ("full pipeline", None, lambda cfg, args: run_pipeline(cfg)),
+    "compare-orders": ("CCE order convergence report", ("orders", {"nargs": "+", "type": int}),
+                       lambda cfg, args: print(compare_orders(cfg, args.orders), end="")),
     "sweep-axis": ("pipeline over several hf axes on a fixed bath", ("axes", {
-        "nargs": "+", "help": "axes as comma-separated triplets, e.g. 0,0,1 1,1,1"})),
+        "nargs": "+", "help": "axes as comma-separated triplets, e.g. 0,0,1 1,1,1"}),
+        lambda cfg, args: sweep_hf_axis(
+            cfg, [_parse_axis(a.replace(",", " ")) for a in args.axes])),
 }
 
 
@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spinbath",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (text, extra) in COMMANDS.items():
+    for name, (text, extra, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="path to key-value configuration file")
         if extra:
@@ -515,19 +515,7 @@ def _cmd_generate(cfg: RunConfig) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "generate-bath":
-            _cmd_generate(cfg)
-        elif args.command == "simulate":
-            print(simulate(cfg))
-        elif args.command == "analyze":
-            analyze_series(cfg, args.series)
-        elif args.command == "run":
-            run_pipeline(cfg)
-        elif args.command == "compare-orders":
-            print(compare_orders(cfg, args.orders), end="")
-        elif args.command == "sweep-axis":
-            sweep_hf_axis(cfg, [_parse_axis(a.replace(",", " ")) for a in args.axes])
+        COMMANDS[args.command][2](load_config(args.config), args)
     except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -122,13 +122,11 @@ def build_diamond_lattice(spec: LatticeSpec) -> np.ndarray:
     Ordering is lexicographic in cell index (x, then y, then z), then basis
     index, so seeded sampling is reproducible.
     """
-    nx, ny, nz = spec.box_dims
     a0 = spec.lattice_constant_a0
-    cells = np.array([(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)],
-                     dtype=float)
+    cells = np.indices(spec.box_dims, dtype=float).reshape(3, -1).T
     frac = cells[:, None, :] + DIAMOND_BASIS[None, :, :]
     pos = frac.reshape(-1, 3) * a0
-    center = 0.5 * a0 * np.array([nx, ny, nz], dtype=float)
+    center = 0.5 * a0 * np.array(spec.box_dims, dtype=float)
     return pos - center
 
 

@@ -231,15 +231,14 @@ def save_spectrum(path, spec: Spectrum) -> None:
         _write_rows(fh, spec.omega_bar, spec.power)
 
 
-def save_map(prefix, obj) -> list:
-    """Binary modulus matrix (little-endian float64, row-major, one row per
-    frequency) plus a text sidecar with the grids at 17 significant digits,
-    which together hold every map cell exactly. Returns the two paths."""
+def save_map(bin_path, meta_path, obj) -> list:
+    """Modulus matrix at ``bin_path`` (little-endian float64, row-major, one
+    row per frequency) and grids at 17 significant digits in the sidecar
+    ``meta_path``, together every map cell exactly. Returns the two paths."""
     if isinstance(obj, Scalogram):
         freqs, kind = obj.center_freqs, "cwt"
     else:
         freqs, kind = obj.freq_bins, "sst"
-    bin_path, meta_path = f"{prefix}.bin", f"{prefix}.meta.txt"
     with open(bin_path, "wb") as fh:        # a row block at a time: no map-sized copy
         for r in _row_blocks(obj.coeffs.shape, 2 ** 15):
             np.abs(obj.coeffs[r]).astype("<f8", copy=False).tofile(fh)

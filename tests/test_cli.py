@@ -162,6 +162,20 @@ class TestParseConfig:
         except cli.ConfigError as exc:
             assert "\n" not in str(exc)
 
+    @pytest.mark.parametrize("field", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name)
+    def test_default_text_parses_to_the_default(self, field):
+        # a key parses as the type of its default: the default's own text
+        # gives it back, of the same type (manifests echo it with str)
+        value = field.default
+        if value is None:       # unset, as when the key is left out
+            text = ""
+        elif isinstance(value, tuple):
+            text = f"{field.name} = " + " ".join(str(v) for v in value)
+        else:
+            text = f"{field.name} = {value}"
+        parsed = getattr(cli.parse_config(text), field.name)
+        assert parsed == value and str(parsed) == str(value)
+
     def test_mask_construction(self):
         cfg = cli.parse_config("mask_EF = false\nsecular = true")
         m = cfg.term_mask()
@@ -248,6 +262,20 @@ class TestSubcommands:
         written = hashes(p for p in outdir.iterdir() if p.name != "manifest.txt")
         assert len(written) == count
         assert manifest_products(outdir / "manifest.txt") == written
+
+    @pytest.mark.parametrize("command, order", [(["simulate"], 2),
+                                                (["compare-orders", "2", "3"], 3)],
+                             ids=["simulate", "compare-orders"])
+    def test_cce_commands_derive_what_run_derives(self, tmp_path, command, order):
+        # compare-orders derives the values of its highest order
+        run_cfg, run_out = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, f"order = {order}"),
+                                     tmp_path / "run", "run.cfg")
+        assert cli.main(["run", str(run_cfg)]) == 0
+        cfgp, outdir = write_cfg(tmp_path, THREE_SITE_BODY)
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
+        derived = manifest_section(outdir / "manifest.txt", "derived")
+        assert "cluster_counts" in derived
+        assert derived == manifest_section(run_out / "manifest.txt", "derived")
 
     def test_run_determinism(self, tmp_path):
         cfg1, out1 = write_cfg(tmp_path, FAST_BODY, tmp_path / "o1", "a.cfg")

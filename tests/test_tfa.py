@@ -307,7 +307,8 @@ class TestWorkingSet:
         try:
             scal, cwt_peak = traced_peak(tfa.cwt_bump, x, t[1] - t[0])
             sst, sst_peak = traced_peak(tfa.synchrosqueeze, scal)
-            _, save_peak = traced_peak(tfa.save_map, tmp_path / "sst", sst)
+            _, save_peak = traced_peak(tfa.save_map, tmp_path / "sst.bin",
+                                       tmp_path / "sst.meta.txt", sst)
         finally:
             tracemalloc.stop()
         assert cwt_peak <= scal.coeffs.nbytes + scal.dcoeffs.nbytes + 8 * 2 ** 20
@@ -348,7 +349,7 @@ class TestExports:
         t, x = tone_series(n=512)
         scal = tfa.cwt_bump(x, t[1] - t[0])
         monkeypatch.chdir(tmp_path)
-        files = tfa.save_map("cwt", scal)
+        files = tfa.save_map("cwt.bin", "cwt.meta.txt", scal)
         assert files == ["cwt.bin", "cwt.meta.txt"]
         raw = np.fromfile(files[0], dtype="<f8").reshape(scal.coeffs.shape)
         assert np.array_equal(raw, np.abs(scal.coeffs))
