@@ -19,7 +19,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
-from .lattice import BathRealization
+from .lattice import BathRealization, finite_floats, read_text
 from .spinops import spin_matrices
 
 #: Hilbert dimension cap of whole-bath ED and of a config's largest clusters
@@ -312,30 +312,21 @@ def _format_grid(grid: bytes) -> tuple:
 def load_series(path) -> CorrelationSeries:
     """Read a file written by ``save_series``. A malformed file raises
     CCEError naming the file and, for a bad line, its number."""
-    meta = {}
-    times, vals = [], []
-    try:
-        with open(path) as fh:
-            for lineno, ln in enumerate(fh, 1):
-                ln = ln.strip()
-                if not ln:
-                    continue
-                if ln.startswith("#"):
-                    k, _, v = ln[1:].partition("=")
-                    meta[k.strip()] = _parse_meta(v.strip())
-                    continue
-                try:
-                    a, b = (float(x) for x in ln.split(","))
-                except ValueError:
-                    raise CCEError(f"{path}:{lineno}: expected 'tbar,value', got {ln!r}") from None
-                if not (np.isfinite(a) and np.isfinite(b)):
-                    raise CCEError(f"{path}:{lineno}: non-finite value in {ln!r}")
-                times.append(a)
-                vals.append(b)
-    except OSError as exc:
-        raise CCEError(f"cannot read series file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise CCEError(f"series file {path} is not text") from None
+    meta, times, vals = {}, [], []
+    for lineno, ln in enumerate(read_text(path, "series", CCEError).split("\n"), 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        if ln.startswith("#"):
+            k, _, v = ln[1:].partition("=")
+            meta[k.strip()] = _parse_meta(v.strip())
+            continue
+        try:
+            a, b = finite_floats(ln.split(","), 2)
+        except ValueError as exc:
+            raise CCEError(f"{path}:{lineno}: {exc}") from None
+        times.append(a)
+        vals.append(b)
     try:
         return CorrelationSeries(times_tbar=np.array(times), values=np.array(vals),
                                  metadata=meta)
@@ -344,6 +335,8 @@ def load_series(path) -> CorrelationSeries:
 
 
 def _parse_meta(v: str):
+    if v in ("True", "False"):      # as save_series prints a boolean
+        return v == "True"
     for cast in (int, float):
         try:
             return cast(v)

@@ -219,13 +219,7 @@ def _check_band_coverage(cfg: RunConfig) -> None:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"config file {path} is not text") from None
-    cfg = parse_config(text)
+    cfg = parse_config(lattice.read_text(path, "config", ConfigError))
     override = os.environ.get(OUTDIR_ENV)
     if override:
         cfg.outdir = override
@@ -324,7 +318,7 @@ def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce
                         cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
     sizes = Counter(len(c) for c in cset.clusters)
     record.derived.update({
-        "A_bar": series.metadata["A_bar"],
+        "A_bar": realization.A_bar,
         "sigma_hf": realization.sigma_hf,
         "E_dd": realization.E_dd,
         "n_spinful": realization.n_spins,

@@ -1,4 +1,5 @@
-"""Diamond-lattice bath construction, spinful-site sampling and hyperfine geometry.
+"""Diamond-lattice bath construction, spinful-site sampling, hyperfine geometry
+and the reader and row parser that every input file goes through.
 
 All energies are angular frequencies (rad/s, hbar = 1 internally); all lengths
 are meters. The central spin sits at the box center and occupies no lattice
@@ -81,15 +82,15 @@ class PairGeometry:
 @dataclass(frozen=True)
 class BathRealization:
     """One spinful-site draw: positions (central spin at origin), hyperfine
-    couplings, the hyperfine axis and derived scales."""
+    couplings, the hyperfine axis and the scales derived from them."""
     positions: np.ndarray        # (N, 3), m
     hf_couplings_A: np.ndarray   # (N,), rad/s
     hf_axis: np.ndarray          # unit 3-vector
-    E_dd: float                  # rad/s
-    A_bar: float                 # rad/s
     species: SpeciesParams
     a0: float
     site_indices: tuple[int, ...] = field(default=())
+    E_dd: float = field(init=False)     # rad/s, of species.gamma and a0
+    A_bar: float = field(init=False)    # rad/s, mean coupling (0 for no spins)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -104,8 +105,8 @@ class BathRealization:
             raise LatticeError("hf_axis must be a unit vector")
         if len(A) and (np.any(A <= 0) or np.any(A > self.species.A0 * (1 + 1e-12))):
             raise LatticeError("hyperfine couplings must satisfy 0 < A_i <= A0")
-        if len(A) and abs(self.A_bar - A.mean()) > 1e-12 * abs(self.A_bar):
-            raise LatticeError("A_bar inconsistent with couplings")
+        object.__setattr__(self, "E_dd", compute_E_dd(self.species.gamma, self.a0))
+        object.__setattr__(self, "A_bar", float(A.mean()) if len(A) else 0.0)
 
     @property
     def n_spins(self) -> int:
@@ -141,14 +142,10 @@ def sample_spinful_sites(positions: np.ndarray, rho: float, seed: int) -> np.nda
     return np.nonzero(u < rho)[0]
 
 
-def assign_hf_couplings(positions: np.ndarray, species: SpeciesParams):
-    """Gaussian-envelope hyperfine couplings A_i = A0 exp(-r_i^2 / L0^2).
-
-    Returns (couplings, mean).
-    """
+def assign_hf_couplings(positions: np.ndarray, species: SpeciesParams) -> np.ndarray:
+    """Gaussian-envelope hyperfine couplings A_i = A0 exp(-r_i^2 / L0^2)."""
     r2 = np.einsum("ij,ij->i", positions, positions)
-    A = species.A0 * np.exp(-r2 / species.L0 ** 2)
-    return A, float(A.mean()) if len(A) else 0.0
+    return species.A0 * np.exp(-r2 / species.L0 ** 2)
 
 
 def compute_E_dd(gamma: float, a0: float) -> float:
@@ -229,12 +226,9 @@ def build_realization(spec: LatticeSpec, hf_axis: np.ndarray) -> BathRealization
     else:
         idx = sample_spinful_sites(pos, spec.abundance_rho, spec.seed)
     sub = pos[idx]
-    A, A_bar = assign_hf_couplings(sub, spec.species)
     axis = np.asarray(hf_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    e_dd = compute_E_dd(spec.species.gamma, spec.lattice_constant_a0)
-    return BathRealization(positions=sub, hf_couplings_A=A, hf_axis=axis,
-                           E_dd=e_dd, A_bar=A_bar, species=spec.species,
+    return BathRealization(positions=sub, hf_couplings_A=assign_hf_couplings(sub, spec.species),
+                           hf_axis=axis / np.linalg.norm(axis), species=spec.species,
                            a0=spec.lattice_constant_a0,
                            site_indices=tuple(int(i) for i in idx))
 
@@ -258,23 +252,18 @@ def save_realization(path, real: BathRealization) -> None:
 def load_realization(path) -> BathRealization:
     """Read a file written by ``save_realization``. A malformed file raises
     LatticeError naming the file and, for a bad line, its number."""
-    try:
-        with open(path) as fh:
-            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
-    except OSError as exc:
-        raise LatticeError(f"cannot read realization file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise LatticeError(f"realization file {path} is not text") from None
+    lines = [(n, ln.strip()) for n, ln in
+             enumerate(read_text(path, "realization", LatticeError).split("\n"), 1) if ln.strip()]
     if not lines:
         raise LatticeError(f"{path}: empty realization file")
     lineno, text = lines[0]
     try:
-        head = _finite_floats(text.split(","), 8)
+        head = finite_floats(text.split(","), 8)
         idx, rows = [], []
         for lineno, ln in lines[1:]:
             parts = ln.split(",")
             idx.append(int(parts[0]))
-            rows.append(_finite_floats(parts[1:], 4))
+            rows.append(finite_floats(parts[1:], 4))
     except ValueError as exc:
         raise LatticeError(f"{path}:{lineno}: {exc}") from None
     if not rows:
@@ -284,17 +273,27 @@ def load_realization(path) -> BathRealization:
     rows = np.array(rows).reshape(-1, 4)
     try:
         # A0 stored as a ratio to E_dd so the header round-trips the model spec
-        e_dd = compute_E_dd(gamma, a0)
-        species = SpeciesParams(spin_I=spin_I, gamma=gamma, A0=ratio * e_dd, L0=L0)
-        A = rows[:, 3]
-        return BathRealization(positions=rows[:, :3], hf_couplings_A=A, hf_axis=axis,
-                               E_dd=e_dd, A_bar=float(A.mean()), species=species,
-                               a0=a0, site_indices=tuple(idx))
+        species = SpeciesParams(spin_I=spin_I, gamma=gamma,
+                                A0=ratio * compute_E_dd(gamma, a0), L0=L0)
+        return BathRealization(positions=rows[:, :3], hf_couplings_A=rows[:, 3],
+                               hf_axis=axis, species=species, a0=a0, site_indices=tuple(idx))
     except LatticeError as exc:
         raise LatticeError(f"{path}: {exc}") from None
 
 
-def _finite_floats(fields, n: int) -> list:
+def read_text(path, what: str, error: type[Exception]) -> str:
+    """Text of the ``what`` file ``path``; one not readable or not text raises ``error``."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise error(f"{what} file {path} is not text") from None
+
+
+def finite_floats(fields, n: int) -> list:
+    """The ``n`` fields of one data row as finite floats, else ValueError."""
     if len(fields) != n:
         raise ValueError(f"expected {n} numeric fields, got {len(fields)}")
     values = [float(x) for x in fields]

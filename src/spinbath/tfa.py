@@ -68,9 +68,11 @@ def normalize_correlation(series: CorrelationSeries) -> CorrelationSeries:
 
 def power_spectrum(series: CorrelationSeries, zero_pad_factor: int = 1) -> Spectrum:
     """One-sided rectangular-window periodogram |FFT|^2 of the (zero-padded)
-    series, frequency axis in omega_bar."""
+    series, frequency axis in omega_bar. The pad factor is an integer >= 1."""
+    if not isinstance(zero_pad_factor, (int, np.integer)) or zero_pad_factor < 1:
+        raise TFAError(f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
     v = series.values
-    n = len(v) * max(1, int(zero_pad_factor))
+    n = len(v) * int(zero_pad_factor)
     spec = np.fft.rfft(v, n)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, series.dt)
     return Spectrum(omega_bar=omega, power=np.abs(spec) ** 2)

@@ -23,11 +23,8 @@ def species(spin=0.5, gamma=GAMMA_C13, a0=DIAMOND_A0, a0_ratio=1.0e4,
 def bath_from_positions(pos, sp, axis, a0) -> L.BathRealization:
     pos = np.asarray(pos, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    A, abar = L.assign_hf_couplings(pos, sp)
-    return L.BathRealization(positions=pos, hf_couplings_A=A,
-                             hf_axis=axis / np.linalg.norm(axis),
-                             E_dd=L.compute_E_dd(sp.gamma, a0), A_bar=abar,
-                             species=sp, a0=a0)
+    return L.BathRealization(positions=pos, hf_couplings_A=L.assign_hf_couplings(pos, sp),
+                             hf_axis=axis / np.linalg.norm(axis), species=sp, a0=a0)
 
 
 def nn_pair(spin=0.5, axis=(0, 0, 1), bond_dir=(1, 1, 1), a0=DIAMOND_A0,

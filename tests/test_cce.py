@@ -528,7 +528,8 @@ class TestSeriesIO:
     def test_round_trip(self, tmp_path):
         t = cce.time_grid(10.0, 64)
         v = np.cos(t)
-        s = cce.CorrelationSeries(t, v, {"A_bar": 1.5e7, "order": 2, "mode": "cce"})
+        s = cce.CorrelationSeries(t, v, {"A_bar": 1.5e7, "order": 2, "mode": "cce",
+                                         "normalized": False})
         p = tmp_path / "series.csv"
         cce.save_series(p, s)
         back = cce.load_series(p)
@@ -537,6 +538,7 @@ class TestSeriesIO:
         assert back.metadata["A_bar"] == pytest.approx(1.5e7)
         assert back.metadata["order"] == 2
         assert back.metadata["mode"] == "cce"
+        assert back.metadata["normalized"] is False
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(2, 64),

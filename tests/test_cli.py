@@ -244,6 +244,20 @@ class TestSubcommands:
         # no line names the directory it was written in, outdir included
         assert str(tmp_path) not in (moved / "manifest.txt").read_text()
 
+    def test_analyze_normalizes_a_series_flagged_not_normalized(self, tmp_path):
+        # the header's False is a boolean, not the truthy string "False"
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["simulate", str(cfgp)]) == 0
+        raw = outdir / "correlation.csv"
+        flagged = tmp_path / "flagged.csv"
+        flagged.write_text("# normalized = False\n" + raw.read_text())
+        products = []
+        for series in (raw, flagged):
+            assert cli.main(["analyze", str(cfgp), str(series)]) == 0
+            products.append(hashes(p for p in outdir.glob("analyze_*")
+                                   if p.name != "analyze_manifest.txt"))
+        assert products[0] == products[1]
+
     def test_analyze_manifest_lists_what_it_wrote(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["simulate", str(cfgp)]) == 0
@@ -544,17 +558,25 @@ class TestExitCodes:
                      id="malformed-series"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
                      id="missing-series"),
+        # a file that is not UTF-8 text, each input read once
+        pytest.param("", ["run", "{tmp}/latin1.txt"], 1, "config file {tmp}/latin1.txt is not",
+                     id="config-not-text"),
+        pytest.param("realization_file = {tmp}/latin1.txt", ["run", "{cfg}"], 1,
+                     "realization file {tmp}/latin1.txt is not", id="realization-not-text"),
+        pytest.param("", ["analyze", "{cfg}", "{tmp}/latin1.txt"], 2,
+                     "series file {tmp}/latin1.txt is not", id="series-not-text"),
     ])
     def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
                                    code, named):
         (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
         (tmp_path / "no-sites.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n")
+        (tmp_path / "latin1.txt").write_bytes("order = 2 # \xb5s\n".encode("latin-1"))
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body.format(tmp=tmp_path)))
         argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
         assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "runtime error: ")[code - 1])
-        assert err.count("\n") == 1 and named in err
+        assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
         assert not (outdir / "correlation.csv").exists()
 
     @pytest.mark.parametrize("extra_body", ["gamma = 1e200", "a0 = 1e-300"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,19 +101,19 @@ class TestSampling:
 class TestHfCouplings:
     def test_origin_gives_A0(self):
         sp = species()
-        A, _ = L.assign_hf_couplings(np.zeros((1, 3)), sp)
+        A = L.assign_hf_couplings(np.zeros((1, 3)), sp)
         assert A[0] == pytest.approx(sp.A0, rel=1e-15)
 
     def test_L0_gives_A0_over_e(self):
         sp = species()
-        A, _ = L.assign_hf_couplings(np.array([[sp.L0, 0, 0]]), sp)
+        A = L.assign_hf_couplings(np.array([[sp.L0, 0, 0]]), sp)
         assert A[0] == pytest.approx(sp.A0 / np.e, rel=1e-14)
 
     def test_monotone_decreasing_in_radius(self):
         sp = species()
         r = np.linspace(0, 4e-9, 40)
         pos = np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=1)
-        A, _ = L.assign_hf_couplings(pos, sp)
+        A = L.assign_hf_couplings(pos, sp)
         assert np.all(np.diff(A) < 0)
 
     def test_silicon_mean_coupling_matches_reported_scale(self):
@@ -122,8 +124,7 @@ class TestHfCouplings:
         means = []
         for seed in range(10):
             idx = L.sample_spinful_sites(pos, 0.02, seed)
-            _, abar = L.assign_hf_couplings(pos[idx], spec.species)
-            means.append(abar)
+            means.append(L.assign_hf_couplings(pos[idx], spec.species).mean())
         assert abs(np.mean(means) - 13.5e6) < 0.3 * 13.5e6
 
 
@@ -224,16 +225,21 @@ class TestRealization:
         with pytest.raises(L.LatticeError):
             L.BathRealization(positions=np.zeros((1, 3)),
                               hf_couplings_A=np.array([sp.A0]),
-                              hf_axis=np.array([0, 0, 2.0]), E_dd=1.0,
-                              A_bar=sp.A0, species=sp, a0=DIAMOND_A0)
+                              hf_axis=np.array([0, 0, 2.0]), species=sp, a0=DIAMOND_A0)
 
-    def test_abar_consistency_required(self):
-        sp = species()
-        with pytest.raises(L.LatticeError):
-            L.BathRealization(positions=np.zeros((1, 3)),
-                              hf_couplings_A=np.array([sp.A0]),
-                              hf_axis=np.array([0, 0, 1.0]), E_dd=1.0,
-                              A_bar=0.5 * sp.A0, species=sp, a0=DIAMOND_A0)
+    def test_scales_derived_from_couplings_and_species(self):
+        spec = silicon_spec(rho=0.05, seed=7, box=(3, 3, 3))
+        real = L.build_realization(spec, np.array([0, 0, 1.0]))
+        assert real.A_bar == float(real.hf_couplings_A.mean())
+        assert real.E_dd == L.compute_E_dd(GAMMA_SI29, SILICON_A0)
+        # a turned axis keeps the couplings and so the scales; a new a0 or
+        # set of couplings moves them
+        turned = dataclasses.replace(real, hf_axis=L.hf_axis_from_miller(1, 1, 1))
+        assert (turned.A_bar, turned.E_dd) == (real.A_bar, real.E_dd)
+        assert dataclasses.replace(real, a0=2 * SILICON_A0).E_dd == \
+            L.compute_E_dd(GAMMA_SI29, 2 * SILICON_A0)
+        half = dataclasses.replace(real, hf_couplings_A=real.hf_couplings_A / 2)
+        assert half.A_bar == float((real.hf_couplings_A / 2).mean())
 
     def test_explicit_site_list_bypasses_prng(self):
         spec = silicon_spec()
@@ -279,4 +285,4 @@ class TestRealization:
         assert np.array_equal(back.hf_axis, real.hf_axis)
         assert back.site_indices == real.site_indices
         assert back.species.spin_I == real.species.spin_I
-        assert back.E_dd == pytest.approx(real.E_dd, rel=1e-15)
+        assert back.E_dd == real.E_dd and back.A_bar == real.A_bar

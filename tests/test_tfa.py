@@ -102,6 +102,11 @@ class TestPowerSpectrum:
         assert len(p2.omega_bar) > len(p1.omega_bar)
         assert p2.omega_bar[1] < p1.omega_bar[1]
 
+    @pytest.mark.parametrize("factor", [0, -3, 1.5, 2.0])
+    def test_pad_factor_other_than_integer_from_1_refused(self, factor):
+        with pytest.raises(tfa.TFAError, match="zero_pad_factor"):
+            tfa.power_spectrum(make_series(tone_series()[1]), factor)
+
 
 class TestBumpWindow:
     def test_compact_support(self):
