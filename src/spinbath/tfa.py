@@ -112,22 +112,22 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
              scales: np.ndarray | None = None) -> Scalogram:
     """Bump-wavelet CWT evaluated in the Fourier domain.
 
-    Per scale a the row is ifft(xhat(w) * sqrt(a) * bump(a w)); the bump
-    support lies at positive frequencies only, so the transform is analytic
-    for real input. The time derivative (spectral, exact for the band-limited
-    kernel) is stored alongside for synchrosqueezing. Input is zero-padded to
-    the next power of two, npad. The inverse FFTs of both products run
-    batched, max(1, 2^16 // npad) scales per reused (2, block, npad) buffer.
-    Each scale's window is evaluated and written on its support bins only,
-    (mu -+ sigma) / a padded by one bin, a block's supports at once, and the
-    buffer is cleared only where the previous block wrote; every other bin
-    stays zero.
+    Per scale a the row is ifft(xhat(w) * sqrt(a) * bump(a w))[:n] at npad,
+    the next power of two resolving the narrowest bump: analytic for real
+    input, as the bump lies at positive frequencies only, and stored with its
+    exact spectral time derivative dW for synchrosqueezing. A chirp-z
+    (Bluestein) transform sums it over the K support bins k0 + j by one FFT
+    convolution at M >= n + max K - 1: with w = exp(2 pi i / npad), row[t] =
+    w^(t^2/2 + k0 t) / npad * sum_j y_j w^(j^2/2) w^(-(t-j)^2/2), each phase
+    from one root table at an exact integer index, 2^16 // M rows per buffer.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     if scales is None:
         scales = default_scales(n, dt, params, voices_per_octave)
     scales = np.asarray(scales, dtype=float)
+    if not (scales.size and np.isfinite(scales).all() and (scales > 0).all()):
+        raise TFAError("scales must be a nonempty set of finite values > 0")
     # pad far enough that the narrowest bump (largest scale) still covers at
     # least two FFT bins: resolution 2 pi / (npad dt) <= sigma / a_max
     need = max(n, int(np.ceil(2.0 * np.pi * scales.max() / (params.sigma * dt))))
@@ -143,28 +143,46 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     lo = np.searchsorted(omega, (params.mu - params.sigma) / scales) - 1
     hi = np.searchsorted(omega, (params.mu + params.sigma) / scales) + 1
     lo, hi = np.maximum(lo, 0), np.minimum(hi, len(omega))
-    blocks = _row_blocks((len(scales), npad), 2 ** 16)
-    buf = np.zeros((2, blocks[0].stop, npad), dtype=complex)
-    rows = cols = np.zeros(0, dtype=int)        # the buffer cells the last block wrote
+    root = np.exp(2j * np.pi * np.fft.fftfreq(2 * npad))  # root[q] = w^(q/2)
+    M = 1 << int(n + (hi - lo).max() - 2).bit_length()
+    lag = np.r_[:n, n - M:0]                              # t - j at each of the M points
+    chirp = np.fft.fft(root[-lag * lag % (2 * npad)]) / npad
+    t = np.arange(n)
+    blocks = _row_blocks((len(scales), M), 2 ** 16)
+    buf = np.empty((2, blocks[0].stop, M), dtype=complex)
+    phase = np.empty((blocks[0].stop, n), dtype=np.int64)
     for r in blocks:
-        buf[:, rows, cols] = 0
         m = hi[r] - lo[r]                       # a block's supports, end to end
         rows = np.repeat(np.arange(len(m)), m)
-        bins = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m - lo[r], m)
-        a = scales[r][rows]
-        win = np.sqrt(a) * _bump_window(a * omega[bins], params)
+        j = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        bins = j + lo[r][rows]
+        win = np.sqrt(scales[r])[rows] * _bump_window(scales[r][rows] * omega[bins], params)
         empty = np.bincount(rows, win != 0, len(m)) == 0
         if empty.any():
             raise TFAError(f"scale {scales[r][empty.argmax()]} has empty bump "
                            "support inside the sampled band")
-        cols = bins + pos.start
-        buf[0, rows, cols] = X[bins] * win
-        buf[1, rows, cols] = X[bins] * win * 1j * omega[bins]
-        W[r], dW[r] = np.fft.ifft(buf[:, :len(m)])[..., :n]
+        blk, q = buf[:, :len(m)], phase[:len(m)]
+        blk[...] = 0
+        y = root[j * j % (2 * npad)]
+        y *= X[bins]
+        y *= win
+        blk[0, rows, j] = y
+        y *= omega[bins]
+        y *= 1j
+        blk[1, rows, j] = y
+        np.fft.fft(blk, out=blk)
+        blk *= chirp
+        np.fft.ifft(blk, out=blk)
+        np.add.outer(2 * (lo[r] + pos.start), t, out=q)
+        q *= t
+        q &= 2 * npad - 1                       # t^2 + 2 k0 t mod 2 npad
+        root.take(q, out=dW[r])
+        np.multiply(blk[0, :, :n], dW[r], out=W[r])
+        dW[r] *= blk[1, :, :n]
     # approximate edge-effect halfwidth per scale, in samples
     coi = np.minimum(np.ceil(2.0 * np.pi * scales / (params.sigma * dt)), n).astype(int)
     return Scalogram(scales=scales, center_freqs=params.mu / scales,
-                     times_tbar=np.arange(n) * dt, coeffs=W, dcoeffs=dW,
+                     times_tbar=t * dt, coeffs=W, dcoeffs=dW,
                      metadata={"voices_per_octave": voices_per_octave,
                                "coi_halfwidth_samples": coi})
 
@@ -183,13 +201,15 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     """
     if gamma < 0:
         raise TFAError("gamma must be nonnegative")
+    if len(scalogram.scales) < 2 or not (np.diff(scalogram.scales) > 0).all():
+        raise TFAError("synchrosqueezing needs two or more strictly ascending scales")
     W, dW = scalogram.coeffs, scalogram.dcoeffs
     blocks = _row_blocks(W.shape, 2 ** 15)
     thr = gamma * np.max([np.abs(W[r]).max() for r in blocks]) if W.size else 0.0
 
     freqs = scalogram.center_freqs[::-1]            # ascending
     log_f = np.log2(freqs)
-    dlog = (log_f[-1] - log_f[0]) / max(len(freqs) - 1, 1)
+    dlog = (log_f[-1] - log_f[0]) / (len(freqs) - 1)
     a = scalogram.scales
     weight = a ** -1.5 * np.gradient(a)
 

@@ -32,6 +32,19 @@ def padded_length(n, dt, scales, p):
     return 1 << int(np.ceil(np.log2(min(need, 16 * n))))
 
 
+def assert_rows_match_one_scale_transforms(scal, x, dt, p, npad):
+    """Each row of W and dW lies within 1e-13 of its own max modulus of the
+    one-scale inverse FFT at npad."""
+    n = len(x)
+    X = np.fft.fft(x, npad)
+    omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+    for i, a in enumerate(scal.scales):
+        win = np.sqrt(a) * tfa._bump_window(a * omega, p)
+        for got, want in ((scal.coeffs[i], np.fft.ifft(X * win)[:n]),
+                          (scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def whole_map_sst(scal, gamma):
     """The SST reassignment on the whole map at once: every retained cell in
     one np.add.at call, in row-major order."""
@@ -166,41 +179,48 @@ class TestCWT:
     @pytest.mark.parametrize("n", [256, 257])
     def test_rows_match_one_scale_transforms(self, n):
         # every row, so the first and last scale of each FFT block and the
-        # rows of a trailing partial block are all checked (npad = 2048 here,
-        # for 193 and 194 scales)
+        # rows of a trailing partial block are all checked (npad = 2048 and
+        # M = 512 here, for 193 and 194 scales)
         x, dt = beat_series(n)
         p = tfa.BumpParams()
         scal = tfa.cwt_bump(x, dt, p)
-        npad = padded_length(n, dt, scal.scales, p)
-        X = np.fft.fft(x, npad)
-        omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
-        for i, a in enumerate(scal.scales):
-            win = np.sqrt(a) * tfa._bump_window(a * omega, p)
-            np.testing.assert_array_equal(scal.coeffs[i], np.fft.ifft(X * win)[:n])
-            np.testing.assert_array_equal(scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])
+        assert_rows_match_one_scale_transforms(scal, x, dt, p, padded_length(n, dt, scal.scales, p))
 
     def test_rows_match_one_scale_transforms_on_custom_scales(self):
         # the first scale's support is the first positive bin alone and the
         # second's ends at the last one; the rest alternate wide and narrow
-        # supports, so each of the three blocks (16 scales at npad = 16 n)
+        # supports, so each of the three blocks (64 scales at M = 1024)
         # reuses buffer rows that held wide and narrow supports before
         n, dt, p = 256, 0.1, tfa.BumpParams()
         npad = 16 * n
         omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
         first, last = p.mu / omega[1], p.mu / omega[npad // 2 - 1]
-        k = np.arange(45)
+        k = np.arange(150)
         scales = np.r_[first, last, np.where(k % 2, 0.3 * first / (1 + k), last * (1 + k / 20))]
         assert padded_length(n, dt, scales, p) == npad
         x, _ = beat_series(n, dt)
         scal = tfa.cwt_bump(x, dt, p, scales=scales)
-        X = np.fft.fft(x, npad)
         support = [np.flatnonzero(tfa._bump_window(a * omega, p)) for a in scales]
         assert support[0].tolist() == [1] and support[1][-1] == npad // 2 - 1
         assert max(len(s) for s in support[2::2]) > 100 > 10 > min(len(s) for s in support[3::2])
-        for i, a in enumerate(scales):
-            win = np.sqrt(a) * tfa._bump_window(a * omega, p)
-            np.testing.assert_array_equal(scal.coeffs[i], np.fft.ifft(X * win)[:n])
-            np.testing.assert_array_equal(scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])
+        assert_rows_match_one_scale_transforms(scal, x, dt, p, npad)
+
+    def test_rows_match_one_scale_transforms_on_a_wide_bump(self):
+        # the widest support holds more than npad - n bins, so the chirp-z
+        # convolution runs at a length M above npad
+        n, p = 256, tfa.BumpParams(1.0, 0.9)
+        x, dt = beat_series(n)
+        scal = tfa.cwt_bump(x, dt, p)
+        npad = padded_length(n, dt, scal.scales, p)
+        omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        widest = max(np.count_nonzero(tfa._bump_window(a * omega, p)) for a in scal.scales)
+        assert widest > npad - n
+        assert_rows_match_one_scale_transforms(scal, x, dt, p, npad)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+    def test_scale_not_finite_and_positive_rejected(self, bad):
+        with pytest.raises(tfa.TFAError, match="finite values > 0"):
+            tfa.cwt_bump(np.ones(256), 0.1, scales=np.array([bad]))
 
     def test_scale_out_of_band_rejected(self):
         with pytest.raises(tfa.TFAError):
@@ -261,6 +281,13 @@ class TestSST:
     def test_negative_gamma_rejected(self):
         with pytest.raises(tfa.TFAError):
             tfa.synchrosqueeze(self.scal, gamma=-1.0)
+
+    @pytest.mark.parametrize("pick", [[40], [40, 40], [41, 40]])
+    def test_scales_other_than_two_or_more_ascending_rejected(self, pick):
+        # one scale, two equal scales and a descending pair
+        scal = tfa.cwt_bump(self.x, self.dt, scales=self.scal.scales[pick])
+        with pytest.raises(tfa.TFAError, match="strictly ascending"):
+            tfa.synchrosqueeze(scal)
 
     def test_freq_bins_ascending(self):
         assert np.all(np.diff(self.sst.freq_bins) > 0)
