@@ -65,11 +65,13 @@ class CorrelationSeries:
 
 
 def _uniform_grid(times_tbar) -> np.ndarray:
-    """``times_tbar`` as a float array; CCEError unless it is uniform from 0
-    with a positive step and at least two samples."""
+    """``times_tbar`` as a float array; CCEError unless it is finite and
+    uniform from 0 with a positive step and at least two samples."""
     t = np.asarray(times_tbar, dtype=float)
     if len(t) < 2 or t[0] != 0.0:
         raise CCEError("time grid must start at 0 with at least two samples")
+    if not np.isfinite(t).all():
+        raise CCEError("time grid must be finite")
     dt = np.diff(t)
     if not dt[0] > 0:
         raise CCEError(f"time grid must increase, got step {dt[0]!r}")
@@ -129,20 +131,34 @@ def combination_coefficients(cset: ClusterSet) -> dict:
 
     Summing Ctilde_c = C_c - sum_{s < c present} Ctilde_s over the set gives
     the superset identity a(k) = 1 - sum_{s > k present} a(s), solved exactly
-    in one pass from the largest clusters down, walking each cluster's proper
-    subsets. Zero weights are left out; the rest come in set order.
+    in one pass from the largest clusters down. Each size is an int array of
+    rows in lex order, keyed in radix n (the site count); a larger size's
+    column subsets are looked up among its keys by ``searchsorted`` and add
+    their a by ``np.add.at``. Zero weights are left out; the rest come in set
+    order.
     """
-    # keyed by the set's clusters only: a larger dict of every subset, freed
-    # before the trace, raised glibc's mmap threshold and the run's peak RSS
-    above = dict.fromkeys(cset.clusters, 0)     # cluster -> sum of its supersets' a
-    coeffs = {}
-    for c in reversed(cset.clusters):
-        coeffs[c] = a = 1 - above[c]
-        for k in range(1, len(c)):
-            for s in combinations(c, k):
-                if s in above:
-                    above[s] += a
-    return {c: coeffs[c] for c in cset.clusters if coeffs[c]}
+    sizes = [np.array(list(g), dtype=np.int64) for _, g in groupby(cset.clusters, len)]
+    n = 1 + max((int(c.max()) for c in sizes), default=0)
+    done = []                                   # (clusters, a) of each larger size
+    for small in reversed(sizes):
+        radix = _radix(n, small.shape[1])
+        keys, above = small @ radix, np.zeros(len(small), dtype=np.int64)
+        for big, a in done:
+            for cols in combinations(range(big.shape[1]), small.shape[1]):
+                q = big[:, cols] @ radix
+                at = np.searchsorted(keys, q).clip(max=len(keys) - 1)
+                hit = keys[at] == q
+                np.add.at(above, at[hit], a[hit])
+        done.append((small, 1 - above))
+    weights = [x for _, a in reversed(done) for x in a.tolist()]
+    return {c: x for c, x in zip(cset.clusters, weights) if x}
+
+
+def _radix(n: int, k: int) -> np.ndarray:
+    """Place values n**(k-1), ..., 1 of a k-digit radix-n key: int64 while
+    n**k fits, else Python ints, so that no key wraps."""
+    return np.array([n ** p for p in range(k - 1, -1, -1)],
+                    dtype=np.int64 if n ** k <= 2 ** 63 else object)
 
 
 def _finalize_series(total: np.ndarray, times_tbar, realization,
@@ -199,19 +215,26 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
 
     Clusters go in chunks of ~2**22 / (d * nt), which fix the K = nc * d rows
     of each per-sample trace sum and so the bits of the result. Of a chunk
-    only E and the real W = w |B'|^2 / d are held whole, in buffers reused by
-    every chunk: the eigen stage runs on sub-blocks of ~2**16 / d**2
-    clusters, and P, Q = W @ P (a real GEMM on P's float view) and the trace
-    sum_k conj(Q) P on 16-sample tiles.
+    only E and the real W = a |B'|^2 / d (a the cluster's CCE weight) are
+    held whole, in buffers reused by every chunk: the eigen stage runs on
+    sub-blocks of ~2**16 / d**2 clusters, and P, Q = W @ P (a real GEMM on
+    P's float view) and the trace sum_k conj(Q) P on tiles of w samples.
+    w is the widest multiple of 4 from 4 to 16 whose K rows of w + 1
+    complex samples take at most 1 MiB, so P and Q each fit half of a 2 MiB
+    L2 while a tile's dots and multiplies walk them (w = 4 at K = 16 384,
+    16 up to K = 3855).
     These rules keep the bits of a chunk-wide P, Q = W @ conj(P) and
     einsum("cmt,cmt->t") under the OpenBLAS SkylakeX, Haswell and Sandybridge
-    kernels, except in the last samples of a tile of a grid of nt >= 32 not a
-    multiple of 4, where SkylakeX dgemm edge kernels may round otherwise:
+    kernels, except in the last samples of a grid of two or more tiles whose
+    nt is not a multiple of 4, where SkylakeX dgemm edge kernels may round
+    otherwise:
 
     - the phase table is built column by column on strided columns (see
-      ``_phase_table``): nt % 16 joins the last tile, and a later tile
+      ``_phase_table``): nt % w joins the last tile, and a later tile
       continues from the previous tile's last column, carried into its
       column 0;
+    - w stays a multiple of 4, so the GEMM's N = 2w is a multiple of 8: at
+      w = 14 it rounds otherwise;
     - the per-sample dot is ``vecdot(Q, P)`` with both operands at a non-unit
       stride, which selects OpenBLAS's sequential zdotc loop: its
       accumulators are the exact negations of zdotu's on conj(Q), as the
@@ -219,14 +242,17 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     - buffer rows have odd length, so the dot's row-by-row walk does not
       map every step onto one cache set;
     - a sub-block holds one cluster only if its chunk does: a one-row
-      ``A[clusters] @ mz.T`` in ``bath_operator_diagonal`` rounds otherwise.
+      ``A[clusters] @ mz.T`` in ``bath_operator_diagonal`` rounds otherwise;
+    - B' = (conj(V) b)^T V is one batched matmul, with the bits of
+      einsum("ckm,ck,ckn->cmn", optimize=True).
     """
     dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
     nt, dt = len(times_tbar), times_tbar[1] - times_tbar[0]
     out = np.zeros(nt, dtype=complex)
 
     chunk = max(1, int(2 ** 22 / (dim * nt)))
-    tiles = _blocks(nt, 16)
+    rows = min(chunk, len(clusters)) * dim
+    tiles = _blocks(nt, min(16, max(4, (2 ** 16 // rows - 1) // 4 * 4)))
     shape = (min(chunk, len(clusters)), dim, (nt - tiles[-1][0] + 1) | 1)
     P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     E_buf, W_buf = np.empty(shape[:2]), np.empty(shape[:2] + (dim,))
@@ -237,7 +263,7 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
         for s, e in _blocks(nc, max(2, 2 ** 16 // dim ** 2)):
             E[s:e], V = np.linalg.eigh(cluster_hamiltonians(cl[s:e], realization, c_hf, mask))
             b = bath_operator_diagonal(cl[s:e], realization)   # (e - s, dim), diagonal of B
-            Bp = np.einsum("ckm,ck,ckn->cmn", V.conj(), b, V, optimize=True)
+            Bp = (V.conj() * b[:, :, None]).mT @ V
             W[s:e] = (np.abs(Bp) ** 2) * (w[s:e] / dim)[:, None, None]
         f = E / realization.A_bar
         step, first = np.exp(1j * f * (dt + 0j)), np.exp(1j * f * times_tbar[0])

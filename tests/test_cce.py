@@ -29,6 +29,11 @@ class TestTimeGrid:
             cce.CorrelationSeries(np.array([1.0, 2.0]), np.zeros(2))
         with pytest.raises(cce.CCEError):
             cce.CorrelationSeries(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+        # NaN or inf anywhere after t = 0, the first step included
+        for times in ([0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, np.inf], [0.0, np.inf],
+                      [0.0, 1.0, np.inf, np.inf]):
+            with pytest.raises(cce.CCEError, match="time grid must be finite"):
+                cce.CorrelationSeries(np.array(times), np.zeros(len(times)))
 
 
 def by_size(cset, n):
@@ -109,6 +114,32 @@ class TestCombinationCoefficients:
         cset = cce.enumerate_clusters(bath, 0.5e-9, 2)
         coeffs = cce.combination_coefficients(cset)
         assert coeffs == {(0,): 1, (1,): 1, (2,): 1}
+
+    def test_sizes_without_clusters(self):
+        # two pairs far apart: no triple or quadruple at order 4, and an
+        # empty set gives no weights
+        bath = bath_from_positions([[0, 0, 0], [0.3e-9, 0, 0], [5e-9, 0, 0],
+                                    [5.3e-9, 0, 0], [10e-9, 0, 0]],
+                                   species(), (0, 0, 1), DIAMOND_A0)
+        cset = cce.enumerate_clusters(bath, 0.5e-9, 4)
+        assert {len(c) for c in cset.clusters} == {1, 2}
+        coeffs = cce.combination_coefficients(cset)
+        assert coeffs == reference_coefficients(cset)
+        assert coeffs == {(0, 1): 1, (2, 3): 1, (4,): 1}
+        assert cce.combination_coefficients(cce.ClusterSet(3, ())) == {}
+
+    def test_keys_past_int64(self):
+        # order 6 on 7 spins with every site index above 1448: n**6 > 2**63,
+        # so a radix-n key of a 6-site row does not fit in int64
+        bath = random_bath(np.random.default_rng(4), 7, scale=0.2e-9)
+        small = cce.enumerate_clusters(bath, 1e-6, 6)
+        assert len(by_size(small, 6)) == 7
+        relabel = {v: 1449 + 1000 * v for v in range(7)}
+        cset = cce.ClusterSet(6, tuple(tuple(relabel[v] for v in c) for c in small.clusters))
+        coeffs = cce.combination_coefficients(cset)
+        assert coeffs == reference_coefficients(cset)
+        assert coeffs == {tuple(relabel[v] for v in c): a
+                          for c, a in cce.combination_coefficients(small).items()}
 
 
 def reference_clusters(bath, r_cutoff, max_order):
@@ -279,8 +310,10 @@ class TestCCERecursion:
         assert s.metadata["max_imag"] < 1e-10 * abs(s.values[0])
 
     @pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 40) ** 2,
-                                       np.linspace(1.0, 11.0, 64), np.zeros(1)],
-                             ids=["non-uniform", "offset", "one-sample"])
+                                       np.linspace(1.0, 11.0, 64), np.zeros(1),
+                                       np.array([0.0, 1.0, np.nan, 3.0]),
+                                       np.array([0.0, np.inf, np.inf])],
+                             ids=["non-uniform", "offset", "one-sample", "nan", "inf"])
     def test_bad_grid_refused_before_eigensolves(self, monkeypatch, times):
         def unreachable(*args, **kwargs):
             raise AssertionError("Hamiltonians assembled for a grid that is refused")
@@ -373,7 +406,8 @@ def group_inputs(spin, size, n_spins, n_clusters):
 
 class TestTraceMatchesReference:
     # 223 clusters of dimension d on nt samples: a chunk of 218 clusters, then
-    # a partial chunk of 5, each traced over 16-sample tiles
+    # a partial chunk of 5, each traced over 75 tiles: 16 samples wide at
+    # K = 218 * 16 rows, 4 wide at K = 218 * 64
     @pytest.mark.parametrize("spin,size,n_spins,nt,mask", [
         (0.5, 4, 11, 1200, TermMask.full()),
         (1.5, 3, 13, 300, TermMask.full()),
@@ -404,7 +438,7 @@ class TestTraceMatchesReference:
             else:
                 qs.append(q)
         qs = [q.reshape(-1, dim, nt) for q in qs]
-        assert len(tiles) == 2 * (nt // 16) and [len(q) for q in qs] == [218, 5]
+        assert len(tiles) == 2 * 75 and [len(q) for q in qs] == [218, 5]
 
         zeros = []
 
@@ -422,9 +456,10 @@ class TestTraceMatchesReference:
 
 
 class TestTiledTraceMatchesReference:
-    # nt = 33, 36, 1000 and 1001 end in a merged tile of 17, 20, 24 and 25
-    # samples; below 32 the grid is one tile. At nt = 1000 both sizes end in
-    # a partial chunk (262 clusters of d = 16, 65 of d = 64), and each full
+    # every case has K of 4160 to 4480 rows and so 12-sample tiles: nt = 33,
+    # 256, 1000 and 1001 end in a merged tile of 21, 16, 16 and 17 samples;
+    # below 24 the grid is one tile. At nt = 1000 both sizes end in a partial
+    # chunk (262 clusters of d = 16, 65 of d = 64), and each full
     # chunk in a remainder of the eigen sub-blocks (256 and 16 clusters) that
     # joins the last sub-block: 6 clusters, and a single cluster
     @pytest.mark.parametrize("nt", [2, 5, 15, 16, 17, 33, 36, 256, 1000, 1001])
@@ -449,6 +484,30 @@ class TestTiledTraceMatchesReference:
             # SkylakeX dgemm edge kernels round the last samples of a tile
             # narrower than the grid otherwise
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_full_chunk_at_k_16384_bit_identical_to_chunk_wide_trace(self):
+        # 4100 spin-1/2 pairs on 256 samples: a chunk of 4096 (K = 16 384
+        # rows, 4-sample tiles) and a partial chunk of 4
+        bath, clusters, weights = group_inputs(0.5, 2, 92, 4100)
+        t = cce.time_grid(60.0, 256)
+        assert 2 ** 22 // (4 * len(t)) == 4096
+        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_full_chunk_at_k_16384_fits_the_cache_budget(self):
+        # 4096 spin-1/2 pairs on 256 samples: P and Q of (4096, 4, 5) complex
+        # take 2.5 MiB (6.4 MiB traced in all); at 16-sample tiles P and Q
+        # alone would take 8.5 MiB
+        bath, clusters, weights = group_inputs(0.5, 2, 92, 4096)
+        t = cce.time_grid(60.0, 256)
+        tracemalloc.start()
+        try:
+            cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_odd_grid_memory_matches_even_grid(self):
         # an odd grid is tiled like an even one: no buffer spans its samples
