@@ -62,7 +62,8 @@ class TestByteIdentity:
         freqs = np.array([1.0, 0.5, 0.05])
         coeffs = edge_rows(3).astype(complex)
         scal = tfa.Scalogram(scales=5.0 / freqs, center_freqs=freqs,
-                             times_tbar=EDGE.copy(), coeffs=coeffs, dcoeffs=coeffs)
+                             times_tbar=EDGE.copy(), coeffs=coeffs,
+                             sst_bins=np.full(coeffs.shape, -1, dtype=np.int16))
         sst = tfa.SSTMap(freq_bins=freqs[::-1].copy(), times_tbar=scal.times_tbar,
                          coeffs=coeffs[::-1].copy())
         record = cli.RunRecord(cli.RunConfig(outdir=str(tmp_path)), "new")

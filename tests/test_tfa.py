@@ -32,7 +32,20 @@ def padded_length(n, dt, scales, p):
     return 1 << int(np.ceil(np.log2(min(need, 16 * n))))
 
 
-def assert_rows_match_one_scale_transforms(scal, x, dt, p, npad):
+def cwt_and_derivative(x, dt, p=tfa.BumpParams(), scales=None):
+    """cwt_bump's scalogram, and the whole time-derivative map dW assembled
+    from the row blocks of the same block code (tfa._cwt_rows), which
+    cwt_bump reads one block at a time and keeps no copy of."""
+    scal = tfa.cwt_bump(x, dt, p, scales=scales)
+    W = np.empty_like(scal.coeffs)
+    dW = np.empty_like(W)
+    for r, block in tfa._cwt_rows(np.asarray(x, dtype=float), dt, p, scal.scales, W):
+        dW[r] = block
+    assert np.array_equal(W, scal.coeffs)
+    return scal, dW
+
+
+def assert_rows_match_one_scale_transforms(scal, dW, x, dt, p, npad):
     """Each row of W and dW lies within 1e-13 of its own max modulus of the
     one-scale inverse FFT at npad."""
     n = len(x)
@@ -41,18 +54,18 @@ def assert_rows_match_one_scale_transforms(scal, x, dt, p, npad):
     for i, a in enumerate(scal.scales):
         win = np.sqrt(a) * tfa._bump_window(a * omega, p)
         for got, want in ((scal.coeffs[i], np.fft.ifft(X * win)[:n]),
-                          (scal.dcoeffs[i], np.fft.ifft(X * win * 1j * omega)[:n])):
+                          (dW[i], np.fft.ifft(X * win * 1j * omega)[:n])):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def whole_map_sst(scal, gamma):
-    """The SST reassignment on the whole map at once: every retained cell in
-    one np.add.at call, in row-major order."""
+def whole_map_sst(scal, dW, gamma):
+    """The SST reassignment on the whole map at once, from W and dW: every
+    retained cell in one np.add.at call, in row-major order."""
     W = scal.coeffs
     absW = np.abs(W)
     sel = absW > gamma * absW.max()
     w_inst = np.full(W.shape, np.nan)
-    w_inst[sel] = np.real(-1j * scal.dcoeffs[sel] / W[sel])
+    w_inst[sel] = np.real(-1j * dW[sel] / W[sel])
     log_f = np.log2(scal.center_freqs[::-1])
     dlog = (log_f[-1] - log_f[0]) / (len(log_f) - 1)
     valid = sel & (w_inst > 0)
@@ -183,8 +196,9 @@ class TestCWT:
         # M = 512 here, for 193 and 194 scales)
         x, dt = beat_series(n)
         p = tfa.BumpParams()
-        scal = tfa.cwt_bump(x, dt, p)
-        assert_rows_match_one_scale_transforms(scal, x, dt, p, padded_length(n, dt, scal.scales, p))
+        scal, dW = cwt_and_derivative(x, dt, p)
+        assert_rows_match_one_scale_transforms(scal, dW, x, dt, p,
+                                               padded_length(n, dt, scal.scales, p))
 
     def test_rows_match_one_scale_transforms_on_custom_scales(self):
         # the first scale's support is the first positive bin alone and the
@@ -199,23 +213,23 @@ class TestCWT:
         scales = np.r_[first, last, np.where(k % 2, 0.3 * first / (1 + k), last * (1 + k / 20))]
         assert padded_length(n, dt, scales, p) == npad
         x, _ = beat_series(n, dt)
-        scal = tfa.cwt_bump(x, dt, p, scales=scales)
+        scal, dW = cwt_and_derivative(x, dt, p, scales)
         support = [np.flatnonzero(tfa._bump_window(a * omega, p)) for a in scales]
         assert support[0].tolist() == [1] and support[1][-1] == npad // 2 - 1
         assert max(len(s) for s in support[2::2]) > 100 > 10 > min(len(s) for s in support[3::2])
-        assert_rows_match_one_scale_transforms(scal, x, dt, p, npad)
+        assert_rows_match_one_scale_transforms(scal, dW, x, dt, p, npad)
 
     def test_rows_match_one_scale_transforms_on_a_wide_bump(self):
         # the widest support holds more than npad - n bins, so the chirp-z
         # convolution runs at a length M above npad
         n, p = 256, tfa.BumpParams(1.0, 0.9)
         x, dt = beat_series(n)
-        scal = tfa.cwt_bump(x, dt, p)
+        scal, dW = cwt_and_derivative(x, dt, p)
         npad = padded_length(n, dt, scal.scales, p)
         omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
         widest = max(np.count_nonzero(tfa._bump_window(a * omega, p)) for a in scal.scales)
         assert widest > npad - n
-        assert_rows_match_one_scale_transforms(scal, x, dt, p, npad)
+        assert_rows_match_one_scale_transforms(scal, dW, x, dt, p, npad)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
     def test_scale_not_finite_and_positive_rejected(self, bad):
@@ -238,6 +252,28 @@ class TestCWT:
         assert not tfa._bump_window(a * omega, p).any()
         with pytest.raises(tfa.TFAError, match="empty bump support"):
             tfa.cwt_bump(np.ones(n), dt, p, scales=np.array([a]))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_time_step_not_finite_and_positive_rejected(self, dt):
+        with pytest.raises(tfa.TFAError, match="time step finite and > 0"):
+            tfa.cwt_bump(np.ones(256), dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_series_not_finite_rejected(self, bad):
+        x = np.ones(256)
+        x[100] = bad
+        with pytest.raises(tfa.TFAError, match="nonempty finite series"):
+            tfa.cwt_bump(x, 0.1)
+
+    @pytest.mark.parametrize("scales", [None, np.array([5.0, 6.0])])
+    def test_empty_series_rejected(self, scales):
+        with pytest.raises(tfa.TFAError, match="nonempty finite series"):
+            tfa.cwt_bump(np.array([]), 0.1, scales=scales)
+
+    @pytest.mark.parametrize("voices", [0, -4, np.nan])
+    def test_voices_below_one_rejected(self, voices):
+        with pytest.raises(tfa.TFAError, match="voices_per_octave must be >= 1"):
+            tfa.cwt_bump(np.ones(256), 0.1, voices_per_octave=voices)
 
     def test_voices_control_grid_density(self):
         t, x = tone_series(n=1024)
@@ -282,6 +318,12 @@ class TestSST:
         with pytest.raises(tfa.TFAError):
             tfa.synchrosqueeze(self.scal, gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_not_finite_rejected(self, gamma):
+        # at either, the threshold gamma * max|W| used to keep no cell
+        with pytest.raises(tfa.TFAError, match="gamma must be finite and >= 0"):
+            tfa.synchrosqueeze(self.scal, gamma=gamma)
+
     @pytest.mark.parametrize("pick", [[40], [40, 40], [41, 40]])
     def test_scales_other_than_two_or_more_ascending_rejected(self, pick):
         # one scale, two equal scales and a descending pair
@@ -302,24 +344,53 @@ class TestSST:
 @pytest.mark.parametrize("gamma", [0.0, 1e-8, 0.5])
 def test_sst_matches_whole_map_reassignment(n, gamma):
     x, dt = beat_series(n)
-    scal = tfa.cwt_bump(x, dt)
+    scal, dW = cwt_and_derivative(x, dt)
+    assert scal.sst_bins.dtype == np.int16
     np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
-                                  whole_map_sst(scal, gamma))
+                                  whole_map_sst(scal, dW, gamma))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-8])
-def test_sst_with_exact_zero_cells_matches_whole_map_reassignment(gamma):
-    # exact zeros of W (a whole row, a column, scattered cells) make the
-    # block-wide phase transform divide by zero; no warning may escape
+def test_sst_with_exact_zero_cells_matches_whole_map_reassignment(gamma, monkeypatch):
+    # exact zeros of W (a whole row, a column, scattered cells), set in each
+    # row block before cwt_bump reads it, make the block-wide phase transform
+    # divide by zero: no warning may escape, and those cells get no bin
+    rows = tfa._cwt_rows
+
+    def zeroed(x, dt, p, scales, W):
+        zero = np.random.default_rng(3).random(W.shape) < 0.05
+        zero[5] = zero[:, 17] = True
+        for r, dW in rows(x, dt, p, scales, W):
+            W[r][zero[r]] = 0.0
+            if r.start <= 5 < r.stop:
+                dW[5 - r.start, ::2] = 0.0
+            yield r, dW
+
+    monkeypatch.setattr(tfa, "_cwt_rows", zeroed)
     x, dt = beat_series(256)
-    scal = tfa.cwt_bump(x, dt)
-    W = scal.coeffs
-    W[5] = 0.0
-    W[:, 17] = 0.0
-    W[np.random.default_rng(3).random(W.shape) < 0.05] = 0.0
-    scal.dcoeffs[5, ::2] = 0.0
+    scal, dW = cwt_and_derivative(x, dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.real(-1j * dW / scal.coeffs)
+    assert (scal.coeffs == 0).sum() > 0.05 * scal.coeffs.size
+    assert not np.isfinite(w[scal.coeffs == 0]).any()
+    assert (scal.sst_bins[~(np.isfinite(w) & (w > 0))] == -1).all()
     np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
-                                  whole_map_sst(scal, gamma))
+                                  whole_map_sst(scal, dW, gamma))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_sst_on_more_scales_than_int16_bins_matches_whole_map_reassignment(extra):
+    # 2^15 scales take bins 0 .. 2^15 - 1, the int16 map's range; one more
+    # takes an int32 map, and the tone at the top center frequency fills
+    # bins above int16's range
+    n, dt, p = 16, 1.0, tfa.BumpParams()
+    scales = np.geomspace(p.mu, 1.5 * p.mu, 2 ** 15 + extra)
+    x = np.cos(np.arange(n) * dt)
+    scal, dW = cwt_and_derivative(x, dt, p, scales)
+    assert scal.sst_bins.dtype == (np.int32 if extra else np.int16)
+    assert scal.sst_bins.max() >= 2 ** 15 - 1 + extra
+    np.testing.assert_array_equal(tfa.synchrosqueeze(scal, 0.0).coeffs,
+                                  whole_map_sst(scal, dW, 0.0))
 
 
 def traced_peak(fn, *args):
@@ -332,19 +403,24 @@ def traced_peak(fn, *args):
 
 class TestWorkingSet:
     def test_no_map_sized_temporaries(self, tmp_path):
-        # besides W, dW and T the layer holds only blocks: a few scales' FFTs
-        # in the CWT, a few rows of cells in the SST and in the map export
+        # besides W and the bin map, and then T, the stage holds only blocks:
+        # a few scales' FFTs and their dW in the CWT, a few rows of cells in
+        # the SST and in the map export
         t, x = tone_series(omega=0.5, n=4096, tmax=400 * np.pi)
         tracemalloc.start()
         try:
+            base = tracemalloc.get_traced_memory()[0]
             scal, cwt_peak = traced_peak(tfa.cwt_bump, x, t[1] - t[0])
+            held = tracemalloc.get_traced_memory()[0] - base
             sst, sst_peak = traced_peak(tfa.synchrosqueeze, scal)
             _, save_peak = traced_peak(tfa.save_map, tmp_path / "sst.bin",
                                        tmp_path / "sst.meta.txt", sst)
         finally:
             tracemalloc.stop()
-        assert cwt_peak <= scal.coeffs.nbytes + scal.dcoeffs.nbytes + 8 * 2 ** 20
-        assert sst_peak <= 1.5 * sst.coeffs.nbytes
+        maps = scal.coeffs.nbytes + scal.sst_bins.nbytes
+        assert cwt_peak <= maps + 8 * 2 ** 20
+        # the traced peak of the CWT followed by the SST
+        assert max(cwt_peak, held + sst_peak) <= maps + sst.coeffs.nbytes + 8 * 2 ** 20
         assert save_peak <= 2 ** 20
 
 
