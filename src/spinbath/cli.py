@@ -264,8 +264,8 @@ class RunRecord:
         self.timings = {}       # stage -> seconds
 
     def run(self, name, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)`` timed as stage ``name``; input errors and
-        failures of a nested stage pass through unchanged."""
+        """``fn(*args, **kwargs)`` timed as stage ``name``, whose runs add up;
+        input errors and failures of a nested stage pass through unchanged."""
         t0 = time.perf_counter()
         try:
             result = fn(*args, **kwargs)
@@ -273,7 +273,7 @@ class RunRecord:
             raise
         except Exception as exc:
             raise PipelineError(f"stage {name!r} failed: {exc}") from exc
-        self.timings[name] = time.perf_counter() - t0
+        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
         return result
 
     def path(self, name: str, shared: bool = False) -> Path:
@@ -337,26 +337,33 @@ def _save_correlation(record: RunRecord, series):
     return cbar
 
 
-def _analyze(record: RunRecord, cfg: RunConfig, cbar):
-    """Spectrum, CWT and SST of a normalized series, with the spectrum and
-    both maps exported. Returns (scalogram, SST map)."""
+def _analyze(record: RunRecord, cfg: RunConfig, cbar, bands: bool = False) -> None:
+    """Spectrum, CWT and SST of a normalized series, with the spectrum, both
+    maps and, with ``bands``, each map's band traces exported. The SST is
+    written over the CWT map once the CWT's own products are out, so the
+    stage holds one map."""
     spectrum = record.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
+    tfa.save_spectrum(record.path("spectrum.csv"), spectrum)
     scal = record.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
                       tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-    sst = record.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst)
-    tfa.save_spectrum(record.path("spectrum.csv"), spectrum)
-    for kind, obj in (("cwt", scal), ("sst", sst)):
-        tfa.save_map(record.path(f"{kind}.bin"), record.path(f"{kind}.meta.txt"), obj)
-    return scal, sst
+    _save_map(record, "cwt", scal, bands)
+    sst = record.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst, out=scal.coeffs)
+    _save_map(record, "sst", sst, bands)
 
 
-def _save_bands(record: RunRecord, scal, sst) -> None:
+def _save_map(record: RunRecord, kind: str, obj, bands: bool) -> None:
+    """Write a map as ``{kind}.bin`` and, with ``bands``, its band traces."""
+    tfa.save_map(record.path(f"{kind}.bin"), record.path(f"{kind}.meta.txt"), obj)
+    if bands:
+        record.run("bands", _save_bands, record, kind, obj)
+
+
+def _save_bands(record: RunRecord, kind: str, obj) -> None:
     for name, (lo, hi) in BANDS.items():
-        for kind, obj in (("cwt", scal), ("sst", sst)):
-            trace = tfa.band_amplitude(obj, lo, hi)
-            with open(record.path(f"band_{name}_{kind}.csv"), "w") as fh:
-                fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
-                cce._write_rows(fh, scal.times_tbar, trace)
+        trace = tfa.band_amplitude(obj, lo, hi)
+        with open(record.path(f"band_{name}_{kind}.csv"), "w") as fh:
+            fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
+            cce._write_rows(fh, obj.times_tbar, trace)
 
 
 def run_pipeline(cfg: RunConfig) -> RunRecord:
@@ -372,8 +379,7 @@ def _pipeline(record: RunRecord, cfg: RunConfig, realization, cset) -> RunRecord
     series = _cce(record, cfg, realization, cset)
     lattice.save_realization(record.path("realization.csv", shared=True), realization)
     cbar = _save_correlation(record, series)
-    scal, sst = record.run("analyze", _analyze, record, cfg, cbar)
-    record.run("bands", _save_bands, record, scal, sst)
+    record.run("analyze", _analyze, record, cfg, cbar, bands=True)
     record.write()
     return record
 

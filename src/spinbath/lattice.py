@@ -101,7 +101,9 @@ class BathRealization:
         object.__setattr__(self, "hf_axis", axis)
         if len(A) != len(pos):
             raise LatticeError("positions and hf couplings disagree in length")
-        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:     # NaN fails too
+        with np.errstate(over="ignore"):        # a norm past the float range is inf
+            norm = np.linalg.norm(axis)
+        if not abs(norm - 1.0) <= 1e-12:        # NaN and inf fail too
             raise LatticeError("hf_axis must be a unit vector")
         if len(A) and (np.any(A <= 0) or np.any(A > self.species.A0 * (1 + 1e-12))):
             raise LatticeError("hyperfine couplings must satisfy 0 < A_i <= A0")
@@ -153,8 +155,8 @@ def compute_E_dd(gamma: float, a0: float) -> float:
     ratio ``gamma`` one bond length a0 sqrt(3)/4 apart."""
     if a0 <= 0:
         raise LatticeError("a0 must be positive")
-    bond = a0 * np.sqrt(3.0) / 4.0
     with np.errstate(all="ignore"):
+        bond = a0 * np.sqrt(3.0) / 4.0
         e_dd = MU0_OVER_4PI * HBAR * np.float64(gamma) ** 2 / bond ** 3
     if not 0 < e_dd < np.inf:
         raise LatticeError(f"gamma = {gamma:g} and a0 = {a0:g} give no finite E_dd")

@@ -105,9 +105,47 @@ def _row_blocks(shape: tuple, cells: int) -> list:
     return [slice(i, min(i + b, shape[0])) for i in range(0, shape[0], b)]
 
 
+def _smooth_lengths(m) -> np.ndarray:
+    """The smallest 2^a 3^b 5^c at or above each m, elementwise: lengths
+    that numpy's FFT splits into radix-2, -3 and -5 passes alone."""
+    m = np.asarray(m)
+    top = 1 << int(m.max() - 1).bit_length()        # a power of two is one of them
+    table = []
+    p5 = 1
+    while p5 <= top:
+        p3 = p5
+        while p3 <= top:
+            p = p3
+            while p <= top:
+                table.append(p)
+                p *= 2
+            p3 *= 3
+        p5 *= 5
+    table.sort()
+    return np.array(table)[np.searchsorted(table, m)]
+
+
+def _length_blocks(lengths: list, cells: int) -> list:
+    """Consecutive row slices, each with the largest of its rows' transform
+    lengths: a block grows while its rows times that length stay within
+    `cells`, and holds one row at least."""
+    blocks, start = [], 0
+    while start < len(lengths):
+        stop, M = start + 1, lengths[start]
+        while stop < len(lengths) and (stop + 1 - start) * max(M, lengths[stop]) <= cells:
+            M = max(M, lengths[stop])
+            stop += 1
+        blocks.append((slice(start, stop), M))
+        start = stop
+    return blocks
+
+
 def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, W: np.ndarray):
     """Fill W a row block at a time (see cwt_bump), yielding each block's rows
-    r and their time derivative dW[r] in a buffer the next block reuses."""
+    r and their time derivative dW[r] in a buffer the next block reuses.
+    Each block runs its chirp-z convolution at its own length M, the smallest
+    2^a 3^b 5^c >= n + K - 1 for the block's widest support K, with at most
+    2^15 rows times M cells per product."""
     n = len(x)
     # pad far enough that the narrowest bump (largest scale) still covers at
     # least two FFT bins: resolution 2 pi / (npad dt) <= sigma / a_max
@@ -115,22 +153,24 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
     need = min(need, 16 * n)        # absurd scales still fail the support check
     npad = 1 << int(np.ceil(np.log2(need)))
     pos = slice(1, (npad + 1) // 2)     # the bump support, as mu > sigma > 0
-    X = np.fft.fft(x, npad)[pos]
+    X = np.fft.fft(x, npad)[pos].copy()     # copies: the negative halves are not kept
     omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[pos]
     # support bins of each scale; the extra bin on each side covers rounding
     # of a * omega against (omega -+ sigma / a) at the edges of |u| < 1
     lo = np.maximum(np.searchsorted(omega, (params.mu - params.sigma) / scales) - 1, 0)
     hi = np.minimum(np.searchsorted(omega, (params.mu + params.sigma) / scales) + 1, len(omega))
     root = np.exp(2j * np.pi * np.fft.fftfreq(2 * npad))  # root[q] = w^(q/2)
-    M = 1 << int(n + (hi - lo).max() - 2).bit_length()
-    lag = np.r_[:n, n - M:0]                              # t - j at each of the M points
-    chirp = np.fft.fft(root[-lag * lag % (2 * npad)]) / npad
+    blocks = _length_blocks(_smooth_lengths(n + hi - lo - 1).tolist(), 2 ** 15)
+    rows_max = max(r.stop - r.start for r, _ in blocks)
+    buf = np.empty(2 * max((r.stop - r.start) * M for r, M in blocks), dtype=complex)
+    phase = np.empty((rows_max, n), dtype=np.int64)
+    dW = np.empty((rows_max, n), dtype=complex)
     t = np.arange(n)
-    blocks = _row_blocks((len(scales), M), 2 ** 16)
-    buf = np.empty((2, blocks[0].stop, M), dtype=complex)
-    phase = np.empty((blocks[0].stop, n), dtype=np.int64)
-    dW = np.empty((blocks[0].stop, n), dtype=complex)
-    for r in blocks:
+    chirp = np.empty(0)
+    for r, M in blocks:
+        if len(chirp) != M:                     # over ascending scales M only falls
+            lag = np.r_[:n, n - M:0]            # t - j at each of the M points
+            chirp = np.fft.fft(root[-lag * lag % (2 * npad)]) / npad
         m = hi[r] - lo[r]                       # a block's supports, end to end
         rows = np.repeat(np.arange(len(m)), m)
         j = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
@@ -140,7 +180,7 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
         if empty.any():
             raise TFAError(f"scale {scales[r][empty.argmax()]} has empty bump "
                            "support inside the sampled band")
-        blk, q, d = buf[:, :len(m)], phase[:len(m)], dW[:len(m)]
+        blk, q, d = buf[:2 * len(m) * M].reshape(2, len(m), M), phase[:len(m)], dW[:len(m)]
         blk[...] = 0
         y = root[j * j % (2 * npad)]
         y *= X[bins]
@@ -170,9 +210,11 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     the next power of two resolving the narrowest bump: analytic for real
     input, as the bump lies at positive frequencies only. A chirp-z
     (Bluestein) transform sums it over the K support bins k0 + j by one FFT
-    convolution at M >= n + max K - 1: with w = exp(2 pi i / npad), row[t] =
+    convolution of length M >= n + K - 1: with w = exp(2 pi i / npad), row[t] =
     w^(t^2/2 + k0 t) / npad * sum_j y_j w^(j^2/2) w^(-(t-j)^2/2), each phase
-    from one root table at an exact integer index, 2^16 // M rows per buffer.
+    from one root table at an exact integer index. Each row block takes its
+    own M, the smallest 2^a 3^b 5^c at or above n + K - 1 for its widest K,
+    and holds about 2^15 / M rows.
     Each block's exact spectral time derivative dW, never held whole, gives
     its cells' phase-transform frequency w = Re(-i dW/W) and so the SST bin:
     the nearest center frequency on a log2 axis (int16 up to 2^15 scales), or
@@ -209,43 +251,64 @@ def _ascending(scales: np.ndarray) -> bool:
     return len(scales) > 1 and bool((np.diff(scales) > 0).all())
 
 
-def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
+def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8,
+                   out: np.ndarray | None = None) -> SSTMap:
     """Reassign CWT coefficients to instantaneous-frequency bins.
 
     Each cell whose |W| exceeds gamma * max|W| and that has an SST bin (see
-    cwt_bump) contributes W * a^(-3/2) * da to that bin. Both passes walk
-    max(1, 2^15 // n_times) scale rows at a time, and the retained cells
-    scatter by flat index into T, so every bin sums its cells in row-major order.
+    cwt_bump) contributes W * a^(-3/2) * da to that bin. A column of the SST
+    map T depends only on the same column of W and of the bin map, so after
+    max|W| the reassignment walks max(1, 2^15 // n_scales) columns at a time:
+    a block's cells scatter by flat index, in row-major order, into a zeroed
+    block buffer (a dropped cell into one slot past it), so every bin sums
+    its cells in row-major order, and the buffer is written into T. T is a
+    new zeroed map, or ``out``, a complex array of W's shape that may be the
+    scalogram's own coeffs: the SST then consumes the scalogram, each block
+    of W read before T overwrites it, and no second map is held.
     """
     if not 0 <= gamma < np.inf:
         raise TFAError(f"gamma must be finite and >= 0, got {gamma}")
     if not _ascending(scalogram.scales):
         raise TFAError("synchrosqueezing needs two or more strictly ascending scales")
     W, bins = scalogram.coeffs, scalogram.sst_bins
-    blocks = _row_blocks(W.shape, 2 ** 15)
-    thr = gamma * np.max([np.abs(W[r]).max() for r in blocks]) if W.size else 0.0
+    thr = gamma * np.max([np.abs(W[r]).max() for r in _row_blocks(W.shape, 2 ** 15)]) \
+        if W.size else 0.0
     weight = scalogram.scales ** -1.5 * np.gradient(scalogram.scales)
-    n_cols = W.shape[1]
-    T = np.zeros(W.shape, dtype=complex)
-    for r in blocks:
-        Wb = W[r]
-        cells = np.flatnonzero((np.abs(Wb) > thr) & (bins[r] >= 0))   # row-major
-        rows, cols = np.divmod(cells, n_cols)
-        k = bins[r].reshape(-1)[cells].astype(np.intp)
-        np.add.at(T.reshape(-1), k * n_cols + cols, Wb.reshape(-1)[cells] * weight[r][rows])
+    n_rows, n_cols = W.shape
+    T = np.zeros(W.shape, dtype=complex) if out is None else out
+    width = max(1, 2 ** 15 // n_rows)
+    buf = np.empty(n_rows * min(width, n_cols) + 1, dtype=complex)
+    for c in range(0, n_cols, width):
+        cols = slice(c, min(c + width, n_cols))
+        w = cols.stop - c
+        keep = (np.abs(W[:, cols]) > thr) & (bins[:, cols] >= 0)
+        mass = W[:, cols] * weight[:, None]
+        k = bins[:, cols].astype(np.intp)      # int16 * w would wrap
+        k *= w
+        k += np.arange(w)
+        k[~keep] = mass.size
+        Tb = buf[:mass.size + 1]
+        Tb[...] = 0
+        np.add.at(Tb, k.reshape(-1), mass.reshape(-1))
+        T[:, cols] = Tb[:-1].reshape(mass.shape)
     return SSTMap(freq_bins=scalogram.center_freqs[::-1], times_tbar=scalogram.times_tbar,
                   coeffs=T, metadata=dict(scalogram.metadata))
 
 
 def band_amplitude(obj, omega_lo: float, omega_hi: float) -> np.ndarray:
-    """Per-time-sample sum of |coefficients| over a frequency band."""
+    """Per-time-sample sum of |coefficients| over a frequency band, added a
+    row at a time in row order, as a sum over rows adds them, so no copy of
+    the band's rows is held."""
     if not isinstance(obj, (Scalogram, SSTMap)):
         raise TFAError(f"unsupported map type {type(obj).__name__}")
     freqs = obj.center_freqs if isinstance(obj, Scalogram) else obj.freq_bins
-    sel = (freqs >= omega_lo) & (freqs <= omega_hi)
-    if not sel.any():
+    rows = np.flatnonzero((freqs >= omega_lo) & (freqs <= omega_hi))
+    if not rows.size:
         raise TFAError(f"no frequency rows inside band [{omega_lo}, {omega_hi}]")
-    return np.abs(obj.coeffs[sel]).sum(axis=0)
+    total = np.abs(obj.coeffs[rows[0]])
+    for i in rows[1:]:
+        total += np.abs(obj.coeffs[i])
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,9 @@ class TestExitCodes:
         # a header and no site rows: refused before the mean coupling of none
         pytest.param("realization_file = {tmp}/no-sites.csv", ["run", "{cfg}"], 1,
                      "no-sites.csv: no site rows", id="realization-without-sites"),
+        # the header's axis norm overflows: refused with no RuntimeWarning first
+        pytest.param("realization_file = {tmp}/huge-axis.csv", ["run", "{cfg}"], 1,
+                     "hf_axis must be a unit vector", id="realization-axis-norm-overflows"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
                      id="malformed-series"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
@@ -570,6 +573,8 @@ class TestExitCodes:
                                    code, named):
         (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
         (tmp_path / "no-sites.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n")
+        (tmp_path / "huge-axis.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,1e155,0,0\n"
+                                                "10,0,0,0,1\n")
         (tmp_path / "latin1.txt").write_bytes("order = 2 # \xb5s\n".encode("latin-1"))
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body.format(tmp=tmp_path)))
         argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
@@ -579,7 +584,8 @@ class TestExitCodes:
         assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
         assert not (outdir / "correlation.csv").exists()
 
-    @pytest.mark.parametrize("extra_body", ["gamma = 1e200", "a0 = 1e-300"])
+    # a0 = 1.5e308 overflows the bond length, with no RuntimeWarning
+    @pytest.mark.parametrize("extra_body", ["gamma = 1e200", "a0 = 1e-300", "a0 = 1.5e308"])
     def test_infinite_E_dd_refused_before_outdir(self, tmp_path, capsys, extra_body):
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
         assert cli.main(["run", str(cfgp)]) == 1

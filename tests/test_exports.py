@@ -67,7 +67,8 @@ class TestByteIdentity:
         sst = tfa.SSTMap(freq_bins=freqs[::-1].copy(), times_tbar=scal.times_tbar,
                          coeffs=coeffs[::-1].copy())
         record = cli.RunRecord(cli.RunConfig(outdir=str(tmp_path)), "new")
-        cli._save_bands(record, scal, sst)
+        cli._save_bands(record, "cwt", scal)
+        cli._save_bands(record, "sst", sst)
         assert len(record.products) == 2 * len(cli.BANDS)
         for name, (lo, hi) in cli.BANDS.items():
             for kind, obj in (("cwt", scal), ("sst", sst)):

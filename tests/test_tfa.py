@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbath import tfa
+from spinbath import cli, tfa
 from spinbath.cce import CorrelationSeries
 
 
@@ -43,6 +44,19 @@ def cwt_and_derivative(x, dt, p=tfa.BumpParams(), scales=None):
         dW[r] = block
     assert np.array_equal(W, scal.coeffs)
     return scal, dW
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_sst_in_place_matches(scal, gamma, fresh):
+    """The SST written over the scalogram's own W has the bits of the SST
+    into a new map (which consumes W: call last)."""
+    W = scal.coeffs
+    in_place = tfa.synchrosqueeze(scal, gamma, out=W).coeffs
+    assert in_place is W
+    assert_same_bits(in_place, fresh)
 
 
 def assert_rows_match_one_scale_transforms(scal, dW, x, dt, p, npad):
@@ -190,20 +204,30 @@ class TestCWT:
         assert np.abs(axy.coeffs - 2 * ax.coeffs - 3 * ay.coeffs).max() < 1e-10
 
     @pytest.mark.parametrize("n", [256, 257])
-    def test_rows_match_one_scale_transforms(self, n):
+    def test_rows_match_one_scale_transforms(self, n, monkeypatch):
         # every row, so the first and last scale of each FFT block and the
-        # rows of a trailing partial block are all checked (npad = 2048 and
-        # M = 512 here, for 193 and 194 scales)
+        # rows of a trailing partial block are all checked (npad = 2048 here,
+        # for 193 and 194 scales), at transform lengths M that are not all
+        # powers of two
+        length_blocks, lengths = tfa._length_blocks, []
+
+        def spy(*args):
+            blocks = length_blocks(*args)
+            lengths.extend(M for _, M in blocks)
+            return blocks
+
+        monkeypatch.setattr(tfa, "_length_blocks", spy)
         x, dt = beat_series(n)
         p = tfa.BumpParams()
         scal, dW = cwt_and_derivative(x, dt, p)
+        assert any(M & (M - 1) for M in lengths)
         assert_rows_match_one_scale_transforms(scal, dW, x, dt, p,
                                                padded_length(n, dt, scal.scales, p))
 
     def test_rows_match_one_scale_transforms_on_custom_scales(self):
         # the first scale's support is the first positive bin alone and the
         # second's ends at the last one; the rest alternate wide and narrow
-        # supports, so each of the three blocks (64 scales at M = 1024)
+        # supports, so each of the three blocks (at M = 675, 432 and 384)
         # reuses buffer rows that held wide and narrow supports before
         n, dt, p = 256, 0.1, tfa.BumpParams()
         npad = 16 * n
@@ -221,7 +245,7 @@ class TestCWT:
 
     def test_rows_match_one_scale_transforms_on_a_wide_bump(self):
         # the widest support holds more than npad - n bins, so the chirp-z
-        # convolution runs at a length M above npad
+        # convolution of the first block runs at a length M above npad
         n, p = 256, tfa.BumpParams(1.0, 0.9)
         x, dt = beat_series(n)
         scal, dW = cwt_and_derivative(x, dt, p)
@@ -274,6 +298,17 @@ class TestCWT:
     def test_voices_below_one_rejected(self, voices):
         with pytest.raises(tfa.TFAError, match="voices_per_octave must be >= 1"):
             tfa.cwt_bump(np.ones(256), 0.1, voices_per_octave=voices)
+
+    def test_smooth_lengths_match_brute_force(self):
+        def smooth(k):
+            for f in (2, 3, 5):
+                while k % f == 0:
+                    k //= f
+            return k == 1
+
+        m = np.arange(1, 5000)
+        want = [next(k for k in itertools.count(i) if smooth(k)) for i in m]
+        assert tfa._smooth_lengths(m).tolist() == want
 
     def test_voices_control_grid_density(self):
         t, x = tone_series(n=1024)
@@ -346,8 +381,9 @@ def test_sst_matches_whole_map_reassignment(n, gamma):
     x, dt = beat_series(n)
     scal, dW = cwt_and_derivative(x, dt)
     assert scal.sst_bins.dtype == np.int16
-    np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
-                                  whole_map_sst(scal, dW, gamma))
+    fresh = tfa.synchrosqueeze(scal, gamma).coeffs
+    np.testing.assert_array_equal(fresh, whole_map_sst(scal, dW, gamma))
+    assert_sst_in_place_matches(scal, gamma, fresh)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-8])
@@ -374,8 +410,9 @@ def test_sst_with_exact_zero_cells_matches_whole_map_reassignment(gamma, monkeyp
     assert (scal.coeffs == 0).sum() > 0.05 * scal.coeffs.size
     assert not np.isfinite(w[scal.coeffs == 0]).any()
     assert (scal.sst_bins[~(np.isfinite(w) & (w > 0))] == -1).all()
-    np.testing.assert_array_equal(tfa.synchrosqueeze(scal, gamma).coeffs,
-                                  whole_map_sst(scal, dW, gamma))
+    fresh = tfa.synchrosqueeze(scal, gamma).coeffs
+    np.testing.assert_array_equal(fresh, whole_map_sst(scal, dW, gamma))
+    assert_sst_in_place_matches(scal, gamma, fresh)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -389,8 +426,9 @@ def test_sst_on_more_scales_than_int16_bins_matches_whole_map_reassignment(extra
     scal, dW = cwt_and_derivative(x, dt, p, scales)
     assert scal.sst_bins.dtype == (np.int32 if extra else np.int16)
     assert scal.sst_bins.max() >= 2 ** 15 - 1 + extra
-    np.testing.assert_array_equal(tfa.synchrosqueeze(scal, 0.0).coeffs,
-                                  whole_map_sst(scal, dW, 0.0))
+    fresh = tfa.synchrosqueeze(scal, 0.0).coeffs
+    np.testing.assert_array_equal(fresh, whole_map_sst(scal, dW, 0.0))
+    assert_sst_in_place_matches(scal, 0.0, fresh)
 
 
 def traced_peak(fn, *args):
@@ -403,25 +441,40 @@ def traced_peak(fn, *args):
 
 class TestWorkingSet:
     def test_no_map_sized_temporaries(self, tmp_path):
-        # besides W and the bin map, and then T, the stage holds only blocks:
-        # a few scales' FFTs and their dW in the CWT, a few rows of cells in
-        # the SST and in the map export
+        # besides W and the bin map the stage holds only blocks: a few
+        # scales' FFTs and their dW in the CWT, a few columns of cells in the
+        # SST, which writes T over W, and a few rows in the map export
         t, x = tone_series(omega=0.5, n=4096, tmax=400 * np.pi)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             scal, cwt_peak = traced_peak(tfa.cwt_bump, x, t[1] - t[0])
             held = tracemalloc.get_traced_memory()[0] - base
-            sst, sst_peak = traced_peak(tfa.synchrosqueeze, scal)
+            sst, sst_peak = traced_peak(tfa.synchrosqueeze, scal, 1e-8, scal.coeffs)
             _, save_peak = traced_peak(tfa.save_map, tmp_path / "sst.bin",
                                        tmp_path / "sst.meta.txt", sst)
         finally:
             tracemalloc.stop()
         maps = scal.coeffs.nbytes + scal.sst_bins.nbytes
         assert cwt_peak <= maps + 8 * 2 ** 20
-        # the traced peak of the CWT followed by the SST
-        assert max(cwt_peak, held + sst_peak) <= maps + sst.coeffs.nbytes + 8 * 2 ** 20
+        assert held + sst_peak <= maps + 8 * 2 ** 20
         assert save_peak <= 2 ** 20
+
+    def test_analyze_holds_one_map(self, tmp_path):
+        # the CWT's map and band traces are written before the SST writes
+        # over W, so the stage never holds a second map-sized array
+        t, x = tone_series(omega=0.5, n=4096, tmax=400 * np.pi)
+        cfg = cli.RunConfig(outdir=str(tmp_path))
+        record = cli.RunRecord(cfg)
+        n_scales = len(tfa.default_scales(len(x), t[1] - t[0], tfa.BumpParams(), cfg.voices))
+        tracemalloc.start()
+        try:
+            _, peak = traced_peak(cli._analyze, record, cfg, CorrelationSeries(t, x), True)
+        finally:
+            tracemalloc.stop()
+        assert len(record.products) == 5 + 2 * len(cli.BANDS)
+        # W (complex) and the int16 bin map
+        assert peak <= n_scales * len(x) * (16 + 2) + 8 * 2 ** 20
 
 
 class TestBandAmplitude:
@@ -432,6 +485,17 @@ class TestBandAmplitude:
         out = tfa.band_amplitude(scal, 0.9, 1.1)
         mid = slice(512, 1536)
         assert inband[mid].mean() > 10 * out[mid].mean()
+
+    def test_rows_add_as_a_sum_over_rows(self):
+        # row by row in row order, with the bits of np.sum over axis 0
+        t, x = tone_series(omega=0.5, n=2048, tmax=200 * np.pi)
+        scal = tfa.cwt_bump(x, t[1] - t[0])
+        one = scal.center_freqs[100]
+        for lo, hi in [(0.0, 0.1), (0.4, 0.6), (one, one), (0.0, np.inf)]:
+            sel = (scal.center_freqs >= lo) & (scal.center_freqs <= hi)
+            assert sel.any()
+            assert_same_bits(tfa.band_amplitude(scal, lo, hi),
+                             np.abs(scal.coeffs[sel]).sum(axis=0))
 
     def test_empty_band_rejected(self):
         t, x = tone_series(n=512)
