@@ -50,7 +50,8 @@ class ClusterSet:
 
 @dataclass
 class CorrelationSeries:
-    """Real-valued correlation on a uniform normalized time grid."""
+    """Real-valued finite correlation, one value per sample of a uniform
+    normalized time grid (see ``_uniform_grid``)."""
     times_tbar: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -58,6 +59,11 @@ class CorrelationSeries:
     def __post_init__(self):
         self.times_tbar = _uniform_grid(self.times_tbar)
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != self.times_tbar.shape:
+            raise CCEError(f"{self.values.size} correlation values on "
+                           f"{len(self.times_tbar)} time samples")
+        if not np.isfinite(self.values).all():
+            raise CCEError("the correlation is not finite")
 
     @property
     def dt(self) -> float:
@@ -200,10 +206,14 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
         raise CCEError("no spinful sites in realization")
     coeffs = cset.weights                           # in set order: one run per size
     total = np.zeros(len(times_tbar), dtype=complex)
-    for _, group in groupby(coeffs.items(), key=lambda kv: len(kv[0])):
-        clusters, weights = zip(*group)
-        total += _group_correlation(np.array(clusters, dtype=int), np.array(weights, dtype=float),
-                                    realization, c_hf, mask, times_tbar)
+    # a value past the float range (|B'|^2, E / A_bar) leaves inf or NaN in
+    # the total, which CorrelationSeries refuses: no warning is printed first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, group in groupby(coeffs.items(), key=lambda kv: len(kv[0])):
+            clusters, weights = zip(*group)
+            total += _group_correlation(np.array(clusters, dtype=int),
+                                        np.array(weights, dtype=float),
+                                        realization, c_hf, mask, times_tbar)
     return _finalize_series(total, times_tbar, realization, order=cset.max_order_M,
                             mode="cce", n_clusters=len(cset.clusters))
 

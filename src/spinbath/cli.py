@@ -189,9 +189,21 @@ def _validate(cfg: RunConfig) -> None:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
     try:
-        lattice.compute_E_dd(cfg.gamma, cfg.a0)
+        e_dd = lattice.compute_E_dd(cfg.gamma, cfg.a0)
     except lattice.LatticeError as exc:
         raise ConfigError(str(exc)) from None
+    # the couplings are A0 exp(-r^2 / L0^2): both scales stay finite and > 0
+    with np.errstate(over="ignore", under="ignore"):
+        a0_hf, l0_sq = cfg.A0_over_Edd * e_dd, np.float64(cfg.L0) ** 2
+    for name, value, what in (("A0_over_Edd", a0_hf, "A0 = A0_over_Edd * E_dd"),
+                              ("L0", l0_sq, "L0^2")):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name!r} = {getattr(cfg, name):g} gives {what} = {value:g}, "
+                              "not finite and > 0")
+    n_sites = 8 * math.prod(cfg.box)
+    if cfg.sites and not 0 <= min(cfg.sites) <= max(cfg.sites) < n_sites:
+        raise ConfigError(f"'sites' index outside 0 to {n_sites - 1}, the sites of "
+                          f"'box' = {' '.join(map(str, cfg.box))}")
     _check_cluster_dim(f"'spin' = {cfg.spin:g}", cfg.spin, cfg.order)
 
 
@@ -204,10 +216,16 @@ def _check_cluster_dim(what: str, spin: float, order: int) -> None:
 
 def _check_band_coverage(cfg: RunConfig) -> None:
     """Every band in BANDS needs at least one CWT row (the SST bins are the
-    same frequencies) on the configured time grid and voice count."""
+    same frequencies) on the configured time grid and voice count; a scale
+    grid that ``tfa.default_scales`` refuses is a config error too."""
     times = cce.time_grid(cfg.tbar_max, cfg.samples)
-    scales = tfa.default_scales(cfg.samples, times[1] - times[0],
-                                tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    try:
+        scales = tfa.default_scales(cfg.samples, times[1] - times[0],
+                                    tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    except tfa.TFAError as exc:
+        raise ConfigError(f"'mu' = {cfg.mu:g}, 'tbar_max' = {cfg.tbar_max:g}, 'samples' = "
+                          f"{cfg.samples} and 'voices' = {cfg.voices} give no wavelet "
+                          f"scale grid: {exc}") from None
     freqs = cfg.mu / scales
     for name, (lo, hi) in BANDS.items():
         if not ((freqs >= lo) & (freqs <= hi)).any():
@@ -344,25 +362,23 @@ def _analyze(record: RunRecord, cfg: RunConfig, cbar, bands: bool = False) -> No
     stage holds one map."""
     spectrum = record.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
     tfa.save_spectrum(record.path("spectrum.csv"), spectrum)
-    scal = record.run("cwt", tfa.cwt_bump, cbar.values, cbar.dt,
-                      tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-    _save_map(record, "cwt", scal, bands)
-    sst = record.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst, out=scal.coeffs)
-    _save_map(record, "sst", sst, bands)
+    scal = record.run("cwt", tfa.cwt_bump, cbar, tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    _save_map(record, scal, bands)
+    _save_map(record, record.run("sst", tfa.synchrosqueeze, scal, cfg.gamma_sst), bands)
 
 
-def _save_map(record: RunRecord, kind: str, obj, bands: bool) -> None:
+def _save_map(record: RunRecord, obj, bands: bool) -> None:
     """Write a map as ``{kind}.bin`` and, with ``bands``, its band traces."""
-    tfa.save_map(record.path(f"{kind}.bin"), record.path(f"{kind}.meta.txt"), obj)
+    tfa.save_map(record.path(f"{obj.kind}.bin"), record.path(f"{obj.kind}.meta.txt"), obj)
     if bands:
-        record.run("bands", _save_bands, record, kind, obj)
+        record.run("bands", _save_bands, record, obj)
 
 
-def _save_bands(record: RunRecord, kind: str, obj) -> None:
+def _save_bands(record: RunRecord, obj) -> None:
     for name, (lo, hi) in BANDS.items():
         trace = tfa.band_amplitude(obj, lo, hi)
-        with open(record.path(f"band_{name}_{kind}.csv"), "w") as fh:
-            fh.write(f"# band = {name} [{lo}, {hi}] ({kind})\n")
+        with open(record.path(f"band_{name}_{obj.kind}.csv"), "w") as fh:
+            fh.write(f"# band = {name} [{lo}, {hi}] ({obj.kind})\n")
             cce._write_rows(fh, obj.times_tbar, trace)
 
 

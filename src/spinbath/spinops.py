@@ -1,7 +1,8 @@
 """Spin-I matrices.
 
-Dense complex matrices throughout; cluster dimensions stay <= (2I+1)^4 = 256
-for the spin values in scope. Basis ordering is m = I down to -I.
+Dense complex matrices throughout; cluster dimensions (2I+1)^order stay at or
+below cce.EXACT_DIM_CAP = 4096, which spin 3/2 reaches at order 6. Basis
+ordering is m = I down to -I.
 """
 from __future__ import annotations
 

@@ -7,10 +7,11 @@ already the normalized angular frequency omega_bar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .cce import CorrelationSeries, _key_cells, _write_rows
+from .cce import CorrelationSeries, _blocks, _key_cells, _write_rows
 
 
 class TFAError(ValueError):
@@ -37,31 +38,35 @@ class Spectrum:
 
 @dataclass
 class Scalogram:
+    kind: ClassVar[str] = "cwt"
     scales: np.ndarray          # ascending scale = descending frequency
-    center_freqs: np.ndarray    # mu / a, per scale
+    freqs: np.ndarray           # center frequency mu / a of each row
     times_tbar: np.ndarray
     coeffs: np.ndarray          # (n_scales, n_times) complex
-    sst_bins: np.ndarray        # each cell's SST bin (freq_bins index), -1 for none
+    sst_bins: np.ndarray        # each cell's SST bin (SSTMap row), -1 for none
     metadata: dict = field(default_factory=dict)
 
 
 @dataclass
 class SSTMap:
-    freq_bins: np.ndarray       # ascending omega_bar bins (log-spaced)
+    kind: ClassVar[str] = "sst"
+    freqs: np.ndarray           # ascending omega_bar bins (log-spaced)
     times_tbar: np.ndarray
     coeffs: np.ndarray          # (n_bins, n_times) complex
     metadata: dict = field(default_factory=dict)
 
 
 def normalize_correlation(series: CorrelationSeries) -> CorrelationSeries:
-    """Shift to zero time-mean and rescale so the t = 0 value is exactly 1."""
+    """Shift to zero time-mean and rescale so the t = 0 value is exactly 1; a
+    mean past the float range leaves values that the new series refuses."""
     v = series.values
-    mean = v.mean()
-    denom = v[0] - mean
-    if abs(denom) <= 1e-14 * max(abs(v[0]), 1e-300):
-        raise TFAError("degenerate correlation series: C(0) equals its time mean")
-    return CorrelationSeries(times_tbar=series.times_tbar.copy(), values=(v - mean) / denom,
-                             metadata={**series.metadata, "normalized": True})
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = v.mean()
+        denom = v[0] - mean
+        if abs(denom) <= 1e-14 * max(abs(v[0]), 1e-300):
+            raise TFAError("degenerate correlation series: C(0) equals its time mean")
+        return CorrelationSeries(times_tbar=series.times_tbar.copy(), values=(v - mean) / denom,
+                                 metadata={**series.metadata, "normalized": True})
 
 
 def power_spectrum(series: CorrelationSeries, zero_pad_factor: int = 1) -> Spectrum:
@@ -87,22 +92,24 @@ def _bump_window(xi: np.ndarray, p: BumpParams) -> np.ndarray:
 def default_scales(n: int, dt: float, params: BumpParams,
                    voices_per_octave: int = 32) -> np.ndarray:
     """Log2-spaced scales spanning wavelet periods from 2*dt up to half the
-    series duration."""
-    if not voices_per_octave >= 1:
-        raise TFAError(f"voices_per_octave must be >= 1, got {voices_per_octave}")
-    a_min = params.mu * dt / np.pi                 # center freq at Nyquist
-    a_max = params.mu * (n * dt) / (4.0 * np.pi)   # period = duration / 2
-    n_oct = np.log2(a_max / a_min)
-    if n_oct <= 0:
-        raise TFAError("series too short for the requested scale range")
-    k = np.arange(int(np.ceil(n_oct * voices_per_octave)) + 1)
+    series duration. A range of no positive finite octave count, or of more
+    scales than the int32 SST bin map indexes (2^31 - 1), is refused before
+    any scale is made."""
+    if not 1 <= voices_per_octave <= 2 ** 31 - 1:
+        raise TFAError(f"voices_per_octave must be >= 1 and at most 2^31 - 1, "
+                       f"got {voices_per_octave}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_min = params.mu * np.float64(dt) / np.pi     # center freq at Nyquist
+        a_max = params.mu * (n * dt) / (4.0 * np.pi)   # period = duration / 2
+        n_oct = np.log2(a_max / a_min)
+    if not 0 < n_oct < np.inf:
+        raise TFAError(f"the scale range {a_min:g} to {a_max:g} spans no positive finite "
+                       "octave count")
+    count = np.ceil(n_oct * voices_per_octave) + 1
+    if count > 2 ** 31 - 1:
+        raise TFAError(f"{count:.3g} scales, above the 2^31 - 1 the SST bin map indexes")
+    k = np.arange(int(count))
     return a_min * 2.0 ** (k / voices_per_octave)
-
-
-def _row_blocks(shape: tuple, cells: int) -> list:
-    """Consecutive row slices of a (rows, cols) map, ~`cells` cells each."""
-    b = max(1, cells // max(shape[1], 1))
-    return [slice(i, min(i + b, shape[0])) for i in range(0, shape[0], b)]
 
 
 def _smooth_lengths(m) -> np.ndarray:
@@ -149,8 +156,9 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
     n = len(x)
     # pad far enough that the narrowest bump (largest scale) still covers at
     # least two FFT bins: resolution 2 pi / (npad dt) <= sigma / a_max
-    need = max(n, int(np.ceil(2.0 * np.pi * scales.max() / (params.sigma * dt))))
-    need = min(need, 16 * n)        # absurd scales still fail the support check
+    with np.errstate(over="ignore"):
+        need = np.ceil(2.0 * np.pi * scales.max() / (params.sigma * dt))
+    need = int(min(max(n, need), 16 * n))   # absurd scales still fail the support check
     npad = 1 << int(np.ceil(np.log2(need)))
     pos = slice(1, (npad + 1) // 2)     # the bump support, as mu > sigma > 0
     X = np.fft.fft(x, npad)[pos].copy()     # copies: the negative halves are not kept
@@ -201,10 +209,11 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
         yield r, d
 
 
-def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
+def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
              voices_per_octave: int = 32,
              scales: np.ndarray | None = None) -> Scalogram:
-    """Bump-wavelet CWT evaluated in the Fourier domain, with each cell's SST bin.
+    """Bump-wavelet CWT of a series, evaluated in the Fourier domain, with
+    each cell's SST bin; the map's columns are the series' own time grid.
 
     Per scale a the row is ifft(xhat(w) * sqrt(a) * bump(a w))[:n] at npad,
     the next power of two resolving the narrowest bump: analytic for real
@@ -220,10 +229,7 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
     the nearest center frequency on a log2 axis (int16 up to 2^15 scales), or
     -1 where w is not finite and > 0, off the grid, or on a grid synchrosqueeze refuses.
     """
-    x = np.asarray(x, dtype=float)
-    if not (0 < dt < np.inf and x.size and np.isfinite(x).all()):
-        raise TFAError("the CWT needs a nonempty finite series and a time step finite and > 0, "
-                       f"got {x.size} samples and dt = {dt}")
+    x, dt = series.values, series.dt
     n = len(x)
     if scales is None:
         scales = default_scales(n, dt, params, voices_per_octave)
@@ -241,41 +247,36 @@ def cwt_bump(x: np.ndarray, dt: float, params: BumpParams = BumpParams(),
             bins[r] = np.where((k >= 0) & (k < len(scales)), k, -1)
     # approximate edge-effect halfwidth per scale, in samples
     coi = np.minimum(np.ceil(2.0 * np.pi * scales / (params.sigma * dt)), n).astype(int)
-    return Scalogram(scales=scales, center_freqs=center,
-                     times_tbar=np.arange(n) * dt, coeffs=W, sst_bins=bins,
-                     metadata={"voices_per_octave": voices_per_octave,
-                               "coi_halfwidth_samples": coi})
+    return Scalogram(scales=scales, freqs=center, times_tbar=series.times_tbar, coeffs=W,
+                     sst_bins=bins, metadata={"voices_per_octave": voices_per_octave,
+                                              "coi_halfwidth_samples": coi})
 
 
 def _ascending(scales: np.ndarray) -> bool:
     return len(scales) > 1 and bool((np.diff(scales) > 0).all())
 
 
-def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8,
-                   out: np.ndarray | None = None) -> SSTMap:
-    """Reassign CWT coefficients to instantaneous-frequency bins.
+def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
+    """Reassign CWT coefficients to instantaneous-frequency bins, writing the
+    SST map T over the scalogram's W: this consumes the scalogram.
 
     Each cell whose |W| exceeds gamma * max|W| and that has an SST bin (see
-    cwt_bump) contributes W * a^(-3/2) * da to that bin. A column of the SST
-    map T depends only on the same column of W and of the bin map, so after
-    max|W| the reassignment walks max(1, 2^15 // n_scales) columns at a time:
-    a block's cells scatter by flat index, in row-major order, into a zeroed
+    cwt_bump) contributes W * a^(-3/2) * da to that bin. A column of T
+    depends only on the same column of W and of the bin map, so after max|W|
+    the reassignment walks max(1, 2^15 // n_scales) columns at a time: a
+    block's cells scatter by flat index, in row-major order, into a zeroed
     block buffer (a dropped cell into one slot past it), so every bin sums
-    its cells in row-major order, and the buffer is written into T. T is a
-    new zeroed map, or ``out``, a complex array of W's shape that may be the
-    scalogram's own coeffs: the SST then consumes the scalogram, each block
-    of W read before T overwrites it, and no second map is held.
+    its cells in row-major order, and the buffer is written over the block
+    of W it was read from. No second map is held.
     """
     if not 0 <= gamma < np.inf:
         raise TFAError(f"gamma must be finite and >= 0, got {gamma}")
     if not _ascending(scalogram.scales):
         raise TFAError("synchrosqueezing needs two or more strictly ascending scales")
     W, bins = scalogram.coeffs, scalogram.sst_bins
-    thr = gamma * np.max([np.abs(W[r]).max() for r in _row_blocks(W.shape, 2 ** 15)]) \
-        if W.size else 0.0
-    weight = scalogram.scales ** -1.5 * np.gradient(scalogram.scales)
     n_rows, n_cols = W.shape
-    T = np.zeros(W.shape, dtype=complex) if out is None else out
+    thr = gamma * max(np.abs(W[s:e]).max() for s, e in _blocks(n_rows, max(1, 2 ** 15 // n_cols)))
+    weight = scalogram.scales ** -1.5 * np.gradient(scalogram.scales)
     width = max(1, 2 ** 15 // n_rows)
     buf = np.empty(n_rows * min(width, n_cols) + 1, dtype=complex)
     for c in range(0, n_cols, width):
@@ -290,19 +291,16 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8,
         Tb = buf[:mass.size + 1]
         Tb[...] = 0
         np.add.at(Tb, k.reshape(-1), mass.reshape(-1))
-        T[:, cols] = Tb[:-1].reshape(mass.shape)
-    return SSTMap(freq_bins=scalogram.center_freqs[::-1], times_tbar=scalogram.times_tbar,
-                  coeffs=T, metadata=dict(scalogram.metadata))
+        W[:, cols] = Tb[:-1].reshape(mass.shape)
+    return SSTMap(freqs=scalogram.freqs[::-1], times_tbar=scalogram.times_tbar,
+                  coeffs=W, metadata=dict(scalogram.metadata))
 
 
-def band_amplitude(obj, omega_lo: float, omega_hi: float) -> np.ndarray:
+def band_amplitude(obj: Scalogram | SSTMap, omega_lo: float, omega_hi: float) -> np.ndarray:
     """Per-time-sample sum of |coefficients| over a frequency band, added a
     row at a time in row order, as a sum over rows adds them, so no copy of
     the band's rows is held."""
-    if not isinstance(obj, (Scalogram, SSTMap)):
-        raise TFAError(f"unsupported map type {type(obj).__name__}")
-    freqs = obj.center_freqs if isinstance(obj, Scalogram) else obj.freq_bins
-    rows = np.flatnonzero((freqs >= omega_lo) & (freqs <= omega_hi))
+    rows = np.flatnonzero((obj.freqs >= omega_lo) & (obj.freqs <= omega_hi))
     if not rows.size:
         raise TFAError(f"no frequency rows inside band [{omega_lo}, {omega_hi}]")
     total = np.abs(obj.coeffs[rows[0]])
@@ -320,20 +318,19 @@ def save_spectrum(path, spec: Spectrum) -> None:
         _write_rows(fh, spec.omega_bar, spec.power)
 
 
-def save_map(bin_path, meta_path, obj) -> list:
+def save_map(bin_path, meta_path, obj: Scalogram | SSTMap) -> list:
     """Modulus matrix at ``bin_path`` (little-endian float64, row-major, one
     row per frequency) and grids at 17 significant digits in the sidecar
     ``meta_path``, together every map cell exactly. Returns the two paths."""
-    freqs, kind = (obj.center_freqs, "cwt") if isinstance(obj, Scalogram) else (obj.freq_bins, "sst")
     with open(bin_path, "wb") as fh:        # a row block at a time: no map-sized copy
-        for r in _row_blocks(obj.coeffs.shape, 2 ** 15):
-            np.abs(obj.coeffs[r]).astype("<f8", copy=False).tofile(fh)
+        for s, e in _blocks(len(obj.coeffs), max(1, 2 ** 15 // obj.coeffs.shape[1])):
+            np.abs(obj.coeffs[s:e]).astype("<f8", copy=False).tofile(fh)
     with open(meta_path, "w") as fh:
-        fh.write(f"# kind = {kind}\n")
+        fh.write(f"# kind = {obj.kind}\n")
         fh.write("# shape = %d %d\n" % obj.coeffs.shape)
         for k, v in sorted(obj.metadata.items()):
             if not isinstance(v, np.ndarray):
                 fh.write(f"# {k} = {v}\n")
-        for axis, grid in (("omega_bar rows", freqs), ("tbar columns", obj.times_tbar)):
+        for axis, grid in (("omega_bar rows", obj.freqs), ("tbar columns", obj.times_tbar)):
             fh.write(f"# {axis}:\n" + ",".join(_key_cells(grid)) + "\n")
     return [bin_path, meta_path]

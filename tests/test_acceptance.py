@@ -60,13 +60,12 @@ def test_criterion_1_two_spin_channel_placement():
         inb[max(k - 1, 0): k + 2] = True
     spec_ratio = spec.power[~inb].sum() / spec.power[inb].sum()
 
-    scal = tfa.cwt_bump(cbar.values, cbar.dt)
-    sst = tfa.synchrosqueeze(scal)
+    sst = tfa.synchrosqueeze(tfa.cwt_bump(cbar))
     cols = np.arange(n // 4, 3 * n // 4)    # away from the wavelet edges
     E = np.abs(sst.coeffs[:, cols]) ** 2
-    inb_rows = np.zeros(len(sst.freq_bins), dtype=bool)
+    inb_rows = np.zeros(len(sst.freqs), dtype=bool)
     for w0 in (0.5, 1.0):
-        k = np.argmin(np.abs(sst.freq_bins - w0))
+        k = np.argmin(np.abs(sst.freqs - w0))
         inb_rows[max(k - 1, 0): k + 2] = True
     sst_ratio = E[~inb_rows].sum() / E[inb_rows].sum()
     elapsed = time.perf_counter() - t0
@@ -86,7 +85,7 @@ def test_criterion_2_detuning_beat():
 
     def band_trace(b):
         s = tfa.normalize_correlation(cce.exact_bath_correlation(b, times_tbar=times))
-        return tfa.band_amplitude(tfa.cwt_bump(s.values, s.dt), 0.4, 0.6), s.dt
+        return tfa.band_amplitude(tfa.cwt_bump(s), 0.4, 0.6), s.dt
 
     tr, dt = band_trace(bath)
     m = tr - tr.mean()
@@ -180,10 +179,10 @@ def test_criterion_6_magic_angle_suppression():
     cset = cce.enumerate_clusters(bath, 2.5 * DIAMOND_A0, 2)
     cbar = tfa.normalize_correlation(
         cce.compute_correlation(bath, cset, times_tbar=times))
-    sst = tfa.synchrosqueeze(tfa.cwt_bump(cbar.values, cbar.dt))
+    sst = tfa.synchrosqueeze(tfa.cwt_bump(cbar))
 
     def mass(lo, hi):
-        sel = (sst.freq_bins >= lo) & (sst.freq_bins <= hi)
+        sel = (sst.freqs >= lo) & (sst.freqs <= hi)
         return np.abs(sst.coeffs[sel]).sum()
 
     ratio = mass(0.0, 0.1) / mass(0.4, 0.6)
@@ -195,8 +194,6 @@ def test_criterion_7_sst_sharpening():
     n = 4096
     t = np.linspace(0.0, 400 * np.pi, n)
     x = np.cos(0.5 * t)
-    scal = tfa.cwt_bump(x, t[1] - t[0])
-    sst = tfa.synchrosqueeze(scal)
 
     def spread(freqs, coeffs):
         E = np.abs(coeffs[:, n // 4: 3 * n // 4]) ** 2
@@ -204,8 +201,10 @@ def test_criterion_7_sst_sharpening():
         fm = (w * freqs).sum() / w.sum()
         return np.sqrt((w * (freqs - fm) ** 2).sum() / w.sum())
 
-    s_c = spread(scal.center_freqs, scal.coeffs)
-    s_s = spread(sst.freq_bins, sst.coeffs)
+    scal = tfa.cwt_bump(cce.CorrelationSeries(t, x))
+    s_c = spread(scal.freqs, scal.coeffs)       # before the SST writes over W
+    sst = tfa.synchrosqueeze(scal)
+    s_s = spread(sst.freqs, sst.coeffs)
     ratio = s_s / s_c
     report(7, ratio <= 0.5, "energy-weighted frequency spread of the SST map "
            f"vs the scalogram for a pure tone (ratio {ratio:.2f} <= 0.5)")
@@ -221,7 +220,7 @@ def test_criterion_8_high_field_spin_comparison():
         gaps, _ = pair_gap_oracle(bath, mask=mask, lo=1e-9, hi=0.2)
         cbar = tfa.normalize_correlation(
             cce.exact_bath_correlation(bath, mask=mask, times_tbar=times))
-        tr = tfa.band_amplitude(tfa.cwt_bump(cbar.values, cbar.dt), 0.02, 0.1)
+        tr = tfa.band_amplitude(tfa.cwt_bump(cbar), 0.02, 0.1)
         n = len(tr)
         mid = tr[n // 4: 3 * n // 4]
         results[spin] = (len(gaps), (mid.max() - mid.min()) / mid.max())
@@ -247,8 +246,8 @@ def test_criterion_9_realization_fingerprinting():
         bath = nn_pair(axis=axis, center=center)
         s = cce.exact_bath_correlation(bath, mask=mask, times_tbar=times)
         v = s.values - s.values.mean()        # unnormalized: common scale
-        sst = tfa.synchrosqueeze(tfa.cwt_bump(v, s.dt))
-        sel = (sst.freq_bins >= 0.005) & (sst.freq_bins <= 0.1)
+        sst = tfa.synchrosqueeze(tfa.cwt_bump(cce.CorrelationSeries(s.times_tbar, v)))
+        sel = (sst.freqs >= 0.005) & (sst.freqs <= 0.1)
         return np.abs(sst.coeffs[sel]).sum()
 
     m_ref = pair_mass(U111)

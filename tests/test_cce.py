@@ -29,6 +29,8 @@ class TestTimeGrid:
             cce.CorrelationSeries(np.array([1.0, 2.0]), np.zeros(2))
         with pytest.raises(cce.CCEError):
             cce.CorrelationSeries(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+        with pytest.raises(cce.CCEError, match="0 correlation values on 2 time samples"):
+            cce.CorrelationSeries(np.array([0.0, 1.0]), np.zeros(0))
         # NaN or inf anywhere after t = 0, the first step included
         for times in ([0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, np.inf], [0.0, np.inf],
                       [0.0, 1.0, np.inf, np.inf]):

@@ -42,6 +42,10 @@ THREE_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12")
 FOUR_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12 13")
 
 
+#: a CCE correlation past the float range, as the run reports it
+NOT_FINITE = "stage 'cce' failed: the correlation is not finite"
+
+
 def with_keys(body, extra):
     """``body`` with every key that ``extra`` sets replaced by extra's line."""
     keys = {ln.partition("=")[0].strip() for ln in extra.splitlines() if "=" in ln}
@@ -51,10 +55,12 @@ def with_keys(body, extra):
 
 def cli_env():
     """The environment for ``python -m spinbath.cli``: this checkout's
-    sources first on PYTHONPATH, no output-directory override."""
+    sources first on PYTHONPATH, no output-directory override, and a
+    RuntimeWarning raised as an error, as pytest raises it in process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != cli.OUTDIR_ENV}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 
@@ -290,6 +296,20 @@ class TestSubcommands:
         derived = manifest_section(outdir / "manifest.txt", "derived")
         assert "cluster_counts" in derived
         assert derived == manifest_section(run_out / "manifest.txt", "derived")
+
+    def test_every_product_prints_the_series_grid(self, tmp_path):
+        # linspace(0, 500, 1000) ends at 500 exactly, where k * dt ends one
+        # ulp above it: the band traces and map sidecars print the series' grid
+        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, "tbar_max = 500\nsamples = 1000"))
+        assert cli.main(["run", str(cfgp)]) == 0
+        last = (outdir / "correlation.csv").read_text().splitlines()[-1].split(",")[0]
+        assert last == "5.0000000000000000e+02"
+        bands, metas = sorted(outdir.glob("band_*.csv")), sorted(outdir.glob("*.meta.txt"))
+        assert len(bands) == 2 * len(cli.BANDS) and len(metas) == 2
+        for p in bands:
+            assert p.read_text().splitlines()[-1].split(",")[0] == last
+        for p in metas:
+            assert p.read_text().splitlines()[-1].split(",")[-1] == last
 
     def test_run_determinism(self, tmp_path):
         cfg1, out1 = write_cfg(tmp_path, FAST_BODY, tmp_path / "o1", "a.cfg")
@@ -541,6 +561,18 @@ class TestExitCodes:
         pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
         pytest.param("sites = 10 11 10", ["run", "{cfg}"], 1, "'sites'",
                      id="repeated-site"),
+        pytest.param("hf_axis = angles 10", ["run", "{cfg}"], 1, "'hf_axis'",
+                     id="axis-angles-without-phi"),
+        pytest.param("hf_axis = miller 1 1", ["run", "{cfg}"], 1, "'hf_axis'",
+                     id="axis-miller-of-two"),
+        pytest.param("box = 3 3", ["run", "{cfg}"], 1, "'box'", id="box-of-two"),
+        # past the float range in the CCE, which prints no warning first
+        pytest.param("A0_over_Edd = 1e-320", ["run", "{cfg}"], 2, NOT_FINITE,
+                     id="E-over-A_bar-overflows"),
+        pytest.param("A0_over_Edd = 1e10\ngamma = 1e154", ["run", "{cfg}"], 2, NOT_FINITE,
+                     id="coupling-squared-overflows"),
+        pytest.param("c_hf = 1e308", ["run", "{cfg}"], 2, NOT_FINITE,
+                     id="hamiltonian-overflows"),
         # a lone spin's correlation is constant, so normalizing it fails
         pytest.param("order = 1", ["run", "{cfg}"], 1, "'order'", id="order-1"),
         # a grid whose Nyquist frequency lies below the 1Q and 2Q bands
@@ -561,6 +593,10 @@ class TestExitCodes:
                      id="malformed-series"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
                      id="missing-series"),
+        # finite values whose mean overflows, with no RuntimeWarning first
+        pytest.param("", ["analyze", "{cfg}", "{tmp}/huge.csv"], 2,
+                     "stage 'normalize' failed: the correlation is not finite",
+                     id="series-mean-overflows"),
         # a file that is not UTF-8 text, each input read once
         pytest.param("", ["run", "{tmp}/latin1.txt"], 1, "config file {tmp}/latin1.txt is not",
                      id="config-not-text"),
@@ -572,6 +608,7 @@ class TestExitCodes:
     def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
                                    code, named):
         (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
+        (tmp_path / "huge.csv").write_text("0,1e308\n1,1e308\n2,1e308\n3,-1e308\n")
         (tmp_path / "no-sites.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n")
         (tmp_path / "huge-axis.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,1e155,0,0\n"
                                                 "10,0,0,0,1\n")
@@ -593,6 +630,37 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "give no finite E_dd" in err
         assert not outdir.exists()
+
+    # decided by the config alone, each with no RuntimeWarning first
+    @pytest.mark.parametrize("extra_body, named", [
+        # the wavelet scale range overflows, or holds over 2^31 - 1 scales
+        pytest.param("mu = 1e308", "'mu'", id="scale-range-overflows"),
+        pytest.param("voices = 1000000000000", "'voices'", id="too-many-scales"),
+        pytest.param("A0_over_Edd = 1e308", "'A0_over_Edd'", id="A0-overflows"),
+        pytest.param("A0_over_Edd = 1e300\ngamma = 1e154", "'A0_over_Edd'",
+                     id="A0-overflows-at-large-gamma"),
+        pytest.param("L0 = 1e200", "'L0'", id="L0-squared-overflows"),
+        pytest.param("L0 = 1e-170", "'L0'", id="L0-squared-underflows"),
+        # box 3 3 3 holds sites 0 to 215
+        pytest.param("sites = 10 99999", "'sites'", id="site-above-box"),
+        pytest.param("sites = -1 3", "'sites'", id="negative-site")])
+    def test_out_of_range_refused_before_outdir(self, tmp_path, capsys, extra_body, named):
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
+        assert cli.main(["run", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+        assert not outdir.exists()
+
+    def test_padding_target_overflow_fails_the_cwt_stage(self, tmp_path, capsys):
+        # 2 pi a_max / (sigma dt) overflows to inf: the padding is capped
+        # before int() and the support check refuses the scale, no warning first
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "sigma = 1e-308"))
+        assert cli.main(["run", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage 'cwt' failed: ") and err.count("\n") == 1
+        assert "empty bump support" in err
+        assert not (outdir / "cwt.bin").exists()
 
     def test_cluster_dimension_refused_before_work(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

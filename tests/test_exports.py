@@ -61,14 +61,14 @@ class TestByteIdentity:
         # one row per band, so each band trace is |row| of the EDGE values
         freqs = np.array([1.0, 0.5, 0.05])
         coeffs = edge_rows(3).astype(complex)
-        scal = tfa.Scalogram(scales=5.0 / freqs, center_freqs=freqs,
+        scal = tfa.Scalogram(scales=5.0 / freqs, freqs=freqs,
                              times_tbar=EDGE.copy(), coeffs=coeffs,
                              sst_bins=np.full(coeffs.shape, -1, dtype=np.int16))
-        sst = tfa.SSTMap(freq_bins=freqs[::-1].copy(), times_tbar=scal.times_tbar,
+        sst = tfa.SSTMap(freqs=freqs[::-1].copy(), times_tbar=scal.times_tbar,
                          coeffs=coeffs[::-1].copy())
         record = cli.RunRecord(cli.RunConfig(outdir=str(tmp_path)), "new")
-        cli._save_bands(record, "cwt", scal)
-        cli._save_bands(record, "sst", sst)
+        cli._save_bands(record, scal)
+        cli._save_bands(record, sst)
         assert len(record.products) == 2 * len(cli.BANDS)
         for name, (lo, hi) in cli.BANDS.items():
             for kind, obj in (("cwt", scal), ("sst", sst)):
