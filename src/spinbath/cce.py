@@ -18,9 +18,8 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
+from .hamiltonian import TermMask, bath_operator_diagonal, cluster_dim, cluster_hamiltonians
 from .lattice import BathRealization, finite_floats, read_text
-from .spinops import spin_matrices
 
 #: Hilbert dimension cap of whole-bath ED and of a config's largest clusters
 EXACT_DIM_CAP = 4096
@@ -118,7 +117,7 @@ def enumerate_clusters(realization: BathRealization, r_cutoff: float,
 
 
 def cluster_correlation(cluster, realization: BathRealization,
-                        c_hf: float = 0.5, mask: TermMask = TermMask.full(), *,
+                        c_hf: float = 0.5, mask: TermMask = TermMask(), *,
                         times_tbar: np.ndarray) -> np.ndarray:
     """Complex C_zeta(tbar) of one cluster by exact diagonalization and a
     direct exp of every phase: the dense oracle behind
@@ -175,14 +174,13 @@ def _finalize_series(total: np.ndarray, times_tbar, realization,
 
 
 def exact_bath_correlation(realization: BathRealization, c_hf: float = 0.5,
-                           mask: TermMask = TermMask.full(), *,
+                           mask: TermMask = TermMask(), *,
                            times_tbar: np.ndarray) -> CorrelationSeries:
     """Whole-bath evaluation of the trace formula; the reference the CCE
     recursion is tested against. Refuses Hilbert dimensions above 4096."""
     n = realization.n_spins
-    d_local = int(round(2 * realization.species.spin_I)) + 1
-    if d_local ** n > EXACT_DIM_CAP:
-        raise CCEError(f"exact evaluation dimension {d_local}^{n} exceeds cap {EXACT_DIM_CAP}")
+    if cluster_dim(realization.species.spin_I, n) > EXACT_DIM_CAP:
+        raise CCEError(f"exact evaluation of {n} spins exceeds dimension cap {EXACT_DIM_CAP}")
     cluster = tuple(range(n))
     c = cluster_correlation(cluster, realization, c_hf, mask, times_tbar=times_tbar)
     return _finalize_series(c, times_tbar, realization, order=n, mode="exact")
@@ -192,7 +190,7 @@ def exact_bath_correlation(realization: BathRealization, c_hf: float = 0.5,
 # batched CCE driver
 
 def compute_correlation(realization: BathRealization, cset: ClusterSet,
-                        c_hf: float = 0.5, mask: TermMask = TermMask.full(), *,
+                        c_hf: float = 0.5, mask: TermMask = TermMask(), *,
                         times_tbar: np.ndarray) -> CorrelationSeries:
     """Total CCE correlation, vectorized over clusters of equal size.
 
@@ -256,7 +254,7 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
     - B' = (conj(V) b)^T V is one batched matmul, with the bits of
       einsum("ckm,ck,ckn->cmn", optimize=True).
     """
-    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
+    dim = cluster_dim(realization.species.spin_I, clusters.shape[1])
     nt, dt = len(times_tbar), times_tbar[1] - times_tbar[0]
     out = np.zeros(nt, dtype=complex)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cce, lattice, tfa
-from .hamiltonian import TermMask
+from .hamiltonian import TermMask, cluster_dim
 
 OUTDIR_ENV = "SPINBATH_OUTDIR"
 
@@ -209,7 +209,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def _check_cluster_dim(what: str, spin: float, order: int) -> None:
     """Refuse a spin whose clusters at ``order`` exceed the dimension cap."""
-    if (round(2 * spin) + 1) ** order > cce.EXACT_DIM_CAP:
+    if cluster_dim(spin, order) > cce.EXACT_DIM_CAP:
         raise ConfigError(f"{what} at 'order' = {order} gives clusters of "
                           f"dimension {2 * spin + 1:g}^{order}, above {cce.EXACT_DIM_CAP}")
 
@@ -217,15 +217,21 @@ def _check_cluster_dim(what: str, spin: float, order: int) -> None:
 def _check_band_coverage(cfg: RunConfig) -> None:
     """Every band in BANDS needs at least one CWT row (the SST bins are the
     same frequencies) on the configured time grid and voice count; a scale
-    grid that ``tfa.default_scales`` refuses is a config error too."""
+    grid that ``tfa.default_scales`` refuses, or one with a scale whose bump
+    covers no bin of the CWT's padded FFT, is a config error too."""
     times = cce.time_grid(cfg.tbar_max, cfg.samples)
+    dt, params = times[1] - times[0], tfa.BumpParams(cfg.mu, cfg.sigma)
     try:
-        scales = tfa.default_scales(cfg.samples, times[1] - times[0],
-                                    tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+        scales = tfa.default_scales(cfg.samples, dt, params, cfg.voices)
     except tfa.TFAError as exc:
         raise ConfigError(f"'mu' = {cfg.mu:g}, 'tbar_max' = {cfg.tbar_max:g}, 'samples' = "
                           f"{cfg.samples} and 'voices' = {cfg.voices} give no wavelet "
                           f"scale grid: {exc}") from None
+    empty = tfa.bump_support(cfg.samples, dt, params, scales)[-1]
+    if empty.any():
+        raise ConfigError(f"'sigma' = {cfg.sigma:g} leaves {empty.sum()} of {len(scales)} "
+                          f"wavelet scales, the first {scales[empty.argmax()]:.6g}, no bump "
+                          "support on the CWT's padded FFT")
     freqs = cfg.mu / scales
     for name, (lo, hi) in BANDS.items():
         if not ((freqs >= lo) & (freqs <= hi)).any():
@@ -330,8 +336,12 @@ def _bath(record: RunRecord, cfg: RunConfig, order: int):
 
 
 def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce"):
-    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values:
-    the CCE refuses an empty bath before ``sigma_hf`` of no couplings can warn."""
+    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values.
+    Lone spins, whose constant correlation cannot be normalized, are refused
+    first: an empty bath too, before ``sigma_hf`` of no couplings can warn."""
+    if not cset.clusters or len(cset.clusters[-1]) < 2:      # sorted by size
+        raise PipelineError(f"no pair of the bath's {realization.n_spins} spins lies within "
+                            f"'r_cutoff_a0' = {cfg.r_cutoff_a0:g}: the correlation is constant")
     series = record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
                         cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
     sizes = Counter(len(c) for c in cset.clusters)

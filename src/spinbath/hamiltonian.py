@@ -1,20 +1,48 @@
-"""Per-cluster effective Hamiltonians: hyperfine diagonal plus the six-term
-dipolar alphabet, with per-term masks and a secular (high-field) mode.
+"""Spin-I matrices and per-cluster effective Hamiltonians: hyperfine diagonal
+plus the six-term dipolar alphabet, with per-term masks and a secular
+(high-field) mode. Dense complex matrices in the product basis of a
+cluster's spins (slot 0 slowest), each ordered m = I down to -I.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
 from .lattice import BathRealization, PairGeometry, pair_geometry
-from .spinops import spin_matrices
 
 
 class HamiltonianError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class SpinMatrices:
+    """Iz / ladder operators for one spin, dimensionless (hbar = 1)."""
+    dim: int
+    Iz: np.ndarray
+    Iplus: np.ndarray
+    Iminus: np.ndarray
+
+
+def spin_matrices(spin_I: float) -> SpinMatrices:
+    """Standard angular-momentum matrices for half-integer spin_I."""
+    twoI = 2.0 * spin_I
+    if abs(twoI - round(twoI)) > 1e-12 or round(twoI) < 1:
+        raise HamiltonianError(f"spin must be a positive half-integer, got {spin_I}")
+    d = cluster_dim(spin_I, 1)
+    m = spin_I - np.arange(d)                    # I, I-1, ..., -I
+    # <m+1| I+ |m> = sqrt(I(I+1) - m(m+1)) above the diagonal; row 0 is m = I
+    Ip = np.diag(np.sqrt(spin_I * (spin_I + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    return SpinMatrices(dim=d, Iz=np.diag(m).astype(complex), Iplus=Ip, Iminus=Ip.conj().T)
+
+
+def cluster_dim(spin_I: float, size: int) -> int:
+    """Hilbert dimension (2I+1)^size of ``size`` spins I, an exact int that
+    builds no matrix, so a spin far over any dimension cap costs nothing."""
+    return (round(2 * spin_I) + 1) ** size
 
 
 @dataclass(frozen=True)
@@ -28,33 +56,24 @@ class TermMask:
     enable_EF: bool = True
 
     @classmethod
-    def full(cls) -> "TermMask":
-        return cls()
-
-    @classmethod
     def secular(cls) -> "TermMask":
         """High-field mode: only the total-Mz-conserving terms A and B."""
         return cls(enable_CD=False, enable_EF=False)
 
 
-def alphabet_coefficients(geom: PairGeometry, mask: TermMask):
+def alphabet_coefficients(geom: PairGeometry):
     """Coefficients (including the r^-3 prefactor) of the four independent
     alphabet structures, one per pair: zz, flip-flop, and the complex
     single-/double-quantum weights (their adjoints carry the conjugates).
-    A masked term's coefficient is 0.0.
+    Every term is given; ``cluster_hamiltonians`` leaves out the masked ones.
     """
     c = geom.cos_theta
     sin_sq = 1.0 - c ** 2
     pref = geom.prefactor
-    cA = pref * (3.0 * c ** 2 - 1.0) if mask.enable_A else 0.0
-    cB = pref * (1.0 - 3.0 * c ** 2) / 4.0 if mask.enable_B else 0.0
-    if mask.enable_CD:
-        sin_2t = 2.0 * np.sqrt(np.clip(sin_sq, 0.0, 1.0)) * c
-        cC = pref * 0.75 * sin_2t * np.exp(-1j * geom.phi_ij)
-    else:
-        cC = 0.0
-    cE = pref * 0.75 * sin_sq * np.exp(-2j * geom.phi_ij) if mask.enable_EF else 0.0
-    return cA, cB, cC, cE
+    sin_2t = 2.0 * np.sqrt(np.clip(sin_sq, 0.0, 1.0)) * c
+    return (pref * (3.0 * c ** 2 - 1.0), pref * (1.0 - 3.0 * c ** 2) / 4.0,
+            pref * 0.75 * sin_2t * np.exp(-1j * geom.phi_ij),
+            pref * 0.75 * sin_sq * np.exp(-2j * geom.phi_ij))
 
 
 def bath_operator_diagonal(clusters, realization: BathRealization) -> np.ndarray:
@@ -67,20 +86,9 @@ def bath_operator_diagonal(clusters, realization: BathRealization) -> np.ndarray
 
 def mz_table(spin_I: float, n: int) -> np.ndarray:
     """(d^n, n) array of per-slot Iz quantum numbers, slot 0 slowest."""
-    d = int(round(2 * spin_I)) + 1
-    m = spin_I - np.arange(d)
+    m = spin_matrices(spin_I).Iz.diagonal().real
     grids = np.meshgrid(*([m] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _two_site_operator(ops: dict, n: int, d: int) -> np.ndarray:
-    """Kron chain over n slots (slot 0 slowest) of ops[slot], identity on
-    every slot not in ``ops``."""
-    eye = np.eye(d, dtype=complex)
-    out = np.ones((1, 1), dtype=complex)
-    for k in range(n):
-        out = np.kron(out, ops.get(k, eye))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -94,10 +102,14 @@ def _pair_structures(spin_I: float, size: int, p: int, q: int):
     leave on the diagonal into +0.0, exactly as a dense add of the whole
     structure does, so the scatter reproduces the dense sum bit for bit."""
     spins = spin_matrices(spin_I)
-    Iz, Ip, Im = spins.Iz, spins.Iplus, spins.Iminus
+    Iz, Ip, Im, eye = spins.Iz, spins.Iplus, spins.Iminus, np.eye(spins.dim, dtype=complex)
 
     def op(a, b):
-        return _two_site_operator({p: a, q: b}, size, spins.dim)
+        """Kron chain over the slots (slot 0 slowest): a on p, b on q, identity elsewhere."""
+        out = np.ones((1, 1), dtype=complex)
+        for k in range(size):
+            out = np.kron(out, a if k == p else b if k == q else eye)
+        return out
 
     out = []
     for S, adjoint in ((op(Iz, Iz), False), (op(Ip, Im) + op(Im, Ip), False),
@@ -114,7 +126,7 @@ def _pair_structures(spin_I: float, size: int, p: int, q: int):
 
 def cluster_hamiltonians(clusters, realization: BathRealization,
                          c_hf: float = 0.5,
-                         mask: TermMask = TermMask.full()) -> np.ndarray:
+                         mask: TermMask = TermMask()) -> np.ndarray:
     """Effective Hamiltonians of equal-size clusters, stacked (n_clusters,
     dim, dim): c_hf * sum A_i Iz_i plus every pairwise dipolar term, in the
     cluster tensor space. ``clusters`` is an (n_clusters, size) array of site
@@ -130,7 +142,7 @@ def cluster_hamiltonians(clusters, realization: BathRealization,
         raise HamiltonianError("duplicate site indices in a cluster")
     nc, size = clusters.shape
     spin_I = realization.species.spin_I
-    dim = spin_matrices(spin_I).dim ** size
+    dim = cluster_dim(spin_I, size)
 
     # built transposed, one row per matrix entry, so that every scatter moves
     # whole contiguous rows of nc values
@@ -141,11 +153,8 @@ def cluster_hamiltonians(clusters, realization: BathRealization,
     for p, q in combinations(range(size), 2):
         geom = pair_geometry(pos[:, p], pos[:, q], realization.hf_axis,
                              realization.species)
-        coefs = alphabet_coefficients(geom, mask)
-        for on, coef, (idx, values, idx_t) in zip(
-                enabled, coefs, _pair_structures(spin_I, size, p, q)):
-            if not on:
-                continue
+        terms = zip(alphabet_coefficients(geom), _pair_structures(spin_I, size, p, q))
+        for coef, (idx, values, idx_t) in compress(terms, enabled):
             half = values[:, None] * coef
             Ht[idx] += half
             if idx_t is not None:

@@ -88,7 +88,7 @@ class BathRealization:
     hf_axis: np.ndarray          # unit 3-vector
     species: SpeciesParams
     a0: float
-    site_indices: tuple[int, ...] = field(default=())
+    site_indices: tuple[int, ...] = field(default=())  # one per site; range(N) if not given
     E_dd: float = field(init=False)     # rad/s, of species.gamma and a0
     A_bar: float = field(init=False)    # rad/s, mean coupling (0 for no spins)
 
@@ -99,8 +99,19 @@ class BathRealization:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "hf_couplings_A", A)
         object.__setattr__(self, "hf_axis", axis)
-        if len(A) != len(pos):
-            raise LatticeError("positions and hf couplings disagree in length")
+        idx = tuple(int(i) for i in self.site_indices) or tuple(range(len(pos)))
+        object.__setattr__(self, "site_indices", idx)
+        if not len(A) == len(idx) == len(pos):
+            raise LatticeError(f"{len(pos)} positions, {len(A)} hf couplings and {len(idx)} "
+                               "site indices disagree in length")
+        values, counts = np.unique(idx, return_counts=True)
+        if (counts > 1).any():
+            raise LatticeError(f"site index {values[counts > 1][0]} is repeated")
+        order = np.lexsort(pos.T)
+        same = (pos[order[1:]] == pos[order[:-1]]).all(axis=1)
+        if same.any():
+            i, j = sorted(order[same.argmax():][:2])
+            raise LatticeError(f"sites {idx[i]} and {idx[j]} share one position")
         with np.errstate(over="ignore"):        # a norm past the float range is inf
             norm = np.linalg.norm(axis)
         if not abs(norm - 1.0) <= 1e-12:        # NaN and inf fail too
@@ -245,10 +256,8 @@ def save_realization(path, real: BathRealization) -> None:
                 f17(real.species.spin_I), f17(real.species.gamma)]
         head += [f17(c) for c in real.hf_axis]
         fh.write(",".join(head) + "\n")
-        idx = real.site_indices if len(real.site_indices) == real.n_spins \
-            else tuple(range(real.n_spins))
-        for i, (p, a) in enumerate(zip(real.positions, real.hf_couplings_A)):
-            fh.write(",".join([str(idx[i]), f17(p[0]), f17(p[1]), f17(p[2]), f17(a)]) + "\n")
+        for i, p, a in zip(real.site_indices, real.positions, real.hf_couplings_A):
+            fh.write(",".join([str(i), f17(p[0]), f17(p[1]), f17(p[2]), f17(a)]) + "\n")
 
 
 def load_realization(path) -> BathRealization:

@@ -81,7 +81,8 @@ def power_spectrum(series: CorrelationSeries, zero_pad_factor: int = 1) -> Spect
 
 def _bump_window(xi: np.ndarray, p: BumpParams) -> np.ndarray:
     """exp(1 - 1/(1 - u^2)) on |u| < 1 with u = (xi - mu)/sigma, else 0."""
-    u = (xi - p.mu) / p.sigma
+    with np.errstate(over="ignore"):        # a u past the float range lies outside too
+        u = (xi - p.mu) / p.sigma
     out = np.zeros_like(xi)
     inside = np.abs(u) < 1.0
     ui = u[inside]
@@ -147,26 +148,43 @@ def _length_blocks(lengths: list, cells: int) -> list:
     return blocks
 
 
-def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, W: np.ndarray):
-    """Fill W a row block at a time (see cwt_bump), yielding each block's rows
-    r and their time derivative dW[r] in a buffer the next block reuses.
-    Each block runs its chirp-z convolution at its own length M, the smallest
-    2^a 3^b 5^c >= n + K - 1 for the block's widest support K, with at most
-    2^15 rows times M cells per product."""
-    n = len(x)
+def bump_support(n: int, dt: float, params: BumpParams, scales: np.ndarray):
+    """(npad, omega, lo, hi, empty): the padded FFT length of cwt_bump on n
+    samples of step dt, its positive bins omega (the whole bump support, as
+    mu > sigma > 0), each scale's support omega[lo:hi], and whether each
+    scale's window sqrt(a) * bump(a * omega) is 0 on all of it. a * omega
+    rounds monotonically along the bins, so the window peaks at one of the
+    two bins around mu / a: those two decide ``empty`` at O(scales) cost."""
     # pad far enough that the narrowest bump (largest scale) still covers at
     # least two FFT bins: resolution 2 pi / (npad dt) <= sigma / a_max
     with np.errstate(over="ignore"):
         need = np.ceil(2.0 * np.pi * scales.max() / (params.sigma * dt))
     need = int(min(max(n, need), 16 * n))   # absurd scales still fail the support check
     npad = 1 << int(np.ceil(np.log2(need)))
-    pos = slice(1, (npad + 1) // 2)     # the bump support, as mu > sigma > 0
-    X = np.fft.fft(x, npad)[pos].copy()     # copies: the negative halves are not kept
-    omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[pos]
+    omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[1:(npad + 1) // 2]
     # support bins of each scale; the extra bin on each side covers rounding
     # of a * omega against (omega -+ sigma / a) at the edges of |u| < 1
     lo = np.maximum(np.searchsorted(omega, (params.mu - params.sigma) / scales) - 1, 0)
     hi = np.minimum(np.searchsorted(omega, (params.mu + params.sigma) / scales) + 1, len(omega))
+    k = (np.searchsorted(omega, params.mu / scales)[:, None] + [-1, 0]).clip(0, len(omega) - 1)
+    win = np.sqrt(scales)[:, None] * _bump_window(scales[:, None] * omega[k], params)
+    return npad, omega, lo, hi, ~win.any(axis=1)
+
+
+def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, W: np.ndarray):
+    """Fill W a row block at a time (see cwt_bump), yielding each block's rows
+    r and their time derivative dW[r] in a buffer the next block reuses.
+    Each block runs its chirp-z convolution at its own length M, the smallest
+    2^a 3^b 5^c >= n + K - 1 for the block's widest support K, with at most
+    2^15 rows times M cells per product. A scale with no bump support (see
+    bump_support) is refused before any block."""
+    n = len(x)
+    npad, omega, lo, hi, empty = bump_support(n, dt, params, scales)
+    if empty.any():
+        raise TFAError(f"scale {scales[empty.argmax()]} has empty bump "
+                       "support inside the sampled band")
+    pos = slice(1, len(omega) + 1)          # omega's bins in the padded FFT
+    X = np.fft.fft(x, npad)[pos].copy()     # copies: the negative halves are not kept
     root = np.exp(2j * np.pi * np.fft.fftfreq(2 * npad))  # root[q] = w^(q/2)
     blocks = _length_blocks(_smooth_lengths(n + hi - lo - 1).tolist(), 2 ** 15)
     rows_max = max(r.stop - r.start for r, _ in blocks)
@@ -184,10 +202,6 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
         j = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
         bins = j + lo[r][rows]
         win = np.sqrt(scales[r])[rows] * _bump_window(scales[r][rows] * omega[bins], params)
-        empty = np.bincount(rows, win != 0, len(m)) == 0
-        if empty.any():
-            raise TFAError(f"scale {scales[r][empty.argmax()]} has empty bump "
-                           "support inside the sampled band")
         blk, q, d = buf[:2 * len(m) * M].reshape(2, len(m), M), phase[:len(m)], dW[:len(m)]
         blk[...] = 0
         y = root[j * j % (2 * npad)]

@@ -24,7 +24,7 @@ def report(num, ok, summary):
     assert ok, f"criterion {num}: {summary}"
 
 
-def pair_gap_oracle(bath, mask=TermMask.full(), lo=0.0, hi=np.inf,
+def pair_gap_oracle(bath, mask=TermMask(), lo=0.0, hi=np.inf,
                     weight_floor=1e-8):
     """Transition frequencies (omega_bar) and spectral weights of a two-spin
     bath from the exact eigendecomposition of its cluster Hamiltonian."""

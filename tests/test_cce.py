@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbath import cce, cli
-from spinbath.hamiltonian import TermMask, bath_operator_diagonal, cluster_hamiltonians
-from spinbath.spinops import spin_matrices
+from spinbath.hamiltonian import (TermMask, bath_operator_diagonal, cluster_dim,
+                                  cluster_hamiltonians)
 
 from baths import DIAMOND_A0, SILICON_A0, bath_from_positions, nn_pair, random_bath, species
 
@@ -344,7 +344,7 @@ def reference_group_correlation(clusters, weights, realization, c_hf, mask,
     """The trace path before the real GEMM: three padded buffers, conj(P) by
     ``np.conjugate`` and a complex ``np.matmul``. Hands each chunk's W and Q
     to ``check_q``."""
-    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
+    dim = cluster_dim(realization.species.spin_I, clusters.shape[1])
     nt = len(times_tbar)
     out = np.zeros(nt, dtype=complex)
     chunk = max(1, int(2 ** 22 / (dim * nt)))
@@ -371,7 +371,7 @@ def chunk_wide_group_correlation(clusters, weights, realization, c_hf, mask,
     """The trace path before the time axis was tiled: the eigen stage on the
     whole chunk, P and Q in padded buffers spanning the grid, the real GEMM in
     ~1 MiB sub-blocks and one einsum per chunk."""
-    dim = spin_matrices(realization.species.spin_I).dim ** clusters.shape[1]
+    dim = cluster_dim(realization.species.spin_I, clusters.shape[1])
     nt = len(times_tbar)
     out = np.zeros(nt, dtype=complex)
     chunk = max(1, int(2 ** 22 / (dim * nt)))
@@ -411,8 +411,8 @@ class TestTraceMatchesReference:
     # a partial chunk of 5, each traced over 75 tiles: 16 samples wide at
     # K = 218 * 16 rows, 4 wide at K = 218 * 64
     @pytest.mark.parametrize("spin,size,n_spins,nt,mask", [
-        (0.5, 4, 11, 1200, TermMask.full()),
-        (1.5, 3, 13, 300, TermMask.full()),
+        (0.5, 4, 11, 1200, TermMask()),
+        (1.5, 3, 13, 300, TermMask()),
         (0.5, 4, 11, 1200, TermMask.secular()),
     ], ids=["spin-half-size-4", "spin-3/2-size-3", "secular"])
     def test_bit_identical_to_complex_gemm(self, monkeypatch, spin, size, n_spins,
@@ -466,8 +466,8 @@ class TestTiledTraceMatchesReference:
     # joins the last sub-block: 6 clusters, and a single cluster
     @pytest.mark.parametrize("nt", [2, 5, 15, 16, 17, 33, 36, 256, 1000, 1001])
     @pytest.mark.parametrize("spin,size,n_spins,n_clusters,mask", [
-        (0.5, 4, 11, 270, TermMask.full()),
-        (1.5, 3, 13, 70, TermMask.full()),
+        (0.5, 4, 11, 270, TermMask()),
+        (1.5, 3, 13, 70, TermMask()),
         (0.5, 4, 11, 270, TermMask.secular()),
     ], ids=["spin-half-size-4", "spin-3/2-size-3", "secular"])
     def test_bit_identical_to_chunk_wide_trace(self, spin, size, n_spins, n_clusters,
@@ -493,8 +493,8 @@ class TestTiledTraceMatchesReference:
         bath, clusters, weights = group_inputs(0.5, 2, 92, 4100)
         t = cce.time_grid(60.0, 256)
         assert 2 ** 22 // (4 * len(t)) == 4096
-        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
-        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_full_chunk_at_k_16384_fits_the_cache_budget(self):
@@ -505,7 +505,7 @@ class TestTiledTraceMatchesReference:
         t = cce.time_grid(60.0, 256)
         tracemalloc.start()
         try:
-            cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+            cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -519,7 +519,7 @@ class TestTiledTraceMatchesReference:
             t = cce.time_grid(60.0, nt)
             tracemalloc.start()
             try:
-                cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+                cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -537,7 +537,7 @@ class TestTiledTraceMatchesReference:
         for n in (4096, 10240):
             tracemalloc.start()
             try:
-                cce._group_correlation(clusters[:n], weights[:n], bath, 0.5, TermMask.full(), t)
+                cce._group_correlation(clusters[:n], weights[:n], bath, 0.5, TermMask(), t)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -548,8 +548,8 @@ class TestTiledTraceMatchesReference:
         # keep the bits, since a one-cluster stack assembles other ones
         bath, clusters, weights = group_inputs(1.5, 4, 8, 5)
         t = cce.time_grid(60.0, 64)
-        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
-        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask.full(), t)
+        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+        ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 

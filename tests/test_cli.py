@@ -494,6 +494,13 @@ class TestSubcommands:
         assert "config error" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_sweep_axis_needs_an_axis(self, tmp_path):
+        # the CLI's nargs="+" never passes none, but the function is public
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        with pytest.raises(cli.ConfigError, match="at least one axis"):
+            cli.sweep_hf_axis(cli.load_config(cfgp), [])
+        assert not outdir.exists()
+
     def test_products_identical_across_blas_threads(self, tmp_path):
         env = cli_env()
         products = []
@@ -575,6 +582,17 @@ class TestExitCodes:
                      id="hamiltonian-overflows"),
         # a lone spin's correlation is constant, so normalizing it fails
         pytest.param("order = 1", ["run", "{cfg}"], 1, "'order'", id="order-1"),
+        # so does that of a bath with no pair inside the cutoff: refused before the CCE
+        pytest.param("sites = 10", ["run", "{cfg}"], 2, "1 spins lies within 'r_cutoff_a0'",
+                     id="one-spin"),
+        pytest.param("r_cutoff_a0 = 1e-300", ["simulate", "{cfg}"], 2,
+                     "2 spins lies within 'r_cutoff_a0' = 1e-300", id="no-pair-in-cutoff"),
+        pytest.param("sites = 10 11 12\nr_cutoff_a0 = 1e-300",
+                     ["compare-orders", "{cfg}", "2", "3"], 2,
+                     "3 spins lies within 'r_cutoff_a0' = 1e-300", id="compare-orders-no-pair"),
+        # an order above the spin count is refused first
+        pytest.param("r_cutoff_a0 = 1e-300", ["compare-orders", "{cfg}", "2", "3"], 1,
+                     "order 3 exceeds the bath's 2 spins", id="compare-orders-order-first"),
         # a grid whose Nyquist frequency lies below the 1Q and 2Q bands
         pytest.param("tbar_max = 1e9\nsamples = 16", ["run", "{cfg}"], 1,
                      "band 1Q", id="bands-above-nyquist"),
@@ -589,6 +607,11 @@ class TestExitCodes:
         # the header's axis norm overflows: refused with no RuntimeWarning first
         pytest.param("realization_file = {tmp}/huge-axis.csv", ["run", "{cfg}"], 1,
                      "hf_axis must be a unit vector", id="realization-axis-norm-overflows"),
+        pytest.param("realization_file = {tmp}/repeated.csv", ["run", "{cfg}"], 1,
+                     "repeated.csv: site index 10 is repeated", id="realization-repeated-index"),
+        pytest.param("realization_file = {tmp}/coincident.csv", ["simulate", "{cfg}"], 1,
+                     "coincident.csv: sites 10 and 12 share one position",
+                     id="realization-coincident-sites"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
                      id="malformed-series"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
@@ -609,9 +632,13 @@ class TestExitCodes:
                                    code, named):
         (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
         (tmp_path / "huge.csv").write_text("0,1e308\n1,1e308\n2,1e308\n3,-1e308\n")
-        (tmp_path / "no-sites.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n")
+        head = "5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n"
+        (tmp_path / "no-sites.csv").write_text(head)
         (tmp_path / "huge-axis.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,1e155,0,0\n"
                                                 "10,0,0,0,1\n")
+        (tmp_path / "repeated.csv").write_text(head + "10,0,0,0,1\n10,5e-10,0,0,1\n")
+        (tmp_path / "coincident.csv").write_text(head + "10,0,0,0,1\n11,5e-10,0,0,1\n"
+                                                 "12,0,0,0,1\n")
         (tmp_path / "latin1.txt").write_bytes("order = 2 # \xb5s\n".encode("latin-1"))
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body.format(tmp=tmp_path)))
         argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
@@ -643,7 +670,11 @@ class TestExitCodes:
         pytest.param("L0 = 1e-170", "'L0'", id="L0-squared-underflows"),
         # box 3 3 3 holds sites 0 to 215
         pytest.param("sites = 10 99999", "'sites'", id="site-above-box"),
-        pytest.param("sites = -1 3", "'sites'", id="negative-site")])
+        pytest.param("sites = -1 3", "'sites'", id="negative-site"),
+        # scales whose bump covers no bin of the CWT's padded FFT: 2 pi a_max /
+        # (sigma dt) overflows to inf at 1e-308, so the padding is capped first
+        pytest.param("sigma = 0.01", "'sigma' = 0.01 leaves", id="sigma-too-narrow"),
+        pytest.param("sigma = 1e-308", "'sigma' = 1e-308 leaves", id="padding-target-overflows")])
     def test_out_of_range_refused_before_outdir(self, tmp_path, capsys, extra_body, named):
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
         assert cli.main(["run", str(cfgp)]) == 1
@@ -651,16 +682,6 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
         assert not outdir.exists()
-
-    def test_padding_target_overflow_fails_the_cwt_stage(self, tmp_path, capsys):
-        # 2 pi a_max / (sigma dt) overflows to inf: the padding is capped
-        # before int() and the support check refuses the scale, no warning first
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "sigma = 1e-308"))
-        assert cli.main(["run", str(cfgp)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: stage 'cwt' failed: ") and err.count("\n") == 1
-        assert "empty bump support" in err
-        assert not (outdir / "cwt.bin").exists()
 
     def test_cluster_dimension_refused_before_work(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import hamiltonian as ham
 from spinbath import lattice as L
-from spinbath.spinops import spin_matrices
+from spinbath.hamiltonian import spin_matrices
 
 from baths import nn_pair, random_bath
 from embedding import embed
@@ -64,7 +64,7 @@ def dense_alphabet_reference(clusters, bath, c_hf, mask):
     pos = bath.positions[clusters]
     for p, q in combinations(range(n), 2):
         geom = L.pair_geometry(pos[:, p], pos[:, q], bath.hf_axis, bath.species)
-        cA, cB, cC, cE = ham.alphabet_coefficients(geom, mask)
+        cA, cB, cC, cE = ham.alphabet_coefficients(geom)
         if mask.enable_A:
             H += cA[:, None, None] * op(p, q, Iz, Iz)
         if mask.enable_B:
@@ -88,19 +88,18 @@ def total_mz(spins, n):
 
 class TestAlphabetCoefficients:
     def test_magic_angle_kills_zz_and_flipflop(self):
-        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(MAGIC), ham.TermMask.full())
+        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(MAGIC))
         assert abs(cA) < 1e-12 and abs(cB) < 1e-12
         assert abs(cC) > 0 and abs(cE) > 0
 
     def test_theta_zero(self):
-        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(0.0), ham.TermMask.full())
+        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(0.0))
         assert cA == pytest.approx(2.0)
         assert cB == pytest.approx(-0.5)
         assert abs(cC) < 1e-12 and abs(cE) < 1e-12
 
     def test_theta_ninety(self):
-        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(np.pi / 2, phi=0.0),
-                                                   ham.TermMask.full())
+        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(np.pi / 2, phi=0.0))
         assert cA == pytest.approx(-1.0)
         assert cB == pytest.approx(0.25)
         assert abs(cC) < 1e-12
@@ -108,29 +107,69 @@ class TestAlphabetCoefficients:
 
     def test_flipflop_is_minus_quarter_zz(self):
         for th in np.linspace(0.05, np.pi - 0.05, 17):
-            cA, cB, _, _ = ham.alphabet_coefficients(geom_at(th), ham.TermMask.full())
+            cA, cB, _, _ = ham.alphabet_coefficients(geom_at(th))
             assert cB == pytest.approx(-cA / 4.0, rel=1e-12)
 
     def test_phi_enters_only_as_phase(self):
         for phi in (0.0, 1.0, 2.5):
-            _, _, cC, cE = ham.alphabet_coefficients(geom_at(0.7, phi=phi),
-                                                     ham.TermMask.full())
-            ref = ham.alphabet_coefficients(geom_at(0.7, phi=0.0), ham.TermMask.full())
+            _, _, cC, cE = ham.alphabet_coefficients(geom_at(0.7, phi=phi))
+            ref = ham.alphabet_coefficients(geom_at(0.7, phi=0.0))
             assert cC == pytest.approx(ref[2] * np.exp(-1j * phi), rel=1e-12)
             assert cE == pytest.approx(ref[3] * np.exp(-2j * phi), rel=1e-12)
 
-    def test_mask_zeroing(self):
-        m = ham.TermMask(False, False, False, False)
-        assert ham.alphabet_coefficients(geom_at(0.7), m) == (0.0, 0.0, 0.0, 0.0)
-        sec = ham.TermMask.secular()
-        cA, cB, cC, cE = ham.alphabet_coefficients(geom_at(0.7), sec)
-        assert cA != 0 and cB != 0 and cC == 0 and cE == 0
+
+SPINS = st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5])
+
+
+class TestSpinMatrices:
+    def test_spin_half_pauli(self):
+        m = spin_matrices(0.5)
+        assert np.allclose(m.Iz, np.diag([0.5, -0.5]))
+        assert np.allclose(m.Iplus, [[0, 1], [0, 0]])
+        assert np.allclose(m.Iminus, [[0, 0], [1, 0]])
+
+    def test_spin_three_half_ladder(self):
+        m = spin_matrices(1.5)
+        # <3/2| I+ |1/2> = sqrt(3), <1/2| I+ |-1/2> = 2, <-1/2| I+ |-3/2> = sqrt(3)
+        assert m.Iplus[0, 1] == pytest.approx(np.sqrt(3))
+        assert m.Iplus[1, 2] == pytest.approx(2.0)
+        assert m.Iplus[2, 3] == pytest.approx(np.sqrt(3))
+
+    def test_invalid_spin(self):
+        for bad in (0.0, -0.5, 0.3):
+            with pytest.raises(ham.HamiltonianError):
+                spin_matrices(bad)
+
+    @settings(max_examples=10, deadline=None)
+    @given(SPINS)
+    def test_commutators(self, I):
+        m = spin_matrices(I)
+        Ix = (m.Iplus + m.Iminus) / 2
+        Iy = (m.Iplus - m.Iminus) / 2j
+        assert np.allclose(Ix @ Iy - Iy @ Ix, 1j * m.Iz, atol=1e-12)
+        assert np.allclose(m.Iz @ m.Iplus - m.Iplus @ m.Iz, m.Iplus, atol=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(SPINS)
+    def test_casimir(self, I):
+        m = spin_matrices(I)
+        Ix = (m.Iplus + m.Iminus) / 2
+        Iy = (m.Iplus - m.Iminus) / 2j
+        I2 = Ix @ Ix + Iy @ Iy + m.Iz @ m.Iz
+        assert np.allclose(I2, I * (I + 1) * np.eye(m.dim), atol=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(SPINS)
+    def test_iz_trace_moment(self, I):
+        m = spin_matrices(I)
+        # tr(Iz^2) = d * I(I+1)/3
+        assert np.trace(m.Iz @ m.Iz).real == pytest.approx(m.dim * I * (I + 1) / 3)
 
 
 class TestPairHamiltonian:
     def test_hermitian_random_geometry(self):
         rng = np.random.default_rng(3)
-        masks = [ham.TermMask.full(), ham.TermMask.secular(),
+        masks = [ham.TermMask(), ham.TermMask.secular(),
                  ham.TermMask(True, False, True, False),
                  ham.TermMask(False, False, False, True)]
         for _ in range(5):
@@ -162,8 +201,8 @@ class TestPairHamiltonian:
         # -0.0 on the diagonal wherever b < 0, which the dense sum's later
         # zero adds turn into +0.0
         rng = np.random.default_rng(11)
-        masks = [ham.TermMask.full(), ham.TermMask.secular(),
-                 ham.TermMask(False, True, False, True)]
+        masks = [ham.TermMask(), ham.TermMask.secular(),
+                 ham.TermMask(False, True, False, True), ham.TermMask(False, False, False, False)]
         for size in sizes:
             bath = random_bath(rng, size + 2, spin=spin, axis=rng.normal(size=3))
             clusters = list(combinations(range(size + 2), size))

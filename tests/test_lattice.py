@@ -35,6 +35,12 @@ class TestSpecies:
     def test_half_integer_spin_accepted(self, spin):
         assert L.SpeciesParams(spin, GAMMA_C13, 1e6, 1e-9).spin_I == spin
 
+    @pytest.mark.parametrize("A0, L0, match", [(0.0, 1e-9, "A0"), (1e6, 0.0, "L0"),
+                                               (1e6, -1e-9, "L0")])
+    def test_nonpositive_scale_refused(self, A0, L0, match):
+        with pytest.raises(L.LatticeError, match=match):
+            L.SpeciesParams(0.5, GAMMA_C13, A0, L0)
+
 
 class TestBuildLattice:
     def test_site_count_paper_box(self):
@@ -67,6 +73,14 @@ class TestBuildLattice:
     def test_bad_box(self):
         with pytest.raises(L.LatticeError):
             silicon_spec(box=(0, 1, 1))
+
+    @pytest.mark.parametrize("a0, rho, match", [(0.0, 0.02, "lattice_constant_a0"),
+                                                (-SILICON_A0, 0.02, "lattice_constant_a0"),
+                                                (SILICON_A0, -0.1, "abundance"),
+                                                (SILICON_A0, 1.5, "abundance")])
+    def test_bad_lattice_constant_or_abundance(self, a0, rho, match):
+        with pytest.raises(L.LatticeError, match=match):
+            L.LatticeSpec(a0, (1, 1, 1), species(), rho)
 
 
 class TestSampling:
@@ -226,6 +240,36 @@ class TestRealization:
             L.BathRealization(positions=np.zeros((1, 3)),
                               hf_couplings_A=np.array([sp.A0]),
                               hf_axis=np.array([0, 0, 2.0]), species=sp, a0=DIAMOND_A0)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"hf_couplings_A": [1.0]}, "disagree in length"),
+        ({"site_indices": (3,)}, "disagree in length"),
+        ({"hf_couplings_A": [1.0, 0.0]}, "0 < A_i <= A0"),
+        ({"hf_couplings_A": [1.0, 2.0]}, "0 < A_i <= A0"),
+        ({"site_indices": (3, 3)}, "site index 3 is repeated"),
+        ({"positions": [[1e-10, 0, 0], [1e-10, 0, 0]], "site_indices": (3, 4)},
+         "sites 3 and 4 share one position")])
+    def test_inconsistent_realization_refused(self, change, match):
+        sp = L.SpeciesParams(0.5, GAMMA_C13, 1.0, 1e-9)
+        base = {"positions": [[0, 0, 0], [1e-10, 0, 0]], "hf_couplings_A": [1.0, 0.5],
+                "hf_axis": [0, 0, 1.0], "species": sp, "a0": DIAMOND_A0}
+        with pytest.raises(L.LatticeError, match=match):
+            L.BathRealization(**{**base, **change})
+
+    def test_site_indices_default_to_range(self, tmp_path):
+        sp = species()
+        real = L.BathRealization(positions=[[0, 0, 0], [1e-10, 0, 0]],
+                                 hf_couplings_A=[sp.A0, sp.A0 / 2], hf_axis=[0, 0, 1.0],
+                                 species=sp, a0=DIAMOND_A0)
+        assert real.site_indices == (0, 1)
+        L.save_realization(tmp_path / "real.csv", real)
+        assert L.load_realization(tmp_path / "real.csv").site_indices == (0, 1)
+
+    @pytest.mark.parametrize("site", [-1, 5600])
+    def test_explicit_site_out_of_range_refused(self, site):
+        spec = dataclasses.replace(silicon_spec(), explicit_sites=(3, site))
+        with pytest.raises(L.LatticeError, match="out of range"):
+            L.build_realization(spec, np.array([0, 0, 1.0]))
 
     def test_scales_derived_from_couplings_and_species(self):
         spec = silicon_spec(rho=0.05, seed=7, box=(3, 3, 3))
