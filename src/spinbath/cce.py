@@ -90,11 +90,16 @@ def time_grid(tbar_max: float, samples: int) -> np.ndarray:
 
 
 def _proximity_adjacency(positions: np.ndarray, r_cutoff: float):
+    """Neighbour set of each site within ``r_cutoff``, a block of rows of the
+    distance matrix at a time, so no (n, n) array is held."""
     n = len(positions)
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    close = (dist <= r_cutoff) & ~np.eye(n, dtype=bool)
-    return [set(np.nonzero(close[i])[0].tolist()) for i in range(n)]
+    adj = []
+    for s, e in _blocks(n, max(1, 2 ** 18 // max(n, 1))):
+        diff = positions[s:e, None, :] - positions[None, :, :]
+        close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= r_cutoff
+        close[np.arange(e - s), np.arange(s, e)] = False
+        adj += [set(np.nonzero(row)[0].tolist()) for row in close]
+    return adj
 
 
 def enumerate_clusters(realization: BathRealization, r_cutoff: float,

@@ -56,7 +56,6 @@ class RunConfig:
     # CCE
     order: int = 2
     r_cutoff_a0: float = 2.7
-    secular: bool = False
     mask_A: bool = True
     mask_B: bool = True
     mask_CD: bool = True
@@ -75,8 +74,7 @@ class RunConfig:
     outdir: str = "out"
 
     def term_mask(self) -> TermMask:
-        return TermMask(self.mask_A, self.mask_B, self.mask_CD and not self.secular,
-                        self.mask_EF and not self.secular)
+        return TermMask(self.mask_A, self.mask_B, self.mask_CD, self.mask_EF)
 
     def species(self) -> lattice.SpeciesParams:
         e_dd = lattice.compute_E_dd(self.gamma, self.a0)
@@ -139,6 +137,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key {key!r}")
         seen[key] = value
     for key, value in seen.items():
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown configuration key {key!r}")
         try:
             _apply_key(cfg, key, value)
         except ValueError as exc:       # ConfigError and LatticeError included
@@ -163,10 +163,8 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
         if key == "sites" and repeated:
             raise ConfigError(f"repeated site index {repeated[0]}")
         setattr(cfg, key, ints)
-    elif key in _DEFAULTS:
-        setattr(cfg, key, _PARSERS[type(_DEFAULTS[key])](value))
     else:
-        raise ConfigError(f"unknown configuration key {key!r}")
+        setattr(cfg, key, _PARSERS[type(_DEFAULTS[key])](value))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -188,6 +186,9 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok in checks:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
+    if not (cfg.mask_B or cfg.mask_CD or cfg.mask_EF):
+        raise ConfigError("'mask_B', 'mask_CD' and 'mask_EF' are all false: with no flip "
+                          "term the Hamiltonian is diagonal and the correlation is constant")
     try:
         e_dd = lattice.compute_E_dd(cfg.gamma, cfg.a0)
     except lattice.LatticeError as exc:
@@ -335,13 +336,18 @@ def _bath(record: RunRecord, cfg: RunConfig, order: int):
     return realization, cset
 
 
-def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce"):
-    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values.
-    Lone spins, whose constant correlation cannot be normalized, are refused
-    first: an empty bath too, before ``sigma_hf`` of no couplings can warn."""
+def _require_pair(cfg: RunConfig, realization, cset) -> None:
+    """Refuse a cluster set of lone spins, whose constant correlation cannot
+    be normalized: an empty bath too, before ``sigma_hf`` of no couplings can warn."""
     if not cset.clusters or len(cset.clusters[-1]) < 2:      # sorted by size
         raise PipelineError(f"no pair of the bath's {realization.n_spins} spins lies within "
                             f"'r_cutoff_a0' = {cfg.r_cutoff_a0:g}: the correlation is constant")
+
+
+def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce"):
+    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values;
+    a set with no pair is refused first."""
+    _require_pair(cfg, realization, cset)
     series = record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
                         cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
     sizes = Counter(len(c) for c in cset.clusters)
@@ -464,8 +470,8 @@ def compare_orders(cfg: RunConfig, orders) -> str:
 
 
 #: each channel's mask fields: its own term and A (which only shifts levels)
-#: on, the other terms and the secular mode off
-CHANNELS = {name: {"secular": False, "mask_A": True,
+#: on, the other terms off
+CHANNELS = {name: {"mask_A": True,
                    **{f"mask_{term}": term == name for term in ("B", "CD", "EF")}}
             for name in ("B", "CD", "EF")}
 
@@ -480,6 +486,7 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     _check_band_coverage(cfg)       # before outdir exists, as in run_pipeline
     bath = RunRecord(cfg)
     realization, cset = _bath(bath, cfg, cfg.order)
+    _require_pair(cfg, realization, cset)       # before the first axis directory
     records = []
     for i, axis in enumerate(axes):
         fixed = replace(realization, hf_axis=np.asarray(axis) / np.linalg.norm(axis))

@@ -1,7 +1,8 @@
 """Spin-I matrices and per-cluster effective Hamiltonians: hyperfine diagonal
-plus the six-term dipolar alphabet, with per-term masks and a secular
-(high-field) mode. Dense complex matrices in the product basis of a
-cluster's spins (slot 0 slowest), each ordered m = I down to -I.
+plus the six-term dipolar alphabet, each term switched by ``TermMask``. The
+high-field Hamiltonian is the alphabet's A + B subset: C/D and E/F off. Dense
+complex matrices in the product basis of a cluster's spins (slot 0 slowest),
+each ordered m = I down to -I.
 """
 from __future__ import annotations
 
@@ -54,11 +55,6 @@ class TermMask:
     enable_B: bool = True
     enable_CD: bool = True
     enable_EF: bool = True
-
-    @classmethod
-    def secular(cls) -> "TermMask":
-        """High-field mode: only the total-Mz-conserving terms A and B."""
-        return cls(enable_CD=False, enable_EF=False)
 
 
 def alphabet_coefficients(geom: PairGeometry):

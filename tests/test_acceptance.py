@@ -211,7 +211,7 @@ def test_criterion_7_sst_sharpening():
 
 
 def test_criterion_8_high_field_spin_comparison():
-    mask = TermMask.secular()
+    mask = TermMask(enable_CD=False, enable_EF=False)
     center = 2.0e-9 * U111
     times = cce.time_grid(8000.0, 4096)
     results = {}
@@ -234,7 +234,7 @@ def test_criterion_8_high_field_spin_comparison():
 
 
 def test_criterion_9_realization_fingerprinting():
-    mask = TermMask.secular()
+    mask = TermMask(enable_CD=False, enable_EF=False)
     center = 2.0e-9 * U111
     times = cce.time_grid(8000.0, 4096)
     # rotate the hf axis so the bond itself sits at the magic angle

@@ -42,6 +42,15 @@ def by_size(cset, n):
     return [c for c in cset.clusters if len(c) == n]
 
 
+def dense_adjacency(positions, r_cutoff):
+    """The proximity graph from the whole (n, n, 3) difference array."""
+    n = len(positions)
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    close = (dist <= r_cutoff) & ~np.eye(n, dtype=bool)
+    return [set(np.nonzero(close[i])[0].tolist()) for i in range(n)]
+
+
 class TestEnumeration:
     def test_chain_clusters(self):
         bath = chain_bath(4, spacing=0.4e-9)
@@ -75,6 +84,35 @@ class TestEnumeration:
             tracemalloc.stop()
         assert len(cset.clusters) == 24080
         assert held < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 700])
+    def test_adjacency_matches_dense(self, n):
+        # 2**18 // 700 = 374 rows: one block, then a remainder of 326
+        positions = np.random.default_rng(n).uniform(0.0, 20.0, size=(n, 3))
+        for r_cutoff in (0.5, 2.7, 5.0):
+            assert cce._proximity_adjacency(positions, r_cutoff) == \
+                dense_adjacency(positions, r_cutoff), r_cutoff
+
+    def test_adjacency_matches_dense_on_the_lattice(self):
+        # lattice distances sit on the cutoff at one bond length and at a0 / sqrt(2)
+        bath = cli._resolve_realization(cli.RunConfig())
+        for r_cutoff in (2.7 * bath.a0, np.sqrt(3) / 4 * bath.a0, bath.a0 / np.sqrt(2)):
+            assert cce._proximity_adjacency(bath.positions, r_cutoff) == \
+                dense_adjacency(bath.positions, r_cutoff), r_cutoff / bath.a0
+
+    def test_adjacency_memory(self):
+        # 2000 spins: the whole difference array and distance matrix took 160 MB
+        positions = np.random.default_rng(0).uniform(0.0, 20.0, size=(2000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            adj = cce._proximity_adjacency(positions, 2.7)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, adj)) > 0
+        assert peak < 32 * 2 ** 20
 
     def test_max_order_clamped_to_bath_size(self):
         bath = chain_bath(2)
@@ -248,7 +286,7 @@ class TestClusterCorrelation:
         # the 0Q correlation stays constant for spin-1/2 (B commutes with H)
         bath = nn_pair(axis=(0, 0, 1), bond_dir=(0, 0, 1))
         t = cce.time_grid(100.0, 512)
-        c = cce.cluster_correlation((0, 1), bath, mask=TermMask.secular(),
+        c = cce.cluster_correlation((0, 1), bath, mask=TermMask(enable_CD=False, enable_EF=False),
                                     times_tbar=t)
         assert np.abs(c - c[0]).max() < 1e-10 * abs(c[0])
 
@@ -413,7 +451,7 @@ class TestTraceMatchesReference:
     @pytest.mark.parametrize("spin,size,n_spins,nt,mask", [
         (0.5, 4, 11, 1200, TermMask()),
         (1.5, 3, 13, 300, TermMask()),
-        (0.5, 4, 11, 1200, TermMask.secular()),
+        (0.5, 4, 11, 1200, TermMask(enable_CD=False, enable_EF=False)),
     ], ids=["spin-half-size-4", "spin-3/2-size-3", "secular"])
     def test_bit_identical_to_complex_gemm(self, monkeypatch, spin, size, n_spins,
                                           nt, mask):
@@ -454,7 +492,7 @@ class TestTraceMatchesReference:
         assert not qs
         # the secular Hamiltonian keeps total Mz, so W is exactly zero across
         # Mz sectors even where the cluster weight is not
-        assert (min(zeros) > 0.1) == (mask == TermMask.secular())
+        assert (min(zeros) > 0.1) == (mask == TermMask(enable_CD=False, enable_EF=False))
 
 
 class TestTiledTraceMatchesReference:
@@ -468,7 +506,7 @@ class TestTiledTraceMatchesReference:
     @pytest.mark.parametrize("spin,size,n_spins,n_clusters,mask", [
         (0.5, 4, 11, 270, TermMask()),
         (1.5, 3, 13, 70, TermMask()),
-        (0.5, 4, 11, 270, TermMask.secular()),
+        (0.5, 4, 11, 270, TermMask(enable_CD=False, enable_EF=False)),
     ], ids=["spin-half-size-4", "spin-3/2-size-3", "secular"])
     def test_bit_identical_to_chunk_wide_trace(self, spin, size, n_spins, n_clusters,
                                               mask, nt):

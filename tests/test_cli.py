@@ -96,8 +96,8 @@ class TestParseConfig:
         assert cfg.c_hf == 0.5 and cfg.r_cutoff_a0 == 2.7
 
     def test_comments_and_values(self):
-        cfg = cli.parse_config("order = 3  # truncation\nsamples=256\nsecular=yes\n")
-        assert cfg.order == 3 and cfg.samples == 256 and cfg.secular is True
+        cfg = cli.parse_config("order = 3  # truncation\nsamples=256\nmask_EF=no\n")
+        assert cfg.order == 3 and cfg.samples == 256 and cfg.mask_EF is False
 
     def test_unknown_key(self):
         with pytest.raises(cli.ConfigError):
@@ -113,7 +113,7 @@ class TestParseConfig:
 
     def test_bad_boolean(self):
         with pytest.raises(cli.ConfigError):
-            cli.parse_config("secular = maybe")
+            cli.parse_config("mask_A = maybe")
 
     def test_axis_forms(self):
         cfg = cli.parse_config("hf_axis = miller 1 1 1")
@@ -183,9 +183,15 @@ class TestParseConfig:
         assert parsed == value and str(parsed) == str(value)
 
     def test_mask_construction(self):
-        cfg = cli.parse_config("mask_EF = false\nsecular = true")
+        # the high-field Hamiltonian: A and B on, C/D and E/F off
+        cfg = cli.parse_config("mask_CD = false\nmask_EF = false")
         m = cfg.term_mask()
         assert m.enable_A and m.enable_B and not m.enable_CD and not m.enable_EF
+
+    def test_secular_key_is_unknown(self):
+        # one spelling of the high-field mode: mask_CD and mask_EF off
+        with pytest.raises(cli.ConfigError, match="^unknown configuration key .secular.$"):
+            cli.parse_config("secular = true")
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         p = tmp_path / "c.cfg"
@@ -396,11 +402,16 @@ class TestSubcommands:
         r1 = cce.load_series(outdir / "axis1" / "full_correlation.csv")
         assert r0.values[0] == pytest.approx(r1.values[0], rel=1e-12)
 
-    def test_sweep_axis_full_products_match_run(self, tmp_path):
-        # the parsed axis is divided by its norm once more in build_realization
+    @pytest.mark.parametrize("tag, masks", [
+        ("full", ""), ("chanB", "mask_CD = false\nmask_EF = false"),
+        ("chanCD", "mask_B = false\nmask_EF = false"),
+        ("chanEF", "mask_B = false\nmask_CD = false")], ids=["full", "chanB", "chanCD", "chanEF"])
+    def test_sweep_axis_full_products_match_run(self, tmp_path, tag, masks):
+        # each variant is the run with its mask keys; the parsed axis is
+        # divided by its norm once more in build_realization
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["sweep-axis", str(cfgp), "1,1,0"]) == 0
-        runp, rundir = write_cfg(tmp_path, with_keys(FAST_BODY, "hf_axis = 1 1 0"),
+        runp, rundir = write_cfg(tmp_path, with_keys(FAST_BODY, f"hf_axis = 1 1 0\n{masks}"),
                                  tmp_path / "run-out", "run1.cfg")
         assert cli.main(["run", str(runp)]) == 0
         names = sorted(p.name for p in rundir.iterdir() if p.name != "manifest.txt")
@@ -409,7 +420,7 @@ class TestSubcommands:
         assert sorted(p.name for p in (outdir / "axis0").glob("*realization*")) == \
             ["realization.csv"]
         for name in names:
-            swept = name if name == "realization.csv" else f"full_{name}"
+            swept = name if name == "realization.csv" else f"{tag}_{name}"
             assert (outdir / "axis0" / swept).read_bytes() == \
                 (rundir / name).read_bytes(), name
 
@@ -647,6 +658,26 @@ class TestExitCodes:
         assert err.startswith(("config error: ", "runtime error: ")[code - 1])
         assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
         assert not (outdir / "correlation.csv").exists()
+
+    def test_sweep_axis_without_a_pair_leaves_no_axis_directory(self, tmp_path, capsys):
+        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "r_cutoff_a0 = 1e-300"))
+        assert cli.main(["sweep-axis", str(cfgp), "0,0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "2 spins lies within 'r_cutoff_a0' = 1e-300" in err
+        assert not (outdir / "axis0").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["simulate"], ["compare-orders", "2", "3"],
+                                         ["sweep-axis", "0,0,1"]], ids=lambda c: c[0])
+    def test_flip_free_mask_refused_before_outdir(self, tmp_path, capsys, command):
+        # A alone is diagonal in the product basis: the correlation is constant
+        cfgp, outdir = write_cfg(tmp_path, with_keys(
+            THREE_SITE_BODY, "mask_B = false\nmask_CD = false\nmask_EF = false"))
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert all(f"'{key}'" in err for key in ("mask_B", "mask_CD", "mask_EF"))
+        assert not outdir.exists()
 
     # a0 = 1.5e308 overflows the bond length, with no RuntimeWarning
     @pytest.mark.parametrize("extra_body", ["gamma = 1e200", "a0 = 1e-300", "a0 = 1.5e308"])

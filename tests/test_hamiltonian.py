@@ -169,7 +169,7 @@ class TestSpinMatrices:
 class TestPairHamiltonian:
     def test_hermitian_random_geometry(self):
         rng = np.random.default_rng(3)
-        masks = [ham.TermMask(), ham.TermMask.secular(),
+        masks = [ham.TermMask(), ham.TermMask(enable_CD=False, enable_EF=False),
                  ham.TermMask(True, False, True, False),
                  ham.TermMask(False, False, False, True)]
         for _ in range(5):
@@ -201,7 +201,7 @@ class TestPairHamiltonian:
         # -0.0 on the diagonal wherever b < 0, which the dense sum's later
         # zero adds turn into +0.0
         rng = np.random.default_rng(11)
-        masks = [ham.TermMask(), ham.TermMask.secular(),
+        masks = [ham.TermMask(), ham.TermMask(enable_CD=False, enable_EF=False),
                  ham.TermMask(False, True, False, True), ham.TermMask(False, False, False, False)]
         for size in sizes:
             bath = random_bath(rng, size + 2, spin=spin, axis=rng.normal(size=3))
@@ -214,7 +214,8 @@ class TestPairHamiltonian:
 
     def test_secular_conserves_total_mz(self):
         bath = random_bath(np.random.default_rng(4), 2, spin=1.5, axis=(1, 2, 3))
-        H = ham.cluster_hamiltonians([(0, 1)], bath, 0.0, ham.TermMask.secular())[0]
+        high_field = ham.TermMask(enable_CD=False, enable_EF=False)
+        H = ham.cluster_hamiltonians([(0, 1)], bath, 0.0, high_field)[0]
         Mz = total_mz(spin_matrices(1.5), 2)
         assert np.abs(H @ Mz - Mz @ H).max() < 1e-12 * np.abs(H).max()
 
