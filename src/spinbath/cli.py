@@ -218,21 +218,15 @@ def _check_cluster_dim(what: str, spin: float, order: int) -> None:
 def _check_band_coverage(cfg: RunConfig) -> None:
     """Every band in BANDS needs at least one CWT row (the SST bins are the
     same frequencies) on the configured time grid and voice count; a scale
-    grid that ``tfa.default_scales`` refuses, or one with a scale whose bump
-    covers no bin of the CWT's padded FFT, is a config error too."""
+    grid that ``tfa.default_scales`` refuses is a config error too."""
     times = cce.time_grid(cfg.tbar_max, cfg.samples)
-    dt, params = times[1] - times[0], tfa.BumpParams(cfg.mu, cfg.sigma)
     try:
-        scales = tfa.default_scales(cfg.samples, dt, params, cfg.voices)
+        scales = tfa.default_scales(cfg.samples, times[1] - times[0],
+                                    tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
     except tfa.TFAError as exc:
-        raise ConfigError(f"'mu' = {cfg.mu:g}, 'tbar_max' = {cfg.tbar_max:g}, 'samples' = "
-                          f"{cfg.samples} and 'voices' = {cfg.voices} give no wavelet "
-                          f"scale grid: {exc}") from None
-    empty = tfa.bump_support(cfg.samples, dt, params, scales)[-1]
-    if empty.any():
-        raise ConfigError(f"'sigma' = {cfg.sigma:g} leaves {empty.sum()} of {len(scales)} "
-                          f"wavelet scales, the first {scales[empty.argmax()]:.6g}, no bump "
-                          "support on the CWT's padded FFT")
+        raise ConfigError(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, 'tbar_max' = "
+                          f"{cfg.tbar_max:g}, 'samples' = {cfg.samples} and 'voices' = "
+                          f"{cfg.voices} give no wavelet scale grid: {exc}") from None
     freqs = cfg.mu / scales
     for name, (lo, hi) in BANDS.items():
         if not ((freqs >= lo) & (freqs <= hi)).any():
@@ -357,6 +351,7 @@ def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce
         "E_dd": realization.E_dd,
         "n_spinful": realization.n_spins,
         "spin_I": realization.species.spin_I,
+        "hf_axis": tuple(realization.hf_axis.tolist()),
         "cluster_counts": dict(sorted(sizes.items())),
         "max_imag": series.metadata["max_imag"],
     })
@@ -552,7 +547,7 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (PipelineError, cce.CCEError, tfa.TFAError, OSError) as exc:
+    except (PipelineError, cce.CCEError, tfa.TFAError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     return 0

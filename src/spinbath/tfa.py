@@ -92,10 +92,12 @@ def _bump_window(xi: np.ndarray, p: BumpParams) -> np.ndarray:
 
 def default_scales(n: int, dt: float, params: BumpParams,
                    voices_per_octave: int = 32) -> np.ndarray:
-    """Log2-spaced scales spanning wavelet periods from 2*dt up to half the
-    series duration. A range of no positive finite octave count, or of more
-    scales than the int32 SST bin map indexes (2^31 - 1), is refused before
-    any scale is made."""
+    """The scale grid cwt_bump transforms: log2-spaced scales spanning
+    wavelet periods from 2*dt up to half the series duration. A range of no
+    positive finite octave count, or of more scales than the int32 SST bin
+    map indexes (2^31 - 1), is refused before any scale is made, and a grid
+    with a scale whose bump covers no bin of the padded FFT (see
+    bump_support) once it is made."""
     if not 1 <= voices_per_octave <= 2 ** 31 - 1:
         raise TFAError(f"voices_per_octave must be >= 1 and at most 2^31 - 1, "
                        f"got {voices_per_octave}")
@@ -109,8 +111,13 @@ def default_scales(n: int, dt: float, params: BumpParams,
     count = np.ceil(n_oct * voices_per_octave) + 1
     if count > 2 ** 31 - 1:
         raise TFAError(f"{count:.3g} scales, above the 2^31 - 1 the SST bin map indexes")
-    k = np.arange(int(count))
-    return a_min * 2.0 ** (k / voices_per_octave)
+    scales = a_min * 2.0 ** (np.arange(int(count)) / voices_per_octave)
+    empty = bump_support(n, dt, params, scales)[-1]
+    if empty.any():
+        raise TFAError(f"{empty.sum()} of {len(scales)} wavelet scales, the first "
+                       f"{scales[empty.argmax()]:.6g}, have no bump support on the "
+                       "CWT's padded FFT")
+    return scales
 
 
 def _smooth_lengths(m) -> np.ndarray:
@@ -176,13 +183,9 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
     r and their time derivative dW[r] in a buffer the next block reuses.
     Each block runs its chirp-z convolution at its own length M, the smallest
     2^a 3^b 5^c >= n + K - 1 for the block's widest support K, with at most
-    2^15 rows times M cells per product. A scale with no bump support (see
-    bump_support) is refused before any block."""
+    2^15 rows times M cells per product."""
     n = len(x)
-    npad, omega, lo, hi, empty = bump_support(n, dt, params, scales)
-    if empty.any():
-        raise TFAError(f"scale {scales[empty.argmax()]} has empty bump "
-                       "support inside the sampled band")
+    npad, omega, lo, hi, _ = bump_support(n, dt, params, scales)
     pos = slice(1, len(omega) + 1)          # omega's bins in the padded FFT
     X = np.fft.fft(x, npad)[pos].copy()     # copies: the negative halves are not kept
     root = np.exp(2j * np.pi * np.fft.fftfreq(2 * npad))  # root[q] = w^(q/2)
@@ -224,10 +227,10 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
 
 
 def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
-             voices_per_octave: int = 32,
-             scales: np.ndarray | None = None) -> Scalogram:
-    """Bump-wavelet CWT of a series, evaluated in the Fourier domain, with
-    each cell's SST bin; the map's columns are the series' own time grid.
+             voices_per_octave: int = 32) -> Scalogram:
+    """Bump-wavelet CWT of a series on its default_scales grid, evaluated in
+    the Fourier domain, with each cell's SST bin; the map's columns are the
+    series' own time grid.
 
     Per scale a the row is ifft(xhat(w) * sqrt(a) * bump(a w))[:n] at npad,
     the next power of two resolving the narrowest bump: analytic for real
@@ -241,33 +244,22 @@ def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
     Each block's exact spectral time derivative dW, never held whole, gives
     its cells' phase-transform frequency w = Re(-i dW/W) and so the SST bin:
     the nearest center frequency on a log2 axis (int16 up to 2^15 scales), or
-    -1 where w is not finite and > 0, off the grid, or on a grid synchrosqueeze refuses.
+    -1 where w is not finite and > 0 or off the grid.
     """
     x, dt = series.values, series.dt
     n = len(x)
-    if scales is None:
-        scales = default_scales(n, dt, params, voices_per_octave)
-    scales = np.asarray(scales, dtype=float)
-    if not (scales.size and np.isfinite(scales).all() and (scales > 0).all()):
-        raise TFAError("scales must be a nonempty set of finite values > 0")
+    scales = default_scales(n, dt, params, voices_per_octave)
     W = np.empty((len(scales), n), dtype=complex)
     bins = np.empty(W.shape, dtype=np.int16 if len(scales) <= 2 ** 15 else np.int32)
     center = params.mu / scales
     log_f = np.log2(center[::-1])
-    dlog = (log_f[-1] - log_f[0]) / (len(log_f) - 1) if _ascending(scales) else np.nan
+    dlog = (log_f[-1] - log_f[0]) / (len(log_f) - 1)
     for r, dW in _cwt_rows(x, dt, params, scales, W):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             k = np.rint((np.log2(np.real(-1j * dW / W[r])) - log_f[0]) / dlog)
             bins[r] = np.where((k >= 0) & (k < len(scales)), k, -1)
-    # approximate edge-effect halfwidth per scale, in samples
-    coi = np.minimum(np.ceil(2.0 * np.pi * scales / (params.sigma * dt)), n).astype(int)
     return Scalogram(scales=scales, freqs=center, times_tbar=series.times_tbar, coeffs=W,
-                     sst_bins=bins, metadata={"voices_per_octave": voices_per_octave,
-                                              "coi_halfwidth_samples": coi})
-
-
-def _ascending(scales: np.ndarray) -> bool:
-    return len(scales) > 1 and bool((np.diff(scales) > 0).all())
+                     sst_bins=bins, metadata={"voices_per_octave": voices_per_octave})
 
 
 def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
@@ -285,12 +277,13 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     """
     if not 0 <= gamma < np.inf:
         raise TFAError(f"gamma must be finite and >= 0, got {gamma}")
-    if not _ascending(scalogram.scales):
+    scales = scalogram.scales       # cwt_bump's ascend, one built by hand may not
+    if not (len(scales) > 1 and (np.diff(scales) > 0).all()):
         raise TFAError("synchrosqueezing needs two or more strictly ascending scales")
     W, bins = scalogram.coeffs, scalogram.sst_bins
     n_rows, n_cols = W.shape
     thr = gamma * max(np.abs(W[s:e]).max() for s, e in _blocks(n_rows, max(1, 2 ** 15 // n_cols)))
-    weight = scalogram.scales ** -1.5 * np.gradient(scalogram.scales)
+    weight = scales ** -1.5 * np.gradient(scales)
     width = max(1, 2 ** 15 // n_rows)
     buf = np.empty(n_rows * min(width, n_cols) + 1, dtype=complex)
     for c in range(0, n_cols, width):
@@ -343,8 +336,7 @@ def save_map(bin_path, meta_path, obj: Scalogram | SSTMap) -> list:
         fh.write(f"# kind = {obj.kind}\n")
         fh.write("# shape = %d %d\n" % obj.coeffs.shape)
         for k, v in sorted(obj.metadata.items()):
-            if not isinstance(v, np.ndarray):
-                fh.write(f"# {k} = {v}\n")
+            fh.write(f"# {k} = {v}\n")
         for axis, grid in (("omega_bar rows", obj.freqs), ("tbar columns", obj.times_tbar)):
             fh.write(f"# {axis}:\n" + ",".join(_key_cells(grid)) + "\n")
     return [bin_path, meta_path]

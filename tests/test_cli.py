@@ -235,15 +235,19 @@ class TestSubcommands:
         assert manifest_products(outdir / "manifest.txt") == written
 
     def test_manifest_gives_the_realization_files_spin(self, tmp_path):
-        gen, bath = write_cfg(tmp_path, with_keys(FAST_BODY, "spin = 1.5"),
+        gen, bath = write_cfg(tmp_path, with_keys(FAST_BODY, "spin = 1.5\nhf_axis = 1 1 0"),
                               tmp_path / "bath", "bath.cfg")
         assert cli.main(["generate-bath", str(gen)]) == 0
         cfgp, outdir = write_cfg(tmp_path, with_keys(
             FAST_BODY, f"realization_file = {bath / 'realization.csv'}"))
         assert cli.main(["run", str(cfgp)]) == 0
-        text = (outdir / "manifest.txt").read_text()
-        # the config's spin is echoed, the spin the CCE used is derived
-        assert "\nspin = 0.5\n" in text and "\nspin_I = 1.5\n" in text
+        config, derived = (manifest_section(outdir / "manifest.txt", name)
+                           for name in ("config", "derived"))
+        # the config's spin and axis are echoed, the file's, which the CCE
+        # used, are derived
+        assert config["spin"] == "0.5" and derived["spin_I"] == "1.5"
+        assert config["hf_axis"] == "(0.0, 0.0, 1.0)"
+        assert derived["hf_axis"] == "(0.7071067811865476, 0.7071067811865476, 0.0)"
 
     def test_manifest_verifies_after_the_directory_moves(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
@@ -255,6 +259,19 @@ class TestSubcommands:
             assert hashlib.sha256((moved / name).read_bytes()).hexdigest() == digest, name
         # no line names the directory it was written in, outdir included
         assert str(tmp_path) not in (moved / "manifest.txt").read_text()
+
+    def test_analyze_refuses_a_grid_with_empty_support(self, tmp_path, capsys):
+        # simulate makes no scale grid; analyze, which takes its grid from the
+        # series, refuses it in the cwt stage, after the spectrum
+        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, "sigma = 0.01\nvoices = 32"))
+        assert cli.main(["simulate", str(cfgp)]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", str(cfgp), str(outdir / "correlation_normalized.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage 'cwt' failed: 59 of 193 wavelet scales")
+        assert err.count("\n") == 1
+        assert (outdir / "analyze_spectrum.csv").exists()
+        assert not (outdir / "analyze_cwt.bin").exists()
 
     def test_analyze_normalizes_a_series_flagged_not_normalized(self, tmp_path):
         # the header's False is a boolean, not the truthy string "False"
@@ -638,6 +655,11 @@ class TestExitCodes:
                      "realization file {tmp}/latin1.txt is not", id="realization-not-text"),
         pytest.param("", ["analyze", "{cfg}", "{tmp}/latin1.txt"], 2,
                      "series file {tmp}/latin1.txt is not", id="series-not-text"),
+        # a 7 PiB time grid, which no 64-bit address space maps: nothing is allocated
+        pytest.param("samples = 1000000000000000", ["run", "{cfg}"], 2,
+                     "Unable to allocate", id="run-grid-not-allocatable"),
+        pytest.param("samples = 1000000000000000", ["simulate", "{cfg}"], 2,
+                     "Unable to allocate", id="simulate-grid-not-allocatable"),
     ])
     def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
                                    code, named):
@@ -703,9 +725,14 @@ class TestExitCodes:
         pytest.param("sites = 10 99999", "'sites'", id="site-above-box"),
         pytest.param("sites = -1 3", "'sites'", id="negative-site"),
         # scales whose bump covers no bin of the CWT's padded FFT: 2 pi a_max /
-        # (sigma dt) overflows to inf at 1e-308, so the padding is capped first
-        pytest.param("sigma = 0.01", "'sigma' = 0.01 leaves", id="sigma-too-narrow"),
-        pytest.param("sigma = 1e-308", "'sigma' = 1e-308 leaves", id="padding-target-overflows")])
+        # (sigma dt) overflows to inf at 1e-308, so the padding is capped first;
+        # 32 voices give the grid of the README's example
+        pytest.param("sigma = 0.01\nvoices = 32", "'sigma' = 0.01, 'tbar_max' = 400, "
+                     "'samples' = 256 and 'voices' = 32 give no wavelet scale grid: 59 of 193",
+                     id="sigma-too-narrow"),
+        pytest.param("sigma = 1e-308\nvoices = 32", "'sigma' = 1e-308, 'tbar_max' = 400, "
+                     "'samples' = 256 and 'voices' = 32 give no wavelet scale grid: 193 of 193",
+                     id="padding-target-overflows")])
     def test_out_of_range_refused_before_outdir(self, tmp_path, capsys, extra_body, named):
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
         assert cli.main(["run", str(cfgp)]) == 1
