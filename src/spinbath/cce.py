@@ -89,6 +89,13 @@ def time_grid(tbar_max: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, tbar_max, samples)
 
 
+def grid_step(tbar_max: float, samples: int) -> float:
+    """The step of ``time_grid(tbar_max, samples)`` without making the grid:
+    np.linspace's own step, tbar_max / (samples - 1), so it has the bits of
+    ``times[1] - times[0]``."""
+    return tbar_max / (samples - 1)
+
+
 def _proximity_adjacency(positions: np.ndarray, r_cutoff: float):
     """Neighbour set of each site within ``r_cutoff``, a block of rows of the
     distance matrix at a time, so no (n, n) array is held."""
@@ -197,45 +204,89 @@ def exact_bath_correlation(realization: BathRealization, c_hf: float = 0.5,
 def compute_correlation(realization: BathRealization, cset: ClusterSet,
                         c_hf: float = 0.5, mask: TermMask = TermMask(), *,
                         times_tbar: np.ndarray) -> CorrelationSeries:
-    """Total CCE correlation, vectorized over clusters of equal size.
-
-    Equal-size clusters share the structural operators of their pair terms, so
-    Hamiltonian assembly, eigensolves and the trace formula all run stacked.
-    Results are accumulated in deterministic (size, lexicographic) order. A
-    grid that is not uniform from 0 is refused before any of that work.
+    """Total CCE correlation: the eigen stage's stream of line blocks
+    (``_line_blocks``) over the clusters of nonzero weight, summed by the
+    trace formula (``_trace``). Results are accumulated in deterministic
+    (size, lexicographic) order. A grid that is not uniform from 0 is refused
+    before any of that work.
     """
     times_tbar = _uniform_grid(times_tbar)
     if realization.n_spins == 0:
         raise CCEError("no spinful sites in realization")
     coeffs = cset.weights                           # in set order: one run per size
-    total = np.zeros(len(times_tbar), dtype=complex)
+    weights = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
     # a value past the float range (|B'|^2, E / A_bar) leaves inf or NaN in
     # the total, which CorrelationSeries refuses: no warning is printed first
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, group in groupby(coeffs.items(), key=lambda kv: len(kv[0])):
-            clusters, weights = zip(*group)
-            total += _group_correlation(np.array(clusters, dtype=int),
-                                        np.array(weights, dtype=float),
-                                        realization, c_hf, mask, times_tbar)
+        blocks = _line_blocks(list(coeffs), realization, c_hf, mask, len(times_tbar))
+        total = _trace(blocks, weights, realization.A_bar, times_tbar)
     return _finalize_series(total, times_tbar, realization, order=cset.max_order_M,
                             mode="cce", n_clusters=len(cset.clusters))
 
 
-def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
-                       realization: BathRealization, c_hf: float,
-                       mask: TermMask, times_tbar: np.ndarray) -> np.ndarray:
-    """Weighted sum of correlations over same-size clusters.
+def _line_blocks(clusters, realization: BathRealization, c_hf: float,
+                 mask: TermMask, nt: int):
+    """The eigen stage as a stream: per chunk of equal-size ``clusters``
+    (index rows sorted by size, in the order given), yield the chunk's rows
+    (nc, size), its energies E (nc, d) and its unweighted line weights
+    |B'|^2 (nc, d, d), with B' = V^dagger B V the bath operator in the
+    eigenbasis. E and |B'|^2 are views of buffers reused by every chunk of a
+    size and overwritten by the next chunk, so a consumer may scale them in
+    place but must not keep them.
 
-    Clusters go in chunks of ~2**22 / (d * nt), which fix the K = nc * d rows
-    of each per-sample trace sum and so the bits of the result. Of a chunk
-    only E and the real W = a |B'|^2 / d (a the cluster's CCE weight) are
-    held whole, in buffers reused by every chunk: the eigen stage runs on
-    sub-blocks of ~2**16 / d**2 clusters, and P, Q = W @ P (a real GEMM on
-    P's float view) and the trace sum_k conj(Q) P on tiles of w samples.
-    w is the widest multiple of 4 from 4 to 16 whose K rows of w + 1
-    complex samples take at most 1 MiB, so P and Q each fit half of a 2 MiB
-    L2 while a tile's dots and multiplies walk them (w = 4 at K = 16 384,
-    16 up to K = 3855).
+    A chunk holds ~2**22 / (d * nt) clusters: that fixes the K = nc * d rows
+    of each per-sample trace sum in ``_trace`` and so the bits of the
+    correlation. The eigen stage runs on sub-blocks of ~2**15 / d**2
+    clusters (512 KiB per complex stack), and a sub-block holds one cluster
+    only if its chunk does: a one-row ``A[clusters] @ mz.T`` in
+    ``bath_operator_diagonal`` rounds otherwise. Nothing of a sub-block is
+    held when a chunk is yielded."""
+    for _, group in groupby(clusters, len):
+        yield from _size_line_blocks(np.array(list(group), dtype=int), realization,
+                                     c_hf, mask, nt)
+
+
+def _size_line_blocks(clusters: np.ndarray, realization: BathRealization,
+                      c_hf: float, mask: TermMask, nt: int):
+    """``_line_blocks`` of one cluster size, whose buffers go with it."""
+    dim = cluster_dim(realization.species.spin_I, clusters.shape[1])
+    chunk = max(1, int(2 ** 22 / (dim * nt)))
+    nmax = min(chunk, len(clusters))
+    E_buf, B2_buf = np.empty((nmax, dim)), np.empty((nmax, dim, dim))
+    for lo in range(0, len(clusters), chunk):
+        rows = clusters[lo:lo + chunk]
+        E, B2 = E_buf[:len(rows)], B2_buf[:len(rows)]
+        for s, e in _blocks(len(rows), max(2, 2 ** 15 // dim ** 2)):
+            _eigen_lines(rows[s:e], realization, c_hf, mask, E[s:e], B2[s:e])
+        yield rows, E, B2
+
+
+def _eigen_lines(rows: np.ndarray, realization: BathRealization, c_hf: float,
+                 mask: TermMask, E: np.ndarray, B2: np.ndarray) -> None:
+    """Eigensolve one sub-block of clusters into E and |B'|^2 into B2.
+    B' = (conj(V) b)^T V is one batched matmul, with the bits of
+    einsum("ckm,ck,ckn->cmn", optimize=True); its modulus is squared in B2,
+    with the bits of ``np.abs(B') ** 2``."""
+    E[...], V = np.linalg.eigh(cluster_hamiltonians(rows, realization, c_hf, mask))
+    b = bath_operator_diagonal(rows, realization)       # (nc, dim), diagonal of B
+    np.abs((V.conj() * b[:, :, None]).mT @ V, out=B2)
+    np.square(B2, out=B2)
+
+
+def _trace(blocks, weights: np.ndarray, A_bar: float, times_tbar: np.ndarray) -> np.ndarray:
+    """Trace consumer of a ``_line_blocks`` stream: sum over its chunks of
+    (1/d) sum_{m,n} a |B'_mn|^2 exp(i (E_m - E_n) t), with ``weights`` the
+    CCE weight a of each of the stream's clusters, in stream order.
+
+    Each chunk's |B'|^2 is scaled in place to W = |B'|^2 * (a / d), one
+    multiply per element. P and Q = W @ P (a real GEMM on P's float view)
+    and the trace sum_k conj(Q) P then run on tiles of w samples. w is the
+    widest multiple of 4 from 4 to 16 whose K rows (the first chunk of a
+    size, its largest) of w + 1 complex samples take at most 1 MiB, so P
+    and Q each fit half of a 2 MiB L2 while a tile's dots and multiplies
+    walk them (w = 4 at K = 16 384, 16 up to K = 3855). P's and Q's buffers
+    are made once per size and reused by its chunks, whose traces add up
+    into that size's sum; the sizes' sums then add up in stream order.
     These rules keep the bits of a chunk-wide P, Q = W @ conj(P) and
     einsum("cmt,cmt->t") under the OpenBLAS SkylakeX, Haswell and Sandybridge
     kernels, except in the last samples of a grid of two or more tiles whose
@@ -253,41 +304,40 @@ def _group_correlation(clusters: np.ndarray, weights: np.ndarray,
       accumulators are the exact negations of zdotu's on conj(Q), as the
       einsum summed them;
     - buffer rows have odd length, so the dot's row-by-row walk does not
-      map every step onto one cache set;
-    - a sub-block holds one cluster only if its chunk does: a one-row
-      ``A[clusters] @ mz.T`` in ``bath_operator_diagonal`` rounds otherwise;
-    - B' = (conj(V) b)^T V is one batched matmul, with the bits of
-      einsum("ckm,ck,ckn->cmn", optimize=True).
+      map every step onto one cache set.
     """
-    dim = cluster_dim(realization.species.spin_I, clusters.shape[1])
-    nt, dt = len(times_tbar), times_tbar[1] - times_tbar[0]
-    out = np.zeros(nt, dtype=complex)
+    nt = len(times_tbar)
+    parts, lo = {}, 0                   # d -> the sum over that size's chunks
+    for _, E, B2 in blocks:
+        nc, dim = B2.shape[:2]
+        if dim not in parts:            # the first chunk of a size, its largest
+            parts[dim], P_buf, Q_buf = np.zeros(nt, dtype=complex), None, None
+            tiles = _blocks(nt, min(16, max(4, (2 ** 16 // (nc * dim) - 1) // 4 * 4)))
+            shape = (nc, dim, (nt - tiles[-1][0] + 1) | 1)
+            P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        W = np.multiply(B2, (weights[lo:lo + nc] / dim)[:, None, None], out=B2)
+        lo += nc
+        _trace_chunk(parts[dim], E / A_bar, W, P_buf[:nc], Q_buf[:nc], tiles, times_tbar)
+        # the stream makes the next size's buffers while these names are bound
+        del E, B2, W
+    # the sizes' sums add up in stream order, from zero
+    return sum(parts.values(), np.zeros(nt, dtype=complex))
 
-    chunk = max(1, int(2 ** 22 / (dim * nt)))
-    rows = min(chunk, len(clusters)) * dim
-    tiles = _blocks(nt, min(16, max(4, (2 ** 16 // rows - 1) // 4 * 4)))
-    shape = (min(chunk, len(clusters)), dim, (nt - tiles[-1][0] + 1) | 1)
-    P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    E_buf, W_buf = np.empty(shape[:2]), np.empty(shape[:2] + (dim,))
-    for lo in range(0, len(clusters), chunk):
-        cl, w = clusters[lo:lo + chunk], weights[lo:lo + chunk]
-        nc = len(cl)
-        E, W = E_buf[:nc], W_buf[:nc]
-        for s, e in _blocks(nc, max(2, 2 ** 16 // dim ** 2)):
-            E[s:e], V = np.linalg.eigh(cluster_hamiltonians(cl[s:e], realization, c_hf, mask))
-            b = bath_operator_diagonal(cl[s:e], realization)   # (e - s, dim), diagonal of B
-            Bp = (V.conj() * b[:, :, None]).mT @ V
-            W[s:e] = (np.abs(Bp) ** 2) * (w[s:e] / dim)[:, None, None]
-        f = E / realization.A_bar
-        step, first = np.exp(1j * f * (dt + 0j)), np.exp(1j * f * times_tbar[0])
-        for t0, t1 in tiles:
-            o = int(t0 > 0)            # column 0 of a later tile holds the carry
-            P = _phase_table(step, first, P_buf[:nc, :, :o + t1 - t0])[..., o:]
-            first = P[..., -1]
-            Q = Q_buf[:nc, :, :t1 - t0]
-            np.matmul(W, P.view(float), out=Q.view(float))
-            out[t0:t1] += np.vecdot(Q.reshape(nc * dim, -1), P.reshape(nc * dim, -1), axis=0)
-    return out
+
+def _trace_chunk(out: np.ndarray, f: np.ndarray, W: np.ndarray, P_buf: np.ndarray,
+                 Q_buf: np.ndarray, tiles: list, times_tbar: np.ndarray) -> None:
+    """Add one chunk's trace, of frequencies ``f`` = E / A_bar and weights W,
+    into ``out``, tile by tile (see ``_trace``)."""
+    nc, dim = f.shape
+    step = np.exp(1j * f * ((times_tbar[1] - times_tbar[0]) + 0j))
+    first = np.exp(1j * f * times_tbar[0])
+    for t0, t1 in tiles:
+        o = int(t0 > 0)            # column 0 of a later tile holds the carry
+        P = _phase_table(step, first, P_buf[:, :, :o + t1 - t0])[..., o:]
+        first = P[..., -1]
+        Q = Q_buf[:, :, :t1 - t0]
+        np.matmul(W, P.view(float), out=Q.view(float))
+        out[t0:t1] += np.vecdot(Q.reshape(nc * dim, -1), P.reshape(nc * dim, -1), axis=0)
 
 
 def _blocks(n: int, size: int) -> list:

@@ -219,9 +219,8 @@ def _check_band_coverage(cfg: RunConfig) -> None:
     """Every band in BANDS needs at least one CWT row (the SST bins are the
     same frequencies) on the configured time grid and voice count; a scale
     grid that ``tfa.default_scales`` refuses is a config error too."""
-    times = cce.time_grid(cfg.tbar_max, cfg.samples)
     try:
-        scales = tfa.default_scales(cfg.samples, times[1] - times[0],
+        scales = tfa.default_scales(cfg.samples, cce.grid_step(cfg.tbar_max, cfg.samples),
                                     tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
     except tfa.TFAError as exc:
         raise ConfigError(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, 'tbar_max' = "
@@ -265,16 +264,13 @@ def _sha256(path) -> str:
 
 
 class RunRecord:
-    """One command's run: makes the output directory, times the stages and
-    rewraps their failures with the stage name, names the products and writes
-    the manifest with their hashes."""
+    """One command's run: times the stages and rewraps their failures with the
+    stage name, names the products and writes the manifest with their hashes.
+    The output directory is made at the first product or manifest, so a run
+    refused before its first product leaves nothing on disk."""
 
     def __init__(self, cfg: RunConfig, tag: str = ""):
         self.outdir = Path(cfg.outdir)
-        try:
-            self.outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create 'outdir' {self.outdir}: {exc.strerror}") from None
         self.prefix = (tag + "_") if tag else ""
         # no outdir: the manifest sits in it, and may be moved with it
         self.config_echo = {k: v for k, v in vars(cfg).items() if k != "outdir"}
@@ -298,9 +294,17 @@ class RunRecord:
     def path(self, name: str, shared: bool = False) -> Path:
         """Product ``outdir/{prefix}{name}``, recorded; a ``shared`` product
         (the bath that every tagged run in the directory uses) takes no prefix."""
-        p = self.outdir / (name if shared else self.prefix + name)
+        p = self._made() / (name if shared else self.prefix + name)
         self.products[str(p)] = ""
         return p
+
+    def _made(self) -> Path:
+        """``outdir``, made if it is not there yet."""
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create 'outdir' {self.outdir}: {exc.strerror}") from None
+        return self.outdir
 
     def write(self) -> None:
         """Hash every recorded product and write ``{prefix}manifest.txt``,
@@ -314,7 +318,7 @@ class RunRecord:
         text = []
         for name, items in sections.items():
             text.append(f"[{name}]\n" + "".join(f"{k} = {items[k]}\n" for k in sorted(items)))
-        (self.outdir / f"{self.prefix}manifest.txt").write_text("\n".join(text))
+        (self._made() / f"{self.prefix}manifest.txt").write_text("\n".join(text))
 
 
 def _bath(record: RunRecord, cfg: RunConfig, order: int):
@@ -478,10 +482,9 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     every manifest lists it and gives the timings of the shared bath stage."""
     if not axes:
         raise ConfigError("sweep-axis needs at least one axis")
-    _check_band_coverage(cfg)       # before outdir exists, as in run_pipeline
+    _check_band_coverage(cfg)
     bath = RunRecord(cfg)
     realization, cset = _bath(bath, cfg, cfg.order)
-    _require_pair(cfg, realization, cset)       # before the first axis directory
     records = []
     for i, axis in enumerate(axes):
         fixed = replace(realization, hf_axis=np.asarray(axis) / np.linalg.norm(axis))

@@ -80,11 +80,15 @@ def bath_operator_diagonal(clusters, realization: BathRealization) -> np.ndarray
     return realization.hf_couplings_A[clusters] @ mz.T
 
 
+@lru_cache(maxsize=None)
 def mz_table(spin_I: float, n: int) -> np.ndarray:
-    """(d^n, n) array of per-slot Iz quantum numbers, slot 0 slowest."""
+    """(d^n, n) array of per-slot Iz quantum numbers, slot 0 slowest; cached
+    per spin and size, as every sub-block of a size reads it, and read-only."""
     m = spin_matrices(spin_I).Iz.diagonal().real
     grids = np.meshgrid(*([m] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    table = np.stack([g.ravel() for g in grids], axis=1)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,13 @@ class TestTimeGrid:
         t = cce.time_grid(cfg.tbar_max, cfg.samples)
         assert len(t) == 4096 and t[0] == 0.0 and t[-1] == pytest.approx(200.0)
 
+    @pytest.mark.parametrize("samples", [2, 16, 1024, 4096, 49152])
+    @pytest.mark.parametrize("tbar_max", [200.0, 2400.0, 0.1, 1e-300, 3e300])
+    def test_step_has_the_grids_bits(self, tbar_max, samples):
+        times = cce.time_grid(tbar_max, samples)
+        step = cce.grid_step(tbar_max, samples)
+        assert np.float64(step).view(np.uint64) == (times[1] - times[0]).view(np.uint64)
+
     def test_series_validation(self):
         with pytest.raises(cce.CCEError):
             cce.CorrelationSeries(np.array([1.0, 2.0]), np.zeros(2))
@@ -433,6 +440,13 @@ def chunk_wide_group_correlation(clusters, weights, realization, c_hf, mask,
     return out
 
 
+def group_correlation(clusters, weights, realization, c_hf, mask, times_tbar):
+    """The weighted trace of one size's clusters, through the eigen stage's
+    stream and the trace consumer."""
+    blocks = cce._line_blocks(clusters, realization, c_hf, mask, len(times_tbar))
+    return cce._trace(blocks, weights, realization.A_bar, times_tbar)
+
+
 def group_inputs(spin, size, n_spins, n_clusters):
     """A random bath with its first ``n_clusters`` clusters of ``size`` and
     integer weights in [-3, 3], zeros included."""
@@ -469,7 +483,7 @@ class TestTraceMatchesReference:
             return vecdot(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "vecdot", keep_q)
-        got = cce._group_correlation(clusters, weights, bath, 0.5, mask, t)
+        got = group_correlation(clusters, weights, bath, 0.5, mask, t)
         monkeypatch.undo()
         qs = []                          # each chunk's (K, nt) Q, tile by tile
         for q in tiles:
@@ -500,7 +514,7 @@ class TestTiledTraceMatchesReference:
     # 256, 1000 and 1001 end in a merged tile of 21, 16, 16 and 17 samples;
     # below 24 the grid is one tile. At nt = 1000 both sizes end in a partial
     # chunk (262 clusters of d = 16, 65 of d = 64), and each full
-    # chunk in a remainder of the eigen sub-blocks (256 and 16 clusters) that
+    # chunk in a remainder of the eigen sub-blocks (128 and 8 clusters) that
     # joins the last sub-block: 6 clusters, and a single cluster
     @pytest.mark.parametrize("nt", [2, 5, 15, 16, 17, 33, 36, 256, 1000, 1001])
     @pytest.mark.parametrize("spin,size,n_spins,n_clusters,mask", [
@@ -511,12 +525,12 @@ class TestTiledTraceMatchesReference:
     def test_bit_identical_to_chunk_wide_trace(self, spin, size, n_spins, n_clusters,
                                               mask, nt):
         dim = int(2 * spin + 1) ** size
-        chunk, sub = int(2 ** 22 / (dim * nt)), 2 ** 16 // dim ** 2
+        chunk, sub = int(2 ** 22 / (dim * nt)), 2 ** 15 // dim ** 2
         if nt == 1000:
             assert n_clusters % chunk and chunk % sub in (1, 6)
         bath, clusters, weights = group_inputs(spin, size, n_spins, n_clusters)
         t = cce.time_grid(60.0, nt)
-        got = cce._group_correlation(clusters, weights, bath, 0.5, mask, t)
+        got = group_correlation(clusters, weights, bath, 0.5, mask, t)
         ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, mask, t)
         if nt % 4 == 0 or nt < 32:
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -531,7 +545,7 @@ class TestTiledTraceMatchesReference:
         bath, clusters, weights = group_inputs(0.5, 2, 92, 4100)
         t = cce.time_grid(60.0, 256)
         assert 2 ** 22 // (4 * len(t)) == 4096
-        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+        got = group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
@@ -543,7 +557,7 @@ class TestTiledTraceMatchesReference:
         t = cce.time_grid(60.0, 256)
         tracemalloc.start()
         try:
-            cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+            group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,7 +571,7 @@ class TestTiledTraceMatchesReference:
             t = cce.time_grid(60.0, nt)
             tracemalloc.start()
             try:
-                cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+                group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -575,20 +589,77 @@ class TestTiledTraceMatchesReference:
         for n in (4096, 10240):
             tracemalloc.start()
             try:
-                cce._group_correlation(clusters[:n], weights[:n], bath, 0.5, TermMask(), t)
+                group_correlation(clusters[:n], weights[:n], bath, 0.5, TermMask(), t)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 * 2 ** 20
 
     def test_large_clusters_bit_identical_to_chunk_wide_trace(self):
-        # d = 256 leaves 2**16 / d**2 = 1 cluster per sub-block; blocks of two
+        # d = 256 leaves 2**15 / d**2 = 0 clusters per sub-block; blocks of two
         # keep the bits, since a one-cluster stack assembles other ones
         bath, clusters, weights = group_inputs(1.5, 4, 8, 5)
         t = cce.time_grid(60.0, 64)
-        got = cce._group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+        got = group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+class TestLineBlocks:
+    def test_full_d64_chunk_holds_little_beyond_its_buffers(self):
+        # 256 spin-3/2 triples on 256 samples: one full chunk of d = 64, whose
+        # E, W and the two (256, 64, 5) tile buffers take 10.6 MiB. The eigen
+        # stage adds one sub-block of 8 clusters (512 KiB per complex stack)
+        # and nothing of it is held while the trace runs
+        bath, clusters, weights = group_inputs(1.5, 3, 13, 256)
+        t = cce.time_grid(60.0, 256)
+        assert 2 ** 22 // (64 * len(t)) == len(clusters)
+        buffers = 256 * 64 * 8 + 256 * 64 * 64 * 8 + 2 * 256 * 64 * 5 * 16
+        tracemalloc.start()
+        try:
+            group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + 2 * 2 ** 20
+
+    def test_one_pass_feeds_two_consumers(self):
+        # spin 3/2 up to triples on 1000 samples: chunks of 65 triples (two
+        # of them) and of 262 pairs, so the buffers of a size are reused
+        bath = random_bath(np.random.default_rng(12), 10, spin=1.5)
+        cset = cce.enumerate_clusters(bath, 1e-6, 3)
+        t = cce.time_grid(60.0, 1000)
+        rng = np.random.default_rng(5)
+        weights = [rng.integers(-3, 4, len(cset.clusters)).astype(float) for _ in range(2)]
+
+        def stream():
+            return cce._line_blocks(cset.clusters, bath, 0.5, TermMask(), len(t))
+
+        # each consumer scales its blocks in place: each takes its own copy
+        copies = [[], []]
+        for rows, E, B2 in stream():
+            for kept in copies:
+                kept.append((rows.copy(), E.copy(), B2.copy()))
+        assert len(copies[0]) == 4 and [len(r) for r, _, _ in copies[0]] == [10, 45, 65, 55]
+        for kept, w in zip(copies, weights):
+            shared = cce._trace(iter(kept), w, bath.A_bar, t)
+            alone = cce._trace(stream(), w, bath.A_bar, t)
+            assert np.array_equal(shared.view(np.uint64), alone.view(np.uint64))
+
+    def test_total_adds_the_sizes_sums_in_order(self):
+        # each size's chunks sum apart, and the total adds those sums from
+        # zero: a running sum over every chunk rounds otherwise
+        bath = random_bath(np.random.default_rng(12), 10, spin=1.5)
+        cset = cce.enumerate_clusters(bath, 1e-6, 3)
+        t = cce.time_grid(60.0, 1000)
+        got = cce.compute_correlation(bath, cset, 0.5, TermMask(), times_tbar=t)
+        total = np.zeros(len(t), dtype=complex)
+        for size in (1, 2, 3):
+            coeffs = {c: a for c, a in cset.weights.items() if len(c) == size}
+            total += group_correlation(np.array(list(coeffs)), np.array(list(coeffs.values()),
+                                                                        dtype=float),
+                                       bath, 0.5, TermMask(), t)
+        assert np.array_equal(got.values.view(np.uint64), total.real.view(np.uint64))
 
 
 class TestPhaseTable:

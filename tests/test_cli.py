@@ -681,6 +681,19 @@ class TestExitCodes:
         assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
         assert not (outdir / "correlation.csv").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["simulate"], ["compare-orders", "2", "3"],
+                                         ["sweep-axis", "0,0,1"]], ids=lambda c: c[0])
+    def test_unallocatable_grid_leaves_no_outdir(self, tmp_path, capsys, command):
+        # a 7 PiB time grid, which no 64-bit address space maps: the output
+        # directory is made at the first product, which no command reaches
+        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY,
+                                                     "samples = 1000000000000000"))
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "Unable to allocate" in err
+        assert not outdir.exists()
+
     def test_sweep_axis_without_a_pair_leaves_no_axis_directory(self, tmp_path, capsys):
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "r_cutoff_a0 = 1e-300"))
         assert cli.main(["sweep-axis", str(cfgp), "0,0,1"]) == 2
@@ -783,19 +796,16 @@ class TestExitCodes:
         ["analyze", "{cfg}", "{tmp}/series.csv"], ["run", "{cfg}"],
         ["compare-orders", "{cfg}", "2", "3"], ["sweep-axis", "{cfg}", "0,0,1"]],
         ids=lambda c: c[0])
-    def test_uncreatable_outdir_is_one_line(self, tmp_path, capsys, monkeypatch, command):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("work started before the output directory was made")
-
-        # the first work of every command: the bath, or the series for analyze
-        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
-        monkeypatch.setattr(cce, "load_series", unreachable)
+    def test_uncreatable_outdir_is_one_line(self, tmp_path, capsys, command):
+        # the directory is made at the first product, after the work before it
+        t = cce.time_grid(400.0, 256)
+        cce.save_series(tmp_path / "series.csv", cce.CorrelationSeries(t, np.cos(0.5 * t)))
         (tmp_path / "afile").write_text("")
-        cfgp, _ = write_cfg(tmp_path, FAST_BODY, tmp_path / "afile" / "out")
+        cfgp, _ = write_cfg(tmp_path, THREE_SITE_BODY, tmp_path / "afile" / "out")
         assert cli.main([a.format(tmp=tmp_path, cfg=cfgp) for a in command]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "'outdir'" in err
+        assert "'outdir'" in err and "afile" in err
 
     #: leaves band 0Q without a wavelet row on the configured grid
     SHORT_GRID = "tbar_max = 100\nsamples = 4096"

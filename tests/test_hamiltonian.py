@@ -249,6 +249,15 @@ class TestBathOperator:
         assert np.allclose(np.sort(mz.sum(axis=1)),
                            np.sort([1.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5, -1.5]))
 
+    @pytest.mark.parametrize("spin,n", [(0.5, 1), (0.5, 4), (1.5, 3)])
+    def test_mz_table_is_cached_and_read_only(self, spin, n):
+        mz = ham.mz_table(spin, n)
+        assert ham.mz_table(spin, n) is mz
+        fresh = ham.mz_table.__wrapped__(spin, n)
+        assert fresh is not mz and np.array_equal(fresh, mz)
+        with pytest.raises(ValueError, match="read-only"):
+            mz[0, 0] = 0.0
+
 
 class TestClusterHamiltonian:
     def test_duplicate_site_rejected(self):
