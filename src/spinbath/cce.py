@@ -240,7 +240,9 @@ def _line_blocks(clusters, realization: BathRealization, c_hf: float,
     clusters (512 KiB per complex stack), and a sub-block holds one cluster
     only if its chunk does: a one-row ``A[clusters] @ mz.T`` in
     ``bath_operator_diagonal`` rounds otherwise. Nothing of a sub-block is
-    held when a chunk is yielded."""
+    held when a chunk is yielded. A consumer that holds nothing of the
+    current chunk but E and |B'|^2 when it asks for the next block keeps the
+    stage's peak at E + |B'|^2 + max(its own chunk buffers, one sub-block)."""
     for _, group in groupby(clusters, len):
         yield from _size_line_blocks(np.array(list(group), dtype=int), realization,
                                      c_hf, mask, nt)
@@ -269,7 +271,9 @@ def _eigen_lines(rows: np.ndarray, realization: BathRealization, c_hf: float,
     with the bits of ``np.abs(B') ** 2``."""
     E[...], V = np.linalg.eigh(cluster_hamiltonians(rows, realization, c_hf, mask))
     b = bath_operator_diagonal(rows, realization)       # (nc, dim), diagonal of B
-    np.abs((V.conj() * b[:, :, None]).mT @ V, out=B2)
+    Vb = np.conjugate(V)                                # conj(V) b in one buffer
+    Vb *= b[:, :, None]
+    np.abs(Vb.mT @ V, out=B2)
     np.square(B2, out=B2)
 
 
@@ -284,14 +288,17 @@ def _trace(blocks, weights: np.ndarray, A_bar: float, times_tbar: np.ndarray) ->
     widest multiple of 4 from 4 to 16 whose K rows (the first chunk of a
     size, its largest) of w + 1 complex samples take at most 1 MiB, so P
     and Q each fit half of a 2 MiB L2 while a tile's dots and multiplies
-    walk them (w = 4 at K = 16 384, 16 up to K = 3855). P's and Q's buffers
-    are made once per size and reused by its chunks, whose traces add up
-    into that size's sum; the sizes' sums then add up in stream order.
+    walk them (w = 4 at K = 16 384, 16 up to K = 3855). P and Q are made
+    per chunk, with the tiles and the odd row length that the size's first
+    chunk sets, and they, E / A_bar (divided into E in place) and W go
+    before the stream is asked for the next block: the eigen stage's
+    sub-block then never overlaps the tile buffers. The chunks' traces add
+    up into their size's sum; the sizes' sums then add up in stream order.
     These rules keep the bits of a chunk-wide P, Q = W @ conj(P) and
-    einsum("cmt,cmt->t") under the OpenBLAS SkylakeX, Haswell and Sandybridge
-    kernels, except in the last samples of a grid of two or more tiles whose
-    nt is not a multiple of 4, where SkylakeX dgemm edge kernels may round
-    otherwise:
+    einsum("cmt,cmt->t") under the OpenBLAS SkylakeX, Haswell and
+    Sandybridge kernels, except in the last samples of a grid of two or more
+    tiles whose nt is not a multiple of 4, where SkylakeX dgemm edge kernels
+    may round otherwise:
 
     - the phase table is built column by column on strided columns (see
       ``_phase_table``): nt % w joins the last tile, and a later tile
@@ -311,15 +318,16 @@ def _trace(blocks, weights: np.ndarray, A_bar: float, times_tbar: np.ndarray) ->
     for _, E, B2 in blocks:
         nc, dim = B2.shape[:2]
         if dim not in parts:            # the first chunk of a size, its largest
-            parts[dim], P_buf, Q_buf = np.zeros(nt, dtype=complex), None, None
+            parts[dim] = np.zeros(nt, dtype=complex)
             tiles = _blocks(nt, min(16, max(4, (2 ** 16 // (nc * dim) - 1) // 4 * 4)))
-            shape = (nc, dim, (nt - tiles[-1][0] + 1) | 1)
-            P_buf, Q_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+            width = (nt - tiles[-1][0] + 1) | 1
         W = np.multiply(B2, (weights[lo:lo + nc] / dim)[:, None, None], out=B2)
         lo += nc
-        _trace_chunk(parts[dim], E / A_bar, W, P_buf[:nc], Q_buf[:nc], tiles, times_tbar)
-        # the stream makes the next size's buffers while these names are bound
-        del E, B2, W
+        P_buf, Q_buf = (np.empty((nc, dim, width), dtype=complex) for _ in range(2))
+        _trace_chunk(parts[dim], np.divide(E, A_bar, out=E), W, P_buf, Q_buf, tiles,
+                     times_tbar)
+        # nothing of this chunk is held while the stream solves the next one
+        del E, B2, W, P_buf, Q_buf
     # the sizes' sums add up in stream order, from zero
     return sum(parts.values(), np.zeros(nt, dtype=complex))
 
@@ -327,10 +335,17 @@ def _trace(blocks, weights: np.ndarray, A_bar: float, times_tbar: np.ndarray) ->
 def _trace_chunk(out: np.ndarray, f: np.ndarray, W: np.ndarray, P_buf: np.ndarray,
                  Q_buf: np.ndarray, tiles: list, times_tbar: np.ndarray) -> None:
     """Add one chunk's trace, of frequencies ``f`` = E / A_bar and weights W,
-    into ``out``, tile by tile (see ``_trace``)."""
+    into ``out``, tile by tile (see ``_trace``). The phase recursion is
+    seeded in column 0 of ``P_buf`` and its step is built in place, so
+    nothing but the chunk's own buffers outlives the call: ``_trace`` then
+    holds only the stream's E and |B'|^2 when it asks for the next block."""
     nc, dim = f.shape
-    step = np.exp(1j * f * ((times_tbar[1] - times_tbar[0]) + 0j))
-    first = np.exp(1j * f * times_tbar[0])
+    step = np.multiply(1j, f)
+    step *= (times_tbar[1] - times_tbar[0]) + 0j
+    np.exp(step, out=step)
+    first = np.multiply(1j, f, out=P_buf[..., 0])      # the seed, in P's column 0
+    first *= times_tbar[0]
+    np.exp(first, out=first)
     for t0, t1 in tiles:
         o = int(t0 > 0)            # column 0 of a later tile holds the carry
         P = _phase_table(step, first, P_buf[:, :, :o + t1 - t0])[..., o:]

@@ -220,8 +220,9 @@ def _check_band_coverage(cfg: RunConfig) -> None:
     same frequencies) on the configured time grid and voice count; a scale
     grid that ``tfa.default_scales`` refuses is a config error too."""
     try:
-        scales = tfa.default_scales(cfg.samples, cce.grid_step(cfg.tbar_max, cfg.samples),
-                                    tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+        scales = _grid(cfg, "wavelet scale grid", tfa.default_scales, cfg.samples,
+                       cce.grid_step(cfg.tbar_max, cfg.samples),
+                       tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
     except tfa.TFAError as exc:
         raise ConfigError(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, 'tbar_max' = "
                           f"{cfg.tbar_max:g}, 'samples' = {cfg.samples} and 'voices' = "
@@ -234,6 +235,16 @@ def _check_band_coverage(cfg: RunConfig) -> None:
                 f"'voices' = {cfg.voices} give no wavelet row in band {name} "
                 f"[{lo}, {hi}]: centre frequencies span {freqs.min():.3g} to "
                 f"{freqs.max():.3g}")
+
+
+def _grid(cfg: RunConfig, what: str, fn, *args) -> np.ndarray:
+    """``fn(*args)``, a grid that ``cfg.samples`` sizes; one that cannot be
+    allocated is a runtime error that names 'samples'."""
+    try:
+        return fn(*args)
+    except MemoryError as exc:
+        raise PipelineError(f"'samples' = {cfg.samples} gives a {what} that cannot be "
+                            f"allocated: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -266,11 +277,19 @@ def _sha256(path) -> str:
 class RunRecord:
     """One command's run: times the stages and rewraps their failures with the
     stage name, names the products and writes the manifest with their hashes.
-    The output directory is made at the first product or manifest, so a run
+    An ``outdir`` whose nearest existing ancestor is not a directory this
+    process may write to is refused at once, before any stage runs. The
+    output directory is made at the first product or manifest, so a run
     refused before its first product leaves nothing on disk."""
 
     def __init__(self, cfg: RunConfig, tag: str = ""):
         self.outdir = Path(cfg.outdir)
+        near = os.path.abspath(self.outdir)
+        while not os.path.lexists(near):
+            near = os.path.dirname(near)
+        if not os.path.isdir(near) or not os.access(near, os.W_OK | os.X_OK):
+            raise ConfigError(f"cannot create 'outdir' {self.outdir}: {near} is not a "
+                              "directory this process may write to")
         self.prefix = (tag + "_") if tag else ""
         # no outdir: the manifest sits in it, and may be moved with it
         self.config_echo = {k: v for k, v in vars(cfg).items() if k != "outdir"}
@@ -299,7 +318,8 @@ class RunRecord:
         return p
 
     def _made(self) -> Path:
-        """``outdir``, made if it is not there yet."""
+        """``outdir``, made if it is not there yet; what the check in
+        ``__init__`` cannot see (a race, a full disk) is refused here."""
         try:
             self.outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -346,8 +366,9 @@ def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce
     """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values;
     a set with no pair is refused first."""
     _require_pair(cfg, realization, cset)
+    times_tbar = _grid(cfg, "time grid", cce.time_grid, cfg.tbar_max, cfg.samples)
     series = record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
-                        cfg.term_mask(), times_tbar=cce.time_grid(cfg.tbar_max, cfg.samples))
+                        cfg.term_mask(), times_tbar=times_tbar)
     sizes = Counter(len(c) for c in cset.clusters)
     record.derived.update({
         "A_bar": realization.A_bar,

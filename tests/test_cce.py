@@ -606,14 +606,17 @@ class TestTiledTraceMatchesReference:
 
 
 class TestLineBlocks:
-    def test_full_d64_chunk_holds_little_beyond_its_buffers(self):
-        # 256 spin-3/2 triples on 256 samples: one full chunk of d = 64, whose
-        # E, W and the two (256, 64, 5) tile buffers take 10.6 MiB. The eigen
-        # stage adds one sub-block of 8 clusters (512 KiB per complex stack)
-        # and nothing of it is held while the trace runs
-        bath, clusters, weights = group_inputs(1.5, 3, 13, 256)
+    # 256 spin-3/2 triples on 256 samples make one full chunk of d = 64, 512
+    # make two. A chunk's E, W and two (256, 64, 5) tile buffers take 10.6
+    # MiB; the eigen stage adds one sub-block of 8 clusters (512 KiB per
+    # complex stack). Nothing of a sub-block is held while the trace runs, and
+    # nothing of the trace but E and W while the next chunk is solved
+    @pytest.mark.parametrize("n_spins,n_clusters", [(13, 256), (16, 512)],
+                             ids=["one-chunk", "two-chunks"])
+    def test_full_d64_chunk_holds_little_beyond_its_buffers(self, n_spins, n_clusters):
+        bath, clusters, weights = group_inputs(1.5, 3, n_spins, n_clusters)
         t = cce.time_grid(60.0, 256)
-        assert 2 ** 22 // (64 * len(t)) == len(clusters)
+        assert 2 ** 22 // (64 * len(t)) == 256 and len(clusters) == n_clusters
         buffers = 256 * 64 * 8 + 256 * 64 * 64 * 8 + 2 * 256 * 64 * 5 * 16
         tracemalloc.start()
         try:
@@ -621,7 +624,7 @@ class TestLineBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= buffers + 2 * 2 ** 20
+        assert peak <= buffers + 2 ** 20
 
     def test_one_pass_feeds_two_consumers(self):
         # spin 3/2 up to triples on 1000 samples: chunks of 65 triples (two

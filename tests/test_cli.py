@@ -656,10 +656,13 @@ class TestExitCodes:
         pytest.param("", ["analyze", "{cfg}", "{tmp}/latin1.txt"], 2,
                      "series file {tmp}/latin1.txt is not", id="series-not-text"),
         # a 7 PiB time grid, which no 64-bit address space maps: nothing is allocated
+        # and numpy's text is kept behind the key that sized the grid
         pytest.param("samples = 1000000000000000", ["run", "{cfg}"], 2,
-                     "Unable to allocate", id="run-grid-not-allocatable"),
+                     "'samples' = 1000000000000000 gives a wavelet scale grid that cannot "
+                     "be allocated: Unable to allocate", id="run-grid-not-allocatable"),
         pytest.param("samples = 1000000000000000", ["simulate", "{cfg}"], 2,
-                     "Unable to allocate", id="simulate-grid-not-allocatable"),
+                     "'samples' = 1000000000000000 gives a time grid that cannot be "
+                     "allocated: Unable to allocate", id="simulate-grid-not-allocatable"),
     ])
     def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
                                    code, named):
@@ -691,7 +694,7 @@ class TestExitCodes:
         assert cli.main([command[0], str(cfgp), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert "Unable to allocate" in err
+        assert "'samples'" in err and "Unable to allocate" in err
         assert not outdir.exists()
 
     def test_sweep_axis_without_a_pair_leaves_no_axis_directory(self, tmp_path, capsys):
@@ -796,10 +799,16 @@ class TestExitCodes:
         ["analyze", "{cfg}", "{tmp}/series.csv"], ["run", "{cfg}"],
         ["compare-orders", "{cfg}", "2", "3"], ["sweep-axis", "{cfg}", "0,0,1"]],
         ids=lambda c: c[0])
-    def test_uncreatable_outdir_is_one_line(self, tmp_path, capsys, command):
-        # the directory is made at the first product, after the work before it
+    def test_uncreatable_outdir_is_one_line(self, monkeypatch, tmp_path, capsys, command):
+        # refused before any work: neither the bath nor the series is read
         t = cce.time_grid(400.0, 256)
         cce.save_series(tmp_path / "series.csv", cce.CorrelationSeries(t, np.cos(0.5 * t)))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started for an outdir that cannot be made")
+
+        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
+        monkeypatch.setattr(cce, "load_series", unreachable)
         (tmp_path / "afile").write_text("")
         cfgp, _ = write_cfg(tmp_path, THREE_SITE_BODY, tmp_path / "afile" / "out")
         assert cli.main([a.format(tmp=tmp_path, cfg=cfgp) for a in command]) == 1
