@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -29,22 +29,69 @@ class CCEError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSet:
     """Connected clusters of spinful sites up to ``max_order_M`` under the
     proximity graph of ``enumerate_clusters``."""
     max_order_M: int
-    clusters: tuple                      # tuples of site positions' indices, sorted by (size, lex)
+    levels: tuple       # per size k = 1 .. max_order_M, an (n_k, k) int array of rows in lex order
 
     def up_to(self, m: int) -> "ClusterSet":
-        """The clusters of size <= m: the set ``enumerate_clusters`` gives at order m."""
-        return ClusterSet(min(m, self.max_order_M), tuple(c for c in self.clusters if len(c) <= m))
+        """The clusters of size <= m: the set ``enumerate_clusters`` gives at
+        order m, whose levels are this set's first ones."""
+        return ClusterSet(min(m, self.max_order_M), self.levels[:m])
+
+    @property
+    def n_clusters(self) -> int:
+        return sum(map(len, self.levels))
+
+    @property
+    def clusters(self) -> "_Clusters":
+        """Every cluster as a tuple, in (size, lex) order: a view that builds
+        nothing until it is iterated. ``perfbench/spans.py`` counts it; the
+        pipeline reads ``levels``."""
+        return _Clusters(self.levels)
 
     @cached_property
-    def weights(self) -> dict:
+    def weights(self) -> "Weights":
         """``combination_coefficients`` of the set, computed once: they depend
         on the clusters alone, so every axis and mask of a sweep shares them."""
         return combination_coefficients(self)
+
+
+@dataclass(frozen=True, eq=False)
+class _Clusters:
+    levels: tuple
+
+    def __len__(self):
+        return sum(map(len, self.levels))
+
+    def __iter__(self):
+        return (tuple(c) for rows in self.levels for c in rows.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class Weights:
+    """Integer CCE weights of a ``ClusterSet``: ``per_size[k - 1]`` holds the
+    weight of each row of ``levels[k - 1]``, zeros included."""
+    levels: tuple
+    per_size: tuple
+
+    def nonzero(self):
+        """Per size, its rows of nonzero weight and their weights, in set
+        order: the level itself where no weight is zero, as at the top one."""
+        for rows, a in zip(self.levels, self.per_size):
+            keep = a != 0
+            yield (rows, a) if keep.all() else (rows[keep], a[keep])
+
+    # ``perfbench/spans.py`` reads the weights as the clusters of nonzero
+    # weight: their count, and each as a tuple, built only when iterated
+
+    def __len__(self):
+        return sum(map(np.count_nonzero, self.per_size))
+
+    def __iter__(self):
+        return (tuple(c) for rows, _ in self.nonzero() for c in rows.tolist())
 
 
 @dataclass
@@ -97,35 +144,81 @@ def grid_step(tbar_max: float, samples: int) -> float:
 
 
 def _proximity_adjacency(positions: np.ndarray, r_cutoff: float):
-    """Neighbour set of each site within ``r_cutoff``, a block of rows of the
-    distance matrix at a time, so no (n, n) array is held."""
+    """The graph of sites within ``r_cutoff`` of each other in CSR form
+    (indptr, indices): the neighbours of site i are
+    indices[indptr[i]:indptr[i + 1]], ascending. The distance matrix is taken
+    a block of rows at a time, so no (n, n) array is held."""
     n = len(positions)
-    adj = []
+    indptr, indices = np.zeros(n + 1, dtype=np.intp), []
     for s, e in _blocks(n, max(1, 2 ** 18 // max(n, 1))):
         diff = positions[s:e, None, :] - positions[None, :, :]
         close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= r_cutoff
         close[np.arange(e - s), np.arange(s, e)] = False
-        adj += [set(np.nonzero(row)[0].tolist()) for row in close]
-    return adj
+        indptr[s + 1:e + 1] = np.count_nonzero(close, axis=1)
+        indices.append(np.nonzero(close)[1])
+    return np.cumsum(indptr, out=indptr), np.concatenate(indices)
 
 
 def enumerate_clusters(realization: BathRealization, r_cutoff: float,
                        max_order: int) -> ClusterSet:
     """All connected subsets of spinful sites of size <= max_order under the
     r_cutoff proximity graph, size by size: every connected k+1 subset is a
-    connected k subset plus one of its neighbours, and each size is sorted."""
+    connected k subset plus one of its neighbours (see ``_extend``)."""
     if max_order < 1:
         raise CCEError("max_order must be >= 1")
     n = realization.n_spins
     M = min(max_order, n)
-    adj = _proximity_adjacency(realization.positions, r_cutoff)
-    level = [(v,) for v in range(n)]
-    clusters = list(level)
-    for _ in range(M - 1):
-        level = sorted({tuple(sorted(c + (u,))) for c in level
-                        for u in set().union(*(adj[v] for v in c)).difference(c)})
-        clusters += level
-    return ClusterSet(max_order_M=M, clusters=tuple(clusters))
+    graph = _proximity_adjacency(realization.positions, r_cutoff)
+    levels = [np.arange(n)[:, None]]
+    while len(levels) < M:
+        levels.append(_extend(levels[-1], *graph))
+    return ClusterSet(max_order_M=M, levels=tuple(levels[:M]))
+
+
+def _extend(level: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The connected (k+1)-site sets from the (m, k) rows of every connected
+    k-site set, in lex order: each row plus each neighbour of its members
+    that it does not hold, sorted, as a radix-n key (n = len(indptr) - 1).
+    The keys are made and deduplicated ~2**14 candidates at a time, then
+    deduplicated together and decoded. An empty level stays a (0, k + 1)
+    array."""
+    m, k = level.shape
+    n = len(indptr) - 1
+    radix = _radix(n, k + 1)
+    deg = indptr[level + 1] - indptr[level]           # neighbours of each member
+    step = max(1, m * 2 ** 14 // max(int(deg.sum()), 1))
+    keys = _sorted_unique(np.concatenate([
+        _sorted_unique(_grown(level[s:e], deg[s:e], indptr, indices) @ radix)
+        for s, e in _blocks(m, step)]))
+    rows = keys[:, None] // radix
+    rows %= n
+    return rows.astype(np.intp, copy=False)
+
+
+def _grown(rows: np.ndarray, deg: np.ndarray, indptr: np.ndarray,
+           indices: np.ndarray) -> np.ndarray:
+    """``rows`` (m, k), each extended by each neighbour of its members that
+    it does not hold (``deg`` of them per member), each new row sorted."""
+    members, deg = rows.ravel(), deg.ravel()
+    # every member's neighbours in one run: its start in ``indices``, minus
+    # its start in the run, plus the place in the run
+    at = np.repeat(indptr[members] - (np.cumsum(deg) - deg), deg)
+    at += np.arange(len(at))
+    new = indices[at]
+    grown = np.repeat(rows, deg.reshape(rows.shape).sum(axis=1), axis=0)
+    fresh = (grown != new[:, None]).all(axis=1)
+    grown = np.concatenate([grown[fresh], new[fresh, None]], axis=1)
+    grown.sort(axis=1)
+    return grown
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted in place, each kept where it differs from the one
+    before (``np.unique`` imports ``numpy.ma``, which then stays loaded)."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def cluster_correlation(cluster, realization: BathRealization,
@@ -143,21 +236,20 @@ def cluster_correlation(cluster, realization: BathRealization,
     return np.einsum("mt,mt->t", P, W @ P.conj())
 
 
-def combination_coefficients(cset: ClusterSet) -> dict:
+def combination_coefficients(cset: ClusterSet) -> Weights:
     """Integer weight a(k) of each cluster's raw correlation in the CCE total.
 
     Summing Ctilde_c = C_c - sum_{s < c present} Ctilde_s over the set gives
     the superset identity a(k) = 1 - sum_{s > k present} a(s), solved exactly
-    in one pass from the largest clusters down. Each size is an int array of
-    rows in lex order, keyed in radix n (the site count); a larger size's
-    column subsets are looked up among its keys by ``searchsorted`` and add
-    their a by ``np.add.at``. Zero weights are left out; the rest come in set
-    order.
+    in one pass from the largest clusters down. Each level's rows, in lex
+    order, are keyed in radix n (one more than the largest site index); a
+    larger level's column subsets are looked up among its keys by
+    ``searchsorted`` and add their a by ``np.add.at``. Zero weights stay in
+    place (see ``Weights.nonzero``).
     """
-    sizes = [np.array(list(g), dtype=np.int64) for _, g in groupby(cset.clusters, len)]
-    n = 1 + max((int(c.max()) for c in sizes), default=0)
-    done = []                                   # (clusters, a) of each larger size
-    for small in reversed(sizes):
+    n = 1 + max((int(rows.max()) for rows in cset.levels if len(rows)), default=0)
+    done = []                                   # (rows, a) of each larger level
+    for small in reversed(cset.levels):
         radix = _radix(n, small.shape[1])
         keys, above = small @ radix, np.zeros(len(small), dtype=np.int64)
         for big, a in done:
@@ -167,8 +259,7 @@ def combination_coefficients(cset: ClusterSet) -> dict:
                 hit = keys[at] == q
                 np.add.at(above, at[hit], a[hit])
         done.append((small, 1 - above))
-    weights = [x for _, a in reversed(done) for x in a.tolist()]
-    return {c: x for c, x in zip(cset.clusters, weights) if x}
+    return Weights(cset.levels, tuple(a for _, a in reversed(done)))
 
 
 def _radix(n: int, k: int) -> np.ndarray:
@@ -213,23 +304,23 @@ def compute_correlation(realization: BathRealization, cset: ClusterSet,
     times_tbar = _uniform_grid(times_tbar)
     if realization.n_spins == 0:
         raise CCEError("no spinful sites in realization")
-    coeffs = cset.weights                           # in set order: one run per size
-    weights = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+    levels, weights = zip(*cset.weights.nonzero())
     # a value past the float range (|B'|^2, E / A_bar) leaves inf or NaN in
     # the total, which CorrelationSeries refuses: no warning is printed first
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _line_blocks(list(coeffs), realization, c_hf, mask, len(times_tbar))
-        total = _trace(blocks, weights, realization.A_bar, times_tbar)
+        blocks = _line_blocks(levels, realization, c_hf, mask, len(times_tbar))
+        total = _trace(blocks, np.concatenate(weights, dtype=float), realization.A_bar,
+                       times_tbar)
     return _finalize_series(total, times_tbar, realization, order=cset.max_order_M,
-                            mode="cce", n_clusters=len(cset.clusters))
+                            mode="cce", n_clusters=cset.n_clusters)
 
 
-def _line_blocks(clusters, realization: BathRealization, c_hf: float,
+def _line_blocks(levels, realization: BathRealization, c_hf: float,
                  mask: TermMask, nt: int):
-    """The eigen stage as a stream: per chunk of equal-size ``clusters``
-    (index rows sorted by size, in the order given), yield the chunk's rows
-    (nc, size), its energies E (nc, d) and its unweighted line weights
-    |B'|^2 (nc, d, d), with B' = V^dagger B V the bath operator in the
+    """The eigen stage as a stream: per chunk of each of ``levels`` (one
+    (n_k, k) array of cluster index rows per size, in the order given), yield
+    the chunk's rows (nc, k), its energies E (nc, d) and its unweighted line
+    weights |B'|^2 (nc, d, d), with B' = V^dagger B V the bath operator in the
     eigenbasis. E and |B'|^2 are views of buffers reused by every chunk of a
     size and overwritten by the next chunk, so a consumer may scale them in
     place but must not keep them.
@@ -243,9 +334,8 @@ def _line_blocks(clusters, realization: BathRealization, c_hf: float,
     held when a chunk is yielded. A consumer that holds nothing of the
     current chunk but E and |B'|^2 when it asks for the next block keeps the
     stage's peak at E + |B'|^2 + max(its own chunk buffers, one sub-block)."""
-    for _, group in groupby(clusters, len):
-        yield from _size_line_blocks(np.array(list(group), dtype=int), realization,
-                                     c_hf, mask, nt)
+    for rows in levels:
+        yield from _size_line_blocks(rows, realization, c_hf, mask, nt)
 
 
 def _size_line_blocks(clusters: np.ndarray, realization: BathRealization,

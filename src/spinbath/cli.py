@@ -357,7 +357,7 @@ def _bath(record: RunRecord, cfg: RunConfig, order: int):
 def _require_pair(cfg: RunConfig, realization, cset) -> None:
     """Refuse a cluster set of lone spins, whose constant correlation cannot
     be normalized: an empty bath too, before ``sigma_hf`` of no couplings can warn."""
-    if not cset.clusters or len(cset.clusters[-1]) < 2:      # sorted by size
+    if len(cset.levels) < 2 or not len(cset.levels[1]):      # no pair, so nothing larger
         raise PipelineError(f"no pair of the bath's {realization.n_spins} spins lies within "
                             f"'r_cutoff_a0' = {cfg.r_cutoff_a0:g}: the correlation is constant")
 
@@ -369,7 +369,6 @@ def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce
     times_tbar = _grid(cfg, "time grid", cce.time_grid, cfg.tbar_max, cfg.samples)
     series = record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
                         cfg.term_mask(), times_tbar=times_tbar)
-    sizes = Counter(len(c) for c in cset.clusters)
     record.derived.update({
         "A_bar": realization.A_bar,
         "sigma_hf": realization.sigma_hf,
@@ -377,7 +376,7 @@ def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce
         "n_spinful": realization.n_spins,
         "spin_I": realization.species.spin_I,
         "hf_axis": tuple(realization.hf_axis.tolist()),
-        "cluster_counts": dict(sorted(sizes.items())),
+        "cluster_counts": {k: len(rows) for k, rows in enumerate(cset.levels, 1) if len(rows)},
         "max_imag": series.metadata["max_imag"],
     })
     return series
@@ -443,7 +442,7 @@ def simulate(cfg: RunConfig) -> str:
     realization, cset = _bath(record, cfg, cfg.order)
     _save_correlation(record, _cce(record, cfg, realization, cset))
     record.write()
-    return f"{record.outdir / 'correlation.csv'}: {len(cset.clusters)} clusters"
+    return f"{record.outdir / 'correlation.csv'}: {cset.n_clusters} clusters"
 
 
 def analyze_series(cfg: RunConfig, series_path) -> RunRecord:

@@ -168,7 +168,9 @@ def bump_support(n: int, dt: float, params: BumpParams, scales: np.ndarray):
         need = np.ceil(2.0 * np.pi * scales.max() / (params.sigma * dt))
     need = int(min(max(n, need), 16 * n))   # absurd scales still fail the support check
     npad = 1 << int(np.ceil(np.log2(need)))
-    omega = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[1:(npad + 1) // 2]
+    # np.fft.fftfreq(npad, dt)[1:(npad + 1) // 2] without the other bins:
+    # fftfreq is an int arange times 1 / (npad * dt), so the bits are its own
+    omega = 2.0 * np.pi * (np.arange(1, (npad + 1) // 2) * (1.0 / (npad * dt)))
     # support bins of each scale; the extra bin on each side covers rounding
     # of a * omega against (omega -+ sigma / a) at the edges of |u| < 1
     lo = np.maximum(np.searchsorted(omega, (params.mu - params.sigma) / scales) - 1, 0)

@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -49,6 +49,27 @@ def by_size(cset, n):
     return [c for c in cset.clusters if len(c) == n]
 
 
+def weight_dict(weights):
+    """The weights as a dict of nonzero integers keyed by cluster tuples, in set order."""
+    return {tuple(c): x for rows, a in weights.nonzero()
+            for c, x in zip(rows.tolist(), a.tolist())}
+
+
+def csr_sets(graph):
+    """The neighbour sets of a CSR graph (indptr, indices), each row ascending."""
+    indptr, indices = graph
+    rows = [indices[s:e].tolist() for s, e in zip(indptr[:-1], indptr[1:])]
+    assert all(r == sorted(r) for r in rows)
+    return [set(r) for r in rows]
+
+
+def assert_same_set(got, want):
+    assert got.max_order_M == want.max_order_M
+    assert len(got.levels) == len(want.levels)
+    for k, (a, b) in enumerate(zip(got.levels, want.levels), 1):
+        assert a.shape == b.shape == (len(b), k) and np.array_equal(a, b)
+
+
 def dense_adjacency(positions, r_cutoff):
     """The proximity graph from the whole (n, n, 3) difference array."""
     n = len(positions)
@@ -80,8 +101,9 @@ class TestEnumeration:
             assert len(by_size(cset, k)) == comb(6, k)
 
     def test_enumeration_memory(self):
-        # the silicon reference bath at order 4: the 24 080 cluster tuples
-        # take ~1.9 MiB, which leaves no room for a per-cluster subset table
+        # the silicon reference bath at order 4: the 24 080 clusters take
+        # 0.7 MiB as per-size int arrays (1.9 MiB as tuples), which leaves
+        # no room for a per-cluster subset table
         bath = cli._resolve_realization(cli.RunConfig())
         tracemalloc.start()
         try:
@@ -90,21 +112,21 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert len(cset.clusters) == 24080
-        assert held < 4 * 2 ** 20
+        assert held < 2 ** 20
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 700])
     def test_adjacency_matches_dense(self, n):
         # 2**18 // 700 = 374 rows: one block, then a remainder of 326
         positions = np.random.default_rng(n).uniform(0.0, 20.0, size=(n, 3))
         for r_cutoff in (0.5, 2.7, 5.0):
-            assert cce._proximity_adjacency(positions, r_cutoff) == \
+            assert csr_sets(cce._proximity_adjacency(positions, r_cutoff)) == \
                 dense_adjacency(positions, r_cutoff), r_cutoff
 
     def test_adjacency_matches_dense_on_the_lattice(self):
         # lattice distances sit on the cutoff at one bond length and at a0 / sqrt(2)
         bath = cli._resolve_realization(cli.RunConfig())
         for r_cutoff in (2.7 * bath.a0, np.sqrt(3) / 4 * bath.a0, bath.a0 / np.sqrt(2)):
-            assert cce._proximity_adjacency(bath.positions, r_cutoff) == \
+            assert csr_sets(cce._proximity_adjacency(bath.positions, r_cutoff)) == \
                 dense_adjacency(bath.positions, r_cutoff), r_cutoff / bath.a0
 
     def test_adjacency_memory(self):
@@ -114,11 +136,11 @@ class TestEnumeration:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            adj = cce._proximity_adjacency(positions, 2.7)
+            indptr, indices = cce._proximity_adjacency(positions, 2.7)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert sum(map(len, adj)) > 0
+        assert len(indices) == indptr[-1] > 0
         assert peak < 32 * 2 ** 20
 
     def test_max_order_clamped_to_bath_size(self):
@@ -138,7 +160,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", [2, 3])
     def test_prefix_is_the_lower_order_set(self, bath, r_cutoff, m):
         full = cce.enumerate_clusters(bath, r_cutoff, 4)
-        assert full.up_to(m) == cce.enumerate_clusters(bath, r_cutoff, m)
+        prefix = full.up_to(m)
+        assert_same_set(prefix, cce.enumerate_clusters(bath, r_cutoff, m))
+        assert all(np.shares_memory(a, b) for a, b in zip(prefix.levels, full.levels))
 
 
 class TestCombinationCoefficients:
@@ -147,7 +171,7 @@ class TestCombinationCoefficients:
         # inclusion-exclusion, whose net weight is known in closed form
         bath = random_bath(np.random.default_rng(2), 5, scale=0.2e-9)
         cset = cce.enumerate_clusters(bath, 1e-6, 3)
-        coeffs = cce.combination_coefficients(cset)
+        coeffs = weight_dict(cce.combination_coefficients(cset))
         from math import comb
         # weight depends only on cluster size k with M = 3, N = 5:
         # a_k = sum_{j>=k} (-1)^(j-k) C(N-k, j-k) truncated at j = M
@@ -159,7 +183,7 @@ class TestCombinationCoefficients:
     def test_singleton_only(self):
         bath = chain_bath(3, spacing=2e-9)
         cset = cce.enumerate_clusters(bath, 0.5e-9, 2)
-        coeffs = cce.combination_coefficients(cset)
+        coeffs = weight_dict(cce.combination_coefficients(cset))
         assert coeffs == {(0,): 1, (1,): 1, (2,): 1}
 
     def test_sizes_without_clusters(self):
@@ -170,10 +194,14 @@ class TestCombinationCoefficients:
                                    species(), (0, 0, 1), DIAMOND_A0)
         cset = cce.enumerate_clusters(bath, 0.5e-9, 4)
         assert {len(c) for c in cset.clusters} == {1, 2}
-        coeffs = cce.combination_coefficients(cset)
+        # the empty levels stay (0, k) arrays, with (0,) weight arrays
+        assert [rows.shape for rows in cset.levels] == [(5, 1), (2, 2), (0, 3), (0, 4)]
+        weights = cce.combination_coefficients(cset)
+        assert [a.shape for a in weights.per_size] == [(5,), (2,), (0,), (0,)]
+        coeffs = weight_dict(weights)
         assert coeffs == reference_coefficients(cset)
         assert coeffs == {(0, 1): 1, (2, 3): 1, (4,): 1}
-        assert cce.combination_coefficients(cce.ClusterSet(3, ())) == {}
+        assert weight_dict(cce.combination_coefficients(cce.ClusterSet(3, ()))) == {}
 
     def test_keys_past_int64(self):
         # order 6 on 7 spins with every site index above 1448: n**6 > 2**63,
@@ -182,11 +210,11 @@ class TestCombinationCoefficients:
         small = cce.enumerate_clusters(bath, 1e-6, 6)
         assert len(by_size(small, 6)) == 7
         relabel = {v: 1449 + 1000 * v for v in range(7)}
-        cset = cce.ClusterSet(6, tuple(tuple(relabel[v] for v in c) for c in small.clusters))
-        coeffs = cce.combination_coefficients(cset)
+        cset = cce.ClusterSet(6, tuple(np.vectorize(relabel.get)(rows) for rows in small.levels))
+        coeffs = weight_dict(cce.combination_coefficients(cset))
         assert coeffs == reference_coefficients(cset)
         assert coeffs == {tuple(relabel[v] for v in c): a
-                          for c, a in cce.combination_coefficients(small).items()}
+                          for c, a in weight_dict(cce.combination_coefficients(small)).items()}
 
 
 def reference_clusters(bath, r_cutoff, max_order):
@@ -261,10 +289,119 @@ class TestBookkeepingMatchesReference:
             bath = bath_from_positions(np.c_[x, np.zeros((n, 2))], species(),
                                        (0, 0, 1), DIAMOND_A0)
         cset = cce.enumerate_clusters(bath, cutoff_nm * 1e-9, order)
-        assert cset.clusters == reference_clusters(bath, cutoff_nm * 1e-9, order)
-        coeffs = cce.combination_coefficients(cset)
+        assert tuple(cset.clusters) == reference_clusters(bath, cutoff_nm * 1e-9, order)
+        coeffs = weight_dict(cce.combination_coefficients(cset))
         assert coeffs == reference_coefficients(cset)
         assert list(coeffs) == [c for c in cset.clusters if c in coeffs]
+
+
+def set_clusters(realization, r_cutoff, max_order):
+    """The enumeration on neighbour sets and cluster tuples, each size a
+    sorted set of the smaller size's tuples plus one neighbour each."""
+    adj = csr_sets(cce._proximity_adjacency(realization.positions, r_cutoff))
+    level = [(v,) for v in range(realization.n_spins)]
+    clusters = list(level)
+    for _ in range(min(max_order, realization.n_spins) - 1):
+        level = sorted({tuple(sorted(c + (u,))) for c in level
+                        for u in set().union(*(adj[v] for v in c)).difference(c)})
+        clusters += level
+    return tuple(clusters)
+
+
+def set_coefficients(clusters):
+    """The weights as a dict keyed by cluster tuples: each size's rows keyed
+    in radix n, looked up by ``searchsorted`` from every larger size's column
+    subsets, and the nonzero weights kept in set order."""
+    sizes = [np.array(list(g), dtype=np.int64) for _, g in groupby(clusters, len)]
+    n = 1 + max((int(c.max()) for c in sizes), default=0)
+    done = []
+    for small in reversed(sizes):
+        radix = cce._radix(n, small.shape[1])
+        keys, above = small @ radix, np.zeros(len(small), dtype=np.int64)
+        for big, a in done:
+            for cols in combinations(range(big.shape[1]), small.shape[1]):
+                q = big[:, cols] @ radix
+                at = np.searchsorted(keys, q).clip(max=len(keys) - 1)
+                hit = keys[at] == q
+                np.add.at(above, at[hit], a[hit])
+        done.append((small, 1 - above))
+    weights = [x for _, a in reversed(done) for x in a.tolist()]
+    return {c: x for c, x in zip(clusters, weights) if x}
+
+
+def assert_matches_sets(bath, r_cutoff, order):
+    cset = cce.enumerate_clusters(bath, r_cutoff, order)
+    assert cset.max_order_M == min(order, bath.n_spins)
+    assert len(cset.levels) == cset.max_order_M
+    for k, rows in enumerate(cset.levels, 1):
+        assert rows.dtype == np.intp and rows.shape == (len(rows), k)
+    clusters = set_clusters(bath, r_cutoff, order)
+    assert tuple(cset.clusters) == clusters
+    weights = cset.weights
+    assert [a.shape for a in weights.per_size] == [(len(rows),) for rows in cset.levels]
+    coeffs = set_coefficients(clusters)
+    assert weight_dict(weights) == coeffs and list(weight_dict(weights)) == list(coeffs)
+    return cset, coeffs
+
+
+class TestArraysMatchSets:
+    # uniform baths at ~3.5 neighbours a site, from empty to 2000 spins
+    @pytest.mark.parametrize("n,order", [(0, 3), (1, 3), (2, 4), (9, 5), (150, 4),
+                                         (2000, 4)])
+    def test_random_baths(self, n, order):
+        rng = np.random.default_rng(n)
+        side = 20.0 * (n / 2000) ** (1 / 3)
+        bath = bath_from_positions(rng.uniform(0.0, side, size=(n, 3)) * 1e-10,
+                                   species(), (0, 0, 1), DIAMOND_A0)
+        cset, _ = assert_matches_sets(bath, 1.5e-10, order)
+        if n == 2000:
+            assert len(cset.levels[3]) > 10 ** 4
+
+    @pytest.mark.parametrize("order,count", [(2, 603), (3, 3528), (4, 24080), (5, 178038)])
+    def test_default_bath(self, order, count):
+        bath = cli._resolve_realization(cli.RunConfig())
+        cset, coeffs = assert_matches_sets(bath, 2.7 * bath.a0, order)
+        assert len(cset.clusters) == count
+        if order <= 3:
+            assert coeffs == reference_coefficients(cset)
+
+    def test_keys_past_int64(self):
+        # 1500 sites in a chain of nearest neighbours at order 6: n**6 > 2**63,
+        # so the radix-n keys of the 6-site rows are Python ints
+        bath = chain_bath(1500, spacing=0.05e-9)
+        assert cce._radix(1500, 6).dtype == object
+        cset, _ = assert_matches_sets(bath, 0.07e-9, 6)
+        assert [len(rows) for rows in cset.levels] == [1500, 1499, 1498, 1497, 1496, 1495]
+
+    def test_empty_levels_stay_arrays(self):
+        # no two sites within the cutoff: every level above the first is empty
+        bath = chain_bath(4, spacing=2e-9)
+        cset, coeffs = assert_matches_sets(bath, 0.5e-9, 4)
+        assert [rows.shape for rows in cset.levels] == [(4, 1), (0, 2), (0, 3), (0, 4)]
+        assert [rows.shape for rows, _ in cset.weights.nonzero()] == \
+            [(4, 1), (0, 2), (0, 3), (0, 4)]
+        assert [rows.shape for rows in cset.up_to(2).levels] == [(4, 1), (0, 2)]
+
+    def test_perfbench_shapes(self):
+        # the shapes perfbench/spans.py counts under --trace 1: the set's
+        # clusters, and the weights read as the clusters of nonzero weight
+        # (its count, and each cluster's size). The views build nothing until
+        # they are iterated
+        bath = cli._resolve_realization(cli.RunConfig())
+        cset = cce.enumerate_clusters(bath, 2.7 * bath.a0, 3)
+        weights = cce.combination_coefficients(cset)
+        tracemalloc.start()
+        try:
+            counts = len(cset.clusters), len(weights)
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (3528, 3527) and held < 2 ** 10
+        # one cluster, the site 10, has weight 0
+        assert set(cset.clusters) - set(weights) == {(10,)}
+        assert [len(c) for c in weights] == [1] * 116 + [2] * 486 + [3] * 2925
+        assert list(weights) == list(weight_dict(weights))
+        assert len(list(cset.clusters)) == 3528
 
 
 class TestClusterCorrelation:
@@ -316,7 +453,7 @@ class TestCCERecursion:
         cset = cce.enumerate_clusters(bath, 1.2e-9, 3)
         fast = cce.compute_correlation(bath, cset, times_tbar=t)
         slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
-                   for c, a in cce.combination_coefficients(cset).items())
+                   for c, a in weight_dict(cce.combination_coefficients(cset)).items())
         assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
 
     def test_partial_last_chunk_matches_per_cluster_path(self):
@@ -330,7 +467,7 @@ class TestCCERecursion:
         assert len(by_size(cset, 3)) == 35
         fast = cce.compute_correlation(bath, cset, times_tbar=t)
         slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
-                   for c, a in cce.combination_coefficients(cset).items())
+                   for c, a in weight_dict(cce.combination_coefficients(cset)).items())
         assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
 
     def test_trace_memory_is_tiled(self):
@@ -443,7 +580,7 @@ def chunk_wide_group_correlation(clusters, weights, realization, c_hf, mask,
 def group_correlation(clusters, weights, realization, c_hf, mask, times_tbar):
     """The weighted trace of one size's clusters, through the eigen stage's
     stream and the trace consumer."""
-    blocks = cce._line_blocks(clusters, realization, c_hf, mask, len(times_tbar))
+    blocks = cce._line_blocks([clusters], realization, c_hf, mask, len(times_tbar))
     return cce._trace(blocks, weights, realization.A_bar, times_tbar)
 
 
@@ -633,10 +770,10 @@ class TestLineBlocks:
         cset = cce.enumerate_clusters(bath, 1e-6, 3)
         t = cce.time_grid(60.0, 1000)
         rng = np.random.default_rng(5)
-        weights = [rng.integers(-3, 4, len(cset.clusters)).astype(float) for _ in range(2)]
+        weights = [rng.integers(-3, 4, cset.n_clusters).astype(float) for _ in range(2)]
 
         def stream():
-            return cce._line_blocks(cset.clusters, bath, 0.5, TermMask(), len(t))
+            return cce._line_blocks(cset.levels, bath, 0.5, TermMask(), len(t))
 
         # each consumer scales its blocks in place: each takes its own copy
         copies = [[], []]
@@ -658,7 +795,7 @@ class TestLineBlocks:
         got = cce.compute_correlation(bath, cset, 0.5, TermMask(), times_tbar=t)
         total = np.zeros(len(t), dtype=complex)
         for size in (1, 2, 3):
-            coeffs = {c: a for c, a in cset.weights.items() if len(c) == size}
+            coeffs = {c: a for c, a in weight_dict(cset.weights).items() if len(c) == size}
             total += group_correlation(np.array(list(coeffs)), np.array(list(coeffs.values()),
                                                                         dtype=float),
                                        bath, 0.5, TermMask(), t)

@@ -515,6 +515,23 @@ class TestSubcommands:
         assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
         assert len(sets) == calls
 
+    @pytest.mark.parametrize("command, body", [
+        (["run"], FAST_BODY), (["simulate"], FAST_BODY),
+        (["compare-orders", "2", "3"], THREE_SITE_BODY),
+        (["sweep-axis", "0,0,1", "1,2,3"], FAST_BODY)],
+        ids=["run", "simulate", "compare-orders", "sweep-axis"])
+    def test_no_command_reads_the_cluster_views(self, tmp_path, monkeypatch, command, body):
+        # ClusterSet.clusters and the weights' len and iteration are views for
+        # the benchmark's tracer; every command reads the per-size arrays
+        def unread(*args):
+            raise AssertionError("a cluster view was read")
+
+        monkeypatch.setattr(cce.ClusterSet, "clusters", property(unread))
+        for name in ("__len__", "__iter__"):
+            monkeypatch.setattr(cce.Weights, name, unread)
+        cfgp, _ = write_cfg(tmp_path, body)
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
+
     @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
     def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)

@@ -259,6 +259,18 @@ class TestCWT:
         assert widest > npad - n
         assert_rows_match_one_scale_transforms(scal.scales, scal.coeffs, dW, x, dt, p, npad)
 
+    @pytest.mark.parametrize("dt", [0.1, 0.048828125, 1 / 3, 7.3e-5, 2.9e4])
+    def test_positive_bins_have_the_fftfreq_bits(self, dt):
+        # a scale whose bump needs two bins leaves npad the power of two at
+        # n; at npad = 2 there is no positive bin to build
+        p = tfa.BumpParams()
+        scales = np.array([p.sigma * dt / (2.0 * np.pi)])
+        for npad in (2 ** e for e in range(2, 21)):
+            got_npad, omega = tfa.bump_support(npad, dt, p, scales)[:2]
+            want = 2.0 * np.pi * np.fft.fftfreq(npad, dt)[1:(npad + 1) // 2]
+            assert got_npad == npad
+            assert_same_bits(omega, want)
+
     def test_underflowing_window_is_empty_support(self):
         # the scale's only bin inside |u| < 1 sits at u = 0.9995, where the
         # window exp(1 - 1/(1 - u^2)) ~ exp(-999) underflows to exactly 0.0
