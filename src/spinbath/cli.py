@@ -205,46 +205,65 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.sites and not 0 <= min(cfg.sites) <= max(cfg.sites) < n_sites:
         raise ConfigError(f"'sites' index outside 0 to {n_sites - 1}, the sites of "
                           f"'box' = {' '.join(map(str, cfg.box))}")
-    _check_cluster_dim(f"'spin' = {cfg.spin:g}", cfg.spin, cfg.order)
 
 
-def _check_cluster_dim(what: str, spin: float, order: int) -> None:
-    """Refuse a spin whose clusters at ``order`` exceed the dimension cap."""
-    if cluster_dim(spin, order) > cce.EXACT_DIM_CAP:
-        raise ConfigError(f"{what} at 'order' = {order} gives clusters of "
-                          f"dimension {2 * spin + 1:g}^{order}, above {cce.EXACT_DIM_CAP}")
-
-
-def _check_band_coverage(cfg: RunConfig) -> None:
-    """Every band in BANDS needs at least one CWT row (the SST bins are the
-    same frequencies) on the configured time grid and voice count; a scale
-    grid that ``tfa.default_scales`` refuses is a config error too."""
+def _preflight(cfg: RunConfig, command: str, args=()) -> np.ndarray:
+    """Every refusal that ``cfg`` and ``command``'s arguments (sorted orders,
+    axes) decide, before the bath and the ``RunRecord``. Returns the time grid;
+    the scale grid is made and dropped, the maps and spectrum only sized."""
+    order = cfg.order
+    if command == "compare-orders":
+        if len(args) < 2:
+            raise ConfigError("compare-orders needs at least two orders")
+        for lo, hi in zip(args, args[1:]):
+            if lo == hi:
+                raise ConfigError(f"compare-orders got order {lo} twice")
+        if not 2 <= args[0] <= args[-1] <= 6:
+            raise ConfigError(f"compare-orders got order {args[0] if args[0] < 2 else args[-1]}"
+                              ", outside the 2 to 6 of 'order'")
+        order = args[-1]
+    if command == "sweep-axis" and not args:
+        raise ConfigError("sweep-axis needs at least one axis")
+    if cluster_dim(cfg.spin, order) > cce.EXACT_DIM_CAP:
+        raise ConfigError(f"'spin' = {cfg.spin:g} at 'order' = {order} gives clusters of "
+                          f"dimension {2 * cfg.spin + 1:g}^{order}, above {cce.EXACT_DIM_CAP}")
+    if command in ("run", "sweep-axis"):
+        keys = f"'samples' = {cfg.samples} and 'voices' = {cfg.voices}"
+        try:
+            scales = tfa.default_scales(cfg.samples, cce.grid_step(cfg.tbar_max, cfg.samples),
+                                        tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+        except tfa.TFAError as exc:
+            raise ConfigError(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, 'tbar_max' = "
+                              f"{cfg.tbar_max:g}, {keys} give no wavelet scale grid: "
+                              f"{exc}") from None
+        except MemoryError as exc:
+            raise PipelineError(f"{keys} give a wavelet scale grid that cannot be allocated: "
+                                f"{exc}") from None
+        freqs = cfg.mu / scales     # every band needs a CWT row; the SST bins are the same
+        for name, (lo, hi) in BANDS.items():
+            if not ((freqs >= lo) & (freqs <= hi)).any():
+                raise ConfigError(
+                    f"'tbar_max' = {cfg.tbar_max:g}, {keys} give no wavelet row in band "
+                    f"{name} [{lo}, {hi}]: centre frequencies span {freqs.min():.3g} to "
+                    f"{freqs.max():.3g}")
+        # W, complex, and cwt_bump's int16 or int32 SST bin map; T overwrites W
+        _fits(f"{keys} give", "CWT map and SST bin map",
+              len(scales) * cfg.samples * (16 + (2 if len(scales) <= 2 ** 15 else 4)))
+        _fits(f"'samples' = {cfg.samples} and 'zero_pad' = {cfg.zero_pad} give",
+              "padded spectrum", 16 * cfg.samples * cfg.zero_pad)
     try:
-        scales = _grid(cfg, "wavelet scale grid", tfa.default_scales, cfg.samples,
-                       cce.grid_step(cfg.tbar_max, cfg.samples),
-                       tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-    except tfa.TFAError as exc:
-        raise ConfigError(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, 'tbar_max' = "
-                          f"{cfg.tbar_max:g}, 'samples' = {cfg.samples} and 'voices' = "
-                          f"{cfg.voices} give no wavelet scale grid: {exc}") from None
-    freqs = cfg.mu / scales
-    for name, (lo, hi) in BANDS.items():
-        if not ((freqs >= lo) & (freqs <= hi)).any():
-            raise ConfigError(
-                f"'tbar_max' = {cfg.tbar_max:g}, 'samples' = {cfg.samples} and "
-                f"'voices' = {cfg.voices} give no wavelet row in band {name} "
-                f"[{lo}, {hi}]: centre frequencies span {freqs.min():.3g} to "
-                f"{freqs.max():.3g}")
-
-
-def _grid(cfg: RunConfig, what: str, fn, *args) -> np.ndarray:
-    """``fn(*args)``, a grid that ``cfg.samples`` sizes; one that cannot be
-    allocated is a runtime error that names 'samples'."""
-    try:
-        return fn(*args)
+        return cce.time_grid(cfg.tbar_max, cfg.samples)
     except MemoryError as exc:
-        raise PipelineError(f"'samples' = {cfg.samples} gives a {what} that cannot be "
+        raise PipelineError(f"'samples' = {cfg.samples} gives a time grid that cannot be "
                             f"allocated: {exc}") from None
+
+
+def _fits(named: str, what: str, nbytes: int) -> None:
+    """Refuse, as a runtime error, ``nbytes`` that physical memory cannot hold."""
+    held = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > held:
+        raise PipelineError(f"{named} a {what} of {nbytes / 1e9:.3g} GB, more than the "
+                            f"{held / 1e9:.3g} GB of physical memory")
 
 
 def load_config(path) -> RunConfig:
@@ -277,10 +296,9 @@ def _sha256(path) -> str:
 class RunRecord:
     """One command's run: times the stages and rewraps their failures with the
     stage name, names the products and writes the manifest with their hashes.
-    An ``outdir`` whose nearest existing ancestor is not a directory this
-    process may write to is refused at once, before any stage runs. The
-    output directory is made at the first product or manifest, so a run
-    refused before its first product leaves nothing on disk."""
+    ``outdir`` is made at the first product or manifest; one whose nearest
+    existing ancestor is not a directory this process may write to is refused
+    at once."""
 
     def __init__(self, cfg: RunConfig, tag: str = ""):
         self.outdir = Path(cfg.outdir)
@@ -341,44 +359,37 @@ class RunRecord:
         (self._made() / f"{self.prefix}manifest.txt").write_text("\n".join(text))
 
 
-def _bath(record: RunRecord, cfg: RunConfig, order: int):
-    """The realization and its clusters up to ``order``, two timed stages.
-    A realization file's own spin, unseen by ``_validate``, is refused before
-    the enumeration if it takes a cluster over the dimension cap."""
+def _bath(record: RunRecord, cfg: RunConfig, order: int, strict: bool = False):
+    """The realization and its clusters up to ``order``, two timed stages, with
+    the refusals the bath decides: a realization file's spin over the dimension
+    cap and, if ``strict``, an ``order`` above the spin count before the
+    enumeration; no pair to correlate (an empty bath too) after it."""
     realization = record.run("realization", _resolve_realization, cfg)
-    if cfg.realization_file:
-        _check_cluster_dim(f"spin {realization.species.spin_I:g} of realization file "
-                           f"{cfg.realization_file}", realization.species.spin_I, order)
+    spin = realization.species.spin_I
+    if cfg.realization_file and cluster_dim(spin, order) > cce.EXACT_DIM_CAP:
+        raise ConfigError(f"spin {spin:g} of realization file {cfg.realization_file} at "
+                          f"'order' = {order} gives clusters of dimension {2 * spin + 1:g}^"
+                          f"{order}, above {cce.EXACT_DIM_CAP}")
+    if strict and order > realization.n_spins:
+        raise ConfigError(f"order {order} exceeds the bath's {realization.n_spins} spins")
     cset = record.run("clusters", cce.enumerate_clusters, realization,
                       cfg.r_cutoff_a0 * realization.a0, order)
-    return realization, cset
-
-
-def _require_pair(cfg: RunConfig, realization, cset) -> None:
-    """Refuse a cluster set of lone spins, whose constant correlation cannot
-    be normalized: an empty bath too, before ``sigma_hf`` of no couplings can warn."""
     if len(cset.levels) < 2 or not len(cset.levels[1]):      # no pair, so nothing larger
         raise PipelineError(f"no pair of the bath's {realization.n_spins} spins lies within "
                             f"'r_cutoff_a0' = {cfg.r_cutoff_a0:g}: the correlation is constant")
+    return realization, cset
 
 
-def _cce(record: RunRecord, cfg: RunConfig, realization, cset, stage: str = "cce"):
-    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values;
-    a set with no pair is refused first."""
-    _require_pair(cfg, realization, cset)
-    times_tbar = _grid(cfg, "time grid", cce.time_grid, cfg.tbar_max, cfg.samples)
+def _cce(record: RunRecord, cfg: RunConfig, times_tbar, realization, cset, stage: str = "cce"):
+    """CCE correlation of ``cset``, timed as ``stage``, then its [derived] values."""
     series = record.run(stage, cce.compute_correlation, realization, cset, cfg.c_hf,
                         cfg.term_mask(), times_tbar=times_tbar)
-    record.derived.update({
-        "A_bar": realization.A_bar,
-        "sigma_hf": realization.sigma_hf,
-        "E_dd": realization.E_dd,
-        "n_spinful": realization.n_spins,
-        "spin_I": realization.species.spin_I,
-        "hf_axis": tuple(realization.hf_axis.tolist()),
-        "cluster_counts": {k: len(rows) for k, rows in enumerate(cset.levels, 1) if len(rows)},
-        "max_imag": series.metadata["max_imag"],
-    })
+    record.derived.update(
+        A_bar=realization.A_bar, sigma_hf=realization.sigma_hf, E_dd=realization.E_dd,
+        n_spinful=realization.n_spins, spin_I=realization.species.spin_I,
+        hf_axis=tuple(realization.hf_axis.tolist()),
+        cluster_counts={k: len(rows) for k, rows in enumerate(cset.levels, 1) if len(rows)},
+        max_imag=series.metadata["max_imag"])
     return series
 
 
@@ -391,10 +402,9 @@ def _save_correlation(record: RunRecord, series):
 
 
 def _analyze(record: RunRecord, cfg: RunConfig, cbar, bands: bool = False) -> None:
-    """Spectrum, CWT and SST of a normalized series, with the spectrum, both
-    maps and, with ``bands``, each map's band traces exported. The SST is
-    written over the CWT map once the CWT's own products are out, so the
-    stage holds one map."""
+    """Spectrum, CWT and SST of a normalized series, each exported with, if
+    ``bands``, each map's band traces. The SST overwrites the CWT map once the
+    CWT's products are out, so the stage holds one map."""
     spectrum = record.run("spectrum", tfa.power_spectrum, cbar, cfg.zero_pad)
     tfa.save_spectrum(record.path("spectrum.csv"), spectrum)
     scal = record.run("cwt", tfa.cwt_bump, cbar, tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
@@ -420,14 +430,14 @@ def _save_bands(record: RunRecord, obj) -> None:
 def run_pipeline(cfg: RunConfig) -> RunRecord:
     """Full pipeline: bath -> CCE correlation -> spectrum -> CWT -> SST ->
     band traces, everything written under cfg.outdir with content hashes."""
-    _check_band_coverage(cfg)
+    times_tbar = _preflight(cfg, "run")
     record = RunRecord(cfg)
-    return _pipeline(record, cfg, *_bath(record, cfg, cfg.order))
+    return _pipeline(record, cfg, times_tbar, *_bath(record, cfg, cfg.order))
 
 
-def _pipeline(record: RunRecord, cfg: RunConfig, realization, cset) -> RunRecord:
+def _pipeline(record: RunRecord, cfg: RunConfig, times_tbar, realization, cset) -> RunRecord:
     """``run_pipeline`` after the bath stage, on a given bath and cluster set."""
-    series = _cce(record, cfg, realization, cset)
+    series = _cce(record, cfg, times_tbar, realization, cset)
     lattice.save_realization(record.path("realization.csv", shared=True), realization)
     cbar = _save_correlation(record, series)
     record.run("analyze", _analyze, record, cfg, cbar, bands=True)
@@ -436,11 +446,11 @@ def _pipeline(record: RunRecord, cfg: RunConfig, realization, cset) -> RunRecord
 
 
 def simulate(cfg: RunConfig) -> str:
-    """Bath and CCE only: writes the raw and normalized correlation series and
-    returns a one-line summary."""
+    """Bath and CCE only: writes both correlation series, returns a one-line summary."""
+    times_tbar = _preflight(cfg, "simulate")
     record = RunRecord(cfg)
     realization, cset = _bath(record, cfg, cfg.order)
-    _save_correlation(record, _cce(record, cfg, realization, cset))
+    _save_correlation(record, _cce(record, cfg, times_tbar, realization, cset))
     record.write()
     return f"{record.outdir / 'correlation.csv'}: {cset.n_clusters} clusters"
 
@@ -449,6 +459,8 @@ def analyze_series(cfg: RunConfig, series_path) -> RunRecord:
     """Analyze-only stage on an exported normalized correlation file."""
     record = RunRecord(cfg, "analyze")
     series = cce.load_series(series_path)
+    _fits(f"the {len(series.values)} samples of {series_path} and 'zero_pad' = "
+          f"{cfg.zero_pad} give", "padded spectrum", 16 * len(series.values) * cfg.zero_pad)
     cbar = series if series.metadata.get("normalized") else \
         record.run("normalize", tfa.normalize_correlation, series)
     record.run("analyze", _analyze, record, cfg, cbar)
@@ -460,28 +472,19 @@ def compare_orders(cfg: RunConfig, orders) -> str:
     """Per-order correlation curves and their deviation (max and L2 norm) from
     the highest order, as a text table written to the output directory."""
     orders = sorted(int(o) for o in orders)
-    if len(orders) < 2:
-        raise ConfigError("compare-orders needs at least two orders")
-    for lo, hi in zip(orders, orders[1:]):
-        if lo == hi:
-            raise ConfigError(f"compare-orders got order {lo} twice")
-    for m in orders:
-        _validate(replace(cfg, order=m))
+    times_tbar = _preflight(cfg, "compare-orders", orders)
     record = RunRecord(cfg)
-    realization, cset = _bath(record, cfg, orders[-1])
-    if orders[-1] > cset.max_order_M:
-        raise ConfigError(f"order {orders[-1]} exceeds the bath's {realization.n_spins} spins")
+    realization, cset = _bath(record, cfg, orders[-1], strict=True)
     curves = {}
     for m in orders:    # the order-m set is the order-M set's clusters of size <= m
-        series = _cce(record, cfg, realization, cset.up_to(m), f"cce{m}")
+        series = _cce(record, cfg, times_tbar, realization, cset.up_to(m), f"cce{m}")
         curves[m] = record.run(f"normalize{m}", tfa.normalize_correlation, series)
         cce.save_series(record.path(f"cce{m}_correlation_normalized.csv"), curves[m])
     ref = curves[orders[-1]].values
     lines = ["# order,max_dev,l2_dev"]
-    n = len(ref)
     for m in orders:
         d = curves[m].values - ref
-        lines.append(f"{m},{np.abs(d).max():.16e},{np.sqrt((d**2).sum() / n):.16e}")
+        lines.append(f"{m},{np.abs(d).max():.16e},{np.sqrt((d**2).sum() / len(ref)):.16e}")
     report = "\n".join(lines) + "\n"
     record.path("order_deviations.csv").write_text(report)
     record.write()
@@ -500,9 +503,7 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
     on one fixed realization and cluster set, with per-channel (B / CD / EF)
     mask decompositions. Each axis directory holds one ``realization.csv``;
     every manifest lists it and gives the timings of the shared bath stage."""
-    if not axes:
-        raise ConfigError("sweep-axis needs at least one axis")
-    _check_band_coverage(cfg)
+    times_tbar = _preflight(cfg, "sweep-axis", axes)
     bath = RunRecord(cfg)
     realization, cset = _bath(bath, cfg, cfg.order)
     records = []
@@ -514,7 +515,7 @@ def sweep_hf_axis(cfg: RunConfig, axes) -> list:
         for tag, variant in variants.items():
             record = RunRecord(variant, tag)
             record.timings.update(bath.timings)
-            records.append(_pipeline(record, variant, fixed, cset))
+            records.append(_pipeline(record, variant, times_tbar, fixed, cset))
     return records
 
 
@@ -543,8 +544,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="spinbath",
-                                 description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(prog="spinbath", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (text, extra, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)

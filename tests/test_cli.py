@@ -142,15 +142,6 @@ class TestParseConfig:
             return
         assert abs(np.linalg.norm(axis) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("body, dim", [("spin = 100.5", "202^2"),
-                                           ("spin = 4.5\norder = 4", "10^4"),
-                                           ("spin = 2.5\norder = 6", "6^6")])
-    def test_cluster_dimension_over_cap_refused(self, body, dim):
-        with pytest.raises(cli.ConfigError) as exc:
-            cli.parse_config(body)
-        msg = str(exc.value)
-        assert "'spin'" in msg and "'order'" in msg and dim in msg and "\n" not in msg
-
     def test_cluster_dimension_at_cap_allowed(self):
         assert (2 * 1.5 + 1) ** 6 == cce.EXACT_DIM_CAP
         cfg = cli.parse_config("spin = 1.5\norder = 6")
@@ -371,6 +362,16 @@ class TestSubcommands:
         assert cli.main(["compare-orders", str(cfgp), "2", "3"]) == 0
         assert set(manifest_section(outdir / "manifest.txt", "timings")) == {
             "realization", "clusters", "cce2", "normalize2", "cce3", "normalize3"}
+
+    def test_compare_orders_checks_its_orders_without_validate(self, tmp_path, monkeypatch):
+        # the preflight checks the compared orders; the parsed config is not re-validated
+        cfg = cli.load_config(write_cfg(tmp_path, THREE_SITE_BODY)[0])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the config was validated again")
+
+        monkeypatch.setattr(cli, "_validate", unreachable)
+        assert cli.compare_orders(cfg, [3, 2]).startswith("# order,max_dev,l2_dev\n2,")
 
     def test_compare_orders_needs_two(self, tmp_path, capsys):
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
@@ -675,8 +676,9 @@ class TestExitCodes:
         # a 7 PiB time grid, which no 64-bit address space maps: nothing is allocated
         # and numpy's text is kept behind the key that sized the grid
         pytest.param("samples = 1000000000000000", ["run", "{cfg}"], 2,
-                     "'samples' = 1000000000000000 gives a wavelet scale grid that cannot "
-                     "be allocated: Unable to allocate", id="run-grid-not-allocatable"),
+                     "'samples' = 1000000000000000 and 'voices' = 8 give a wavelet scale "
+                     "grid that cannot be allocated: Unable to allocate",
+                     id="run-grid-not-allocatable"),
         pytest.param("samples = 1000000000000000", ["simulate", "{cfg}"], 2,
                      "'samples' = 1000000000000000 gives a time grid that cannot be "
                      "allocated: Unable to allocate", id="simulate-grid-not-allocatable"),
@@ -787,6 +789,36 @@ class TestExitCodes:
         assert "'spin'" in err and "'order'" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command, body, dim", [
+        (["run"], "spin = 100.5", "202^2"), (["simulate"], "spin = 4.5\norder = 4", "10^4"),
+        (["sweep-axis", "0,0,1"], "spin = 2.5\norder = 6", "6^6"),
+        # checked at the highest order compared, not at the config's order 2
+        (["compare-orders", "2", "5"], "spin = 2.5", "6^5")],
+        ids=["run", "simulate", "sweep-axis", "compare-orders"])
+    def test_cluster_dimension_over_cap_refused(self, tmp_path, capsys, monkeypatch,
+                                                command, body, dim):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started for a config over the dimension cap")
+
+        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
+        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, body))
+        assert cli.main([command[0], str(cfgp), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'spin'" in err and "'order'" in err and dim in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", [["generate-bath"], ["compare-orders", "2", "3"],
+                                         ["analyze", "{tmp}/series.csv"]], ids=lambda c: c[0])
+    def test_cluster_dimension_unchecked_at_an_order_not_run(self, tmp_path, command):
+        # 6^5 is above the cap at the config's order, which these commands do not run
+        t = cce.time_grid(400.0, 256)
+        cce.save_series(tmp_path / "series.csv", cce.CorrelationSeries(t, np.cos(0.5 * t)))
+        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, "spin = 2.5\norder = 5"))
+        assert cli.main([command[0], str(cfgp),
+                         *[a.format(tmp=tmp_path) for a in command[1:]]]) == 0
+        assert any(outdir.glob("*manifest.txt"))
+
     @pytest.mark.parametrize("command, order", [
         (["run", "{cfg}"], 4), (["simulate", "{cfg}"], 4), (["sweep-axis", "{cfg}", "0,0,1"], 4),
         # checked at the highest order compared, not at the config's order
@@ -842,6 +874,64 @@ class TestExitCodes:
         cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, self.SHORT_GRID))
         assert cli.main([a.format(cfg=cfgp) for a in command]) == 1
         assert "band 0Q" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, extra_body, args, code, named", [
+        pytest.param(command, *case[1:], id=f"{command}-{case[0]}")
+        for group, cases in {
+            "every": [("grid-not-allocatable", "samples = 1000000000000000", None, 2,
+                       "'samples' = 1000000000000000")],
+            "compare-orders": [
+                ("one-order", "", ["2"], 1, "at least two orders"),
+                ("repeated-order", "", ["3", "2", "3"], 1, "order 3 twice"),
+                ("order-1", "", ["1", "3"], 1, "order 1, outside the 2 to 6 of 'order'"),
+                ("order-7", "", ["2", "7"], 1, "order 7, outside the 2 to 6 of 'order'")],
+            "analyzing": [
+                ("band-coverage", SHORT_GRID, None, 1, "band 0Q"),
+                ("scale-grid", "sigma = 0.01\nvoices = 32", None, 1, "59 of 193"),
+                # a 4 PB spectrum, sized and never allocated
+                ("padded-spectrum", "zero_pad = 1000000000000", None, 2,
+                 "'samples' = 256 and 'zero_pad' = 1000000000000 give a padded spectrum"),
+                # about 1.1 M scales, a small grid, but a 23 TB map
+                ("map", "samples = 1048576\nvoices = 60000", None, 2,
+                 "'samples' = 1048576 and 'voices' = 60000 give a CWT map")],
+        }.items()
+        for command in {"every": ["run", "simulate", "compare-orders", "sweep-axis"],
+                        "analyzing": ["run", "sweep-axis"]}.get(group, [group])
+        for case in cases])
+    def test_config_refusal_precedes_all_work(self, tmp_path, capsys, monkeypatch, command,
+                                              extra_body, args, code, named):
+        # every refusal that the config and the arguments decide comes before
+        # the bath and before the output directory; the dimension cap's cases
+        # are test_cluster_dimension_over_cap_refused's
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started for a config that is refused")
+
+        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
+        monkeypatch.setattr(cce, "compute_correlation", unreachable)
+        if args is None:
+            args = {"compare-orders": ["2", "3"], "sweep-axis": ["0,0,1"]}.get(command, [])
+        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, extra_body))
+        assert cli.main([command, str(cfgp), *args]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "runtime error: ")[code - 1])
+        assert err.count("\n") == 1 and named in err
+        assert not outdir.exists()
+
+    def test_analyze_refuses_a_padded_spectrum_before_its_products(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("spectrum of a padded length that cannot be held")
+
+        t = cce.time_grid(400.0, 256)
+        series = tmp_path / "series.csv"
+        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+        monkeypatch.setattr(tfa, "power_spectrum", unreachable)
+        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, "zero_pad = 1000000000000"))
+        assert cli.main(["analyze", str(cfgp), str(series)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "256 samples of" in err and "'zero_pad' = 1000000000000" in err
         assert not outdir.exists()
 
     def test_analyze_skips_band_coverage(self, tmp_path):
