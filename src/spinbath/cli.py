@@ -209,8 +209,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def _preflight(cfg: RunConfig, command: str, args=()) -> np.ndarray:
     """Every refusal that ``cfg`` and ``command``'s arguments (sorted orders,
-    axes) decide, before the bath and the ``RunRecord``. Returns the time grid;
-    the scale grid is made and dropped, the maps and spectrum only sized."""
+    axes) decide, before the bath and the ``RunRecord``. Returns the time grid."""
     order = cfg.order
     if command == "compare-orders":
         if len(args) < 2:
@@ -228,29 +227,14 @@ def _preflight(cfg: RunConfig, command: str, args=()) -> np.ndarray:
         raise ConfigError(f"'spin' = {cfg.spin:g} at 'order' = {order} gives clusters of "
                           f"dimension {2 * cfg.spin + 1:g}^{order}, above {cce.EXACT_DIM_CAP}")
     if command in ("run", "sweep-axis"):
-        keys = f"'samples' = {cfg.samples} and 'voices' = {cfg.voices}"
-        try:
-            scales = tfa.default_scales(cfg.samples, cce.grid_step(cfg.tbar_max, cfg.samples),
-                                        tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
-        except tfa.TFAError as exc:
-            raise ConfigError(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, 'tbar_max' = "
-                              f"{cfg.tbar_max:g}, {keys} give no wavelet scale grid: "
-                              f"{exc}") from None
-        except MemoryError as exc:
-            raise PipelineError(f"{keys} give a wavelet scale grid that cannot be allocated: "
-                                f"{exc}") from None
-        freqs = cfg.mu / scales     # every band needs a CWT row; the SST bins are the same
-        for name, (lo, hi) in BANDS.items():
+        named = f"'tbar_max' = {cfg.tbar_max:g}, 'samples' = {cfg.samples}"
+        freqs = cfg.mu / _preflight_analysis(cfg, cfg.samples, cce.grid_step(
+            cfg.tbar_max, cfg.samples), named, ConfigError)
+        for name, (lo, hi) in BANDS.items():    # a CWT row each; the SST bins are the same
             if not ((freqs >= lo) & (freqs <= hi)).any():
-                raise ConfigError(
-                    f"'tbar_max' = {cfg.tbar_max:g}, {keys} give no wavelet row in band "
-                    f"{name} [{lo}, {hi}]: centre frequencies span {freqs.min():.3g} to "
-                    f"{freqs.max():.3g}")
-        # W, complex, and cwt_bump's int16 or int32 SST bin map; T overwrites W
-        _fits(f"{keys} give", "CWT map and SST bin map",
-              len(scales) * cfg.samples * (16 + (2 if len(scales) <= 2 ** 15 else 4)))
-        _fits(f"'samples' = {cfg.samples} and 'zero_pad' = {cfg.zero_pad} give",
-              "padded spectrum", 16 * cfg.samples * cfg.zero_pad)
+                raise ConfigError(f"{named} and 'voices' = {cfg.voices} give no wavelet row "
+                                  f"in band {name} [{lo}, {hi}]: centre frequencies span "
+                                  f"{freqs.min():.3g} to {freqs.max():.3g}")
     try:
         return cce.time_grid(cfg.tbar_max, cfg.samples)
     except MemoryError as exc:
@@ -258,12 +242,27 @@ def _preflight(cfg: RunConfig, command: str, args=()) -> np.ndarray:
                             f"allocated: {exc}") from None
 
 
-def _fits(named: str, what: str, nbytes: int) -> None:
-    """Refuse, as a runtime error, ``nbytes`` that physical memory cannot hold."""
+def _preflight_analysis(cfg: RunConfig, n: int, dt: float, named: str, error) -> np.ndarray:
+    """The refusals of ``cfg``'s spectrum, CWT and SST on ``n`` samples of step
+    ``dt``, named by ``named``: no scale grid (raised as ``error``), or a map or
+    padded spectrum, sized by tfa, larger than physical memory. Returns the scales."""
+    keys = f"{named} and 'voices' = {cfg.voices}"
+    try:
+        scales = tfa.default_scales(n, dt, tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+    except tfa.TFAError as exc:
+        raise error(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, {keys} give no wavelet "
+                    f"scale grid: {exc}") from None
+    except MemoryError as exc:
+        raise PipelineError(f"{keys} give a wavelet scale grid that cannot be allocated: "
+                            f"{exc}") from None
     held = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > held:
-        raise PipelineError(f"{named} a {what} of {nbytes / 1e9:.3g} GB, more than the "
-                            f"{held / 1e9:.3g} GB of physical memory")
+    for given, what, nbytes in ((keys, "CWT map and SST bin map", tfa.cwt_nbytes(len(scales), n)),
+                                (f"{named} and 'zero_pad' = {cfg.zero_pad}", "padded spectrum",
+                                 tfa.spectrum_nbytes(n, cfg.zero_pad))):
+        if nbytes > held:
+            raise PipelineError(f"{given} give a {what} of {nbytes / 1e9:.3g} GB, more than "
+                                f"the {held / 1e9:.3g} GB of physical memory")
+    return scales
 
 
 def load_config(path) -> RunConfig:
@@ -459,10 +458,10 @@ def analyze_series(cfg: RunConfig, series_path) -> RunRecord:
     """Analyze-only stage on an exported normalized correlation file."""
     record = RunRecord(cfg, "analyze")
     series = cce.load_series(series_path)
-    _fits(f"the {len(series.values)} samples of {series_path} and 'zero_pad' = "
-          f"{cfg.zero_pad} give", "padded spectrum", 16 * len(series.values) * cfg.zero_pad)
     cbar = series if series.metadata.get("normalized") else \
         record.run("normalize", tfa.normalize_correlation, series)
+    _preflight_analysis(cfg, len(series.values), series.dt,
+                        f"the {len(series.values)} samples of {series_path}", PipelineError)
     record.run("analyze", _analyze, record, cfg, cbar)
     record.write()
     return record

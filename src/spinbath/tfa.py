@@ -79,6 +79,11 @@ def power_spectrum(series: CorrelationSeries, zero_pad_factor: int = 1) -> Spect
     return Spectrum(omega_bar=omega, power=np.abs(np.fft.rfft(series.values, n)) ** 2)
 
 
+def spectrum_nbytes(n: int, zero_pad_factor: int) -> int:
+    """power_spectrum's padded real input and half-length rfft: 8 B a point each."""
+    return 16 * n * zero_pad_factor
+
+
 def _bump_window(xi: np.ndarray, p: BumpParams) -> np.ndarray:
     """exp(1 - 1/(1 - u^2)) on |u| < 1 with u = (xi - mu)/sigma, else 0."""
     with np.errstate(over="ignore"):        # a u past the float range lies outside too
@@ -95,9 +100,8 @@ def default_scales(n: int, dt: float, params: BumpParams,
     """The scale grid cwt_bump transforms: log2-spaced scales spanning
     wavelet periods from 2*dt up to half the series duration. A range of no
     positive finite octave count, or of more scales than the int32 SST bin
-    map indexes (2^31 - 1), is refused before any scale is made, and a grid
-    with a scale whose bump covers no bin of the padded FFT (see
-    bump_support) once it is made."""
+    map indexes (2^31 - 1), is refused before any scale is made, and a scale
+    whose bump covers no bin of the padded FFT (see bump_support) after."""
     if not 1 <= voices_per_octave <= 2 ** 31 - 1:
         raise TFAError(f"voices_per_octave must be >= 1 and at most 2^31 - 1, "
                        f"got {voices_per_octave}")
@@ -228,6 +232,16 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
         yield r, d
 
 
+def _bin_dtype(n_scales: int) -> type:
+    """The SST bin map's dtype: int16 up to 2^15 scales, int32 above."""
+    return np.int16 if n_scales <= 2 ** 15 else np.int32
+
+
+def cwt_nbytes(n_scales: int, n: int) -> int:
+    """cwt_bump's W and SST bin map on n_scales x n cells; T overwrites W."""
+    return n_scales * n * (np.dtype(complex).itemsize + np.dtype(_bin_dtype(n_scales)).itemsize)
+
+
 def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
              voices_per_octave: int = 32) -> Scalogram:
     """Bump-wavelet CWT of a series on its default_scales grid, evaluated in
@@ -240,19 +254,17 @@ def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
     (Bluestein) transform sums it over the K support bins k0 + j by one FFT
     convolution of length M >= n + K - 1: with w = exp(2 pi i / npad), row[t] =
     w^(t^2/2 + k0 t) / npad * sum_j y_j w^(j^2/2) w^(-(t-j)^2/2), each phase
-    from one root table at an exact integer index. Each row block takes its
-    own M, the smallest 2^a 3^b 5^c at or above n + K - 1 for its widest K,
-    and holds about 2^15 / M rows.
-    Each block's exact spectral time derivative dW, never held whole, gives
-    its cells' phase-transform frequency w = Re(-i dW/W) and so the SST bin:
-    the nearest center frequency on a log2 axis (int16 up to 2^15 scales), or
-    -1 where w is not finite and > 0 or off the grid.
-    """
+    from one root table at an exact integer index, in row blocks of their own
+    M (see _cwt_rows). Each block's exact spectral time derivative dW, never
+    held whole, gives its cells' phase-transform frequency w = Re(-i dW/W) and
+    so the SST bin: the nearest center frequency on a log2 axis (a _bin_dtype
+    index; cwt_nbytes sizes W and the bin map), or -1 where w is not finite
+    and > 0 or off the grid."""
     x, dt = series.values, series.dt
     n = len(x)
     scales = default_scales(n, dt, params, voices_per_octave)
     W = np.empty((len(scales), n), dtype=complex)
-    bins = np.empty(W.shape, dtype=np.int16 if len(scales) <= 2 ** 15 else np.int32)
+    bins = np.empty(W.shape, dtype=_bin_dtype(len(scales)))
     center = params.mu / scales
     log_f = np.log2(center[::-1])
     dlog = (log_f[-1] - log_f[0]) / (len(log_f) - 1)
@@ -275,8 +287,7 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
     block's cells scatter by flat index, in row-major order, into a zeroed
     block buffer (a dropped cell into one slot past it), so every bin sums
     its cells in row-major order, and the buffer is written over the block
-    of W it was read from. No second map is held.
-    """
+    of W it was read from. No second map is held."""
     if not 0 <= gamma < np.inf:
         raise TFAError(f"gamma must be finite and >= 0, got {gamma}")
     scales = scalogram.scales       # cwt_bump's ascend, one built by hand may not

@@ -251,19 +251,6 @@ class TestSubcommands:
         # no line names the directory it was written in, outdir included
         assert str(tmp_path) not in (moved / "manifest.txt").read_text()
 
-    def test_analyze_refuses_a_grid_with_empty_support(self, tmp_path, capsys):
-        # simulate makes no scale grid; analyze, which takes its grid from the
-        # series, refuses it in the cwt stage, after the spectrum
-        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, "sigma = 0.01\nvoices = 32"))
-        assert cli.main(["simulate", str(cfgp)]) == 0
-        capsys.readouterr()
-        assert cli.main(["analyze", str(cfgp), str(outdir / "correlation_normalized.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: stage 'cwt' failed: 59 of 193 wavelet scales")
-        assert err.count("\n") == 1
-        assert (outdir / "analyze_spectrum.csv").exists()
-        assert not (outdir / "analyze_cwt.bin").exists()
-
     def test_analyze_normalizes_a_series_flagged_not_normalized(self, tmp_path):
         # the header's False is a boolean, not the truthy string "False"
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
@@ -918,20 +905,32 @@ class TestExitCodes:
         assert err.count("\n") == 1 and named in err
         assert not outdir.exists()
 
-    def test_analyze_refuses_a_padded_spectrum_before_its_products(self, tmp_path, capsys,
-                                                                  monkeypatch):
+    @pytest.mark.parametrize("samples, extra_body, named", [
+        pytest.param(4, "", "spans no positive finite octave count", id="four-samples"),
+        # 59 of the 193 scales have no bump support on the CWT's padded FFT
+        pytest.param(256, "sigma = 0.01\nvoices = 32", "'voices' = 32 give no wavelet scale "
+                     "grid: 59 of 193", id="empty-support"),
+        # 840 001 scales: a grid of 6.7 MB, but a 1.1 TB map
+        pytest.param(65536, "voices = 60000", "'voices' = 60000 give a CWT map", id="map"),
+        # a 4 PB spectrum, sized and never allocated
+        pytest.param(256, "zero_pad = 1000000000000", "'zero_pad' = 1000000000000 give a "
+                     "padded spectrum", id="padded-spectrum")])
+    def test_analyze_refusal_precedes_its_products(self, tmp_path, capsys, monkeypatch,
+                                                   samples, extra_body, named):
+        # the series decides analyze's grid, so its refusals are runtime errors
         def unreachable(*args, **kwargs):
-            raise AssertionError("spectrum of a padded length that cannot be held")
+            raise AssertionError("time-frequency work started for a refused series")
 
-        t = cce.time_grid(400.0, 256)
+        t = cce.time_grid(400.0, samples)
         series = tmp_path / "series.csv"
         cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
         monkeypatch.setattr(tfa, "power_spectrum", unreachable)
-        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, "zero_pad = 1000000000000"))
+        monkeypatch.setattr(tfa, "cwt_bump", unreachable)
+        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, extra_body))
         assert cli.main(["analyze", str(cfgp), str(series)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert "256 samples of" in err and "'zero_pad' = 1000000000000" in err
+        assert f"the {samples} samples of {series}" in err and named in err
         assert not outdir.exists()
 
     def test_analyze_skips_band_coverage(self, tmp_path):

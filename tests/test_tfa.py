@@ -360,6 +360,16 @@ class TestCWT:
         s64 = tfa.cwt_bump(CorrelationSeries(t, x), voices_per_octave=64)
         assert len(s64.scales) > 3 * len(s16.scales)
 
+    @pytest.mark.parametrize("n, voices, n_scales, dtype", [
+        (256, 32, 193, np.int16), (64, 8200, 32801, np.int32),
+        # the two sides of the switch: 2^15 scales and one more
+        (24, 12676, 2 ** 15, np.int16), (20, 14112, 2 ** 15 + 1, np.int32)])
+    def test_sized_map_is_the_allocated_map(self, n, voices, n_scales, dtype):
+        # what the preflight sizes against physical memory is what cwt_bump holds
+        scal = tfa.cwt_bump(on_grid(np.cos(0.5 * np.arange(n)), 1.0), voices_per_octave=voices)
+        assert scal.coeffs.shape == (n_scales, n) and scal.sst_bins.dtype == dtype
+        assert tfa.cwt_nbytes(n_scales, n) == scal.coeffs.nbytes + scal.sst_bins.nbytes
+
 
 class TestSST:
     def setup_method(self):
