@@ -13,13 +13,13 @@ of A_bar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .hamiltonian import TermMask, bath_operator_diagonal, cluster_dim, cluster_hamiltonians
-from .lattice import BathRealization, finite_floats, read_text
+from .lattice import BathRealization, finite_floats, key_cells, read_text, write_rows
 
 #: Hilbert dimension cap of whole-bath ED and of a config's largest clusters
 EXACT_DIM_CAP = 4096
@@ -479,28 +479,7 @@ def save_series(path, series: CorrelationSeries) -> None:
     with open(path, "w") as fh:
         for k in sorted(series.metadata):
             fh.write(f"# {k} = {series.metadata[k]}\n")
-        _write_rows(fh, series.times_tbar, series.values)
-
-
-def _write_rows(fh, keys, values) -> None:
-    """Write ``key,value`` lines at 17 significant digits with one ``%``
-    template and one write. The key column comes from ``_key_cells``, so a
-    grid that several files print is formatted once."""
-    cells = _key_cells(keys)
-    template = ",%.16e\n".join(cells) + ",%.16e\n" if cells else ""
-    fh.write(template % tuple(values.tolist()))
-
-
-def _key_cells(keys) -> tuple:
-    """Each of ``keys`` at 17 significant digits, memoized on the float64
-    bytes of the grid: a grid that differs in one bit, the sign of a zero
-    included, is formatted anew."""
-    return _format_grid(np.asarray(keys, dtype=float).tobytes())
-
-
-@lru_cache(maxsize=8)
-def _format_grid(grid: bytes) -> tuple:
-    return tuple(f"{k:.16e}" for k in np.frombuffer(grid).tolist())
+        write_rows(fh, key_cells(series.times_tbar), series.values)
 
 
 def load_series(path) -> CorrelationSeries:

@@ -245,24 +245,26 @@ def _preflight(cfg: RunConfig, command: str, args=()) -> np.ndarray:
 def _preflight_analysis(cfg: RunConfig, n: int, dt: float, named: str, error) -> np.ndarray:
     """The refusals of ``cfg``'s spectrum, CWT and SST on ``n`` samples of step
     ``dt``, named by ``named``: no scale grid (raised as ``error``), or a map or
-    padded spectrum, sized by tfa, larger than physical memory. Returns the scales."""
+    padded spectrum, sized by tfa from the scale count before any scale is
+    made, larger than physical memory. Returns the scales."""
     keys = f"{named} and 'voices' = {cfg.voices}"
+    params = tfa.BumpParams(cfg.mu, cfg.sigma)
+    held = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     try:
-        scales = tfa.default_scales(n, dt, tfa.BumpParams(cfg.mu, cfg.sigma), cfg.voices)
+        n_scales = tfa.scale_range(n, dt, params, cfg.voices)[1]
+        for given, what, nbytes in ((keys, "CWT map and SST bin map", tfa.cwt_nbytes(n_scales, n)),
+                                    (f"{named} and 'zero_pad' = {cfg.zero_pad}", "padded spectrum",
+                                     tfa.spectrum_nbytes(n, cfg.zero_pad))):
+            if nbytes > held:
+                raise PipelineError(f"{given} give a {what} of {nbytes / 1e9:.3g} GB, more "
+                                    f"than the {held / 1e9:.3g} GB of physical memory")
+        return tfa.default_scales(n, dt, params, cfg.voices)
     except tfa.TFAError as exc:
         raise error(f"'mu' = {cfg.mu:g}, 'sigma' = {cfg.sigma:g}, {keys} give no wavelet "
                     f"scale grid: {exc}") from None
     except MemoryError as exc:
         raise PipelineError(f"{keys} give a wavelet scale grid that cannot be allocated: "
                             f"{exc}") from None
-    held = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for given, what, nbytes in ((keys, "CWT map and SST bin map", tfa.cwt_nbytes(len(scales), n)),
-                                (f"{named} and 'zero_pad' = {cfg.zero_pad}", "padded spectrum",
-                                 tfa.spectrum_nbytes(n, cfg.zero_pad))):
-        if nbytes > held:
-            raise PipelineError(f"{given} give a {what} of {nbytes / 1e9:.3g} GB, more than "
-                                f"the {held / 1e9:.3g} GB of physical memory")
-    return scales
 
 
 def load_config(path) -> RunConfig:
@@ -423,7 +425,7 @@ def _save_bands(record: RunRecord, obj) -> None:
         trace = tfa.band_amplitude(obj, lo, hi)
         with open(record.path(f"band_{name}_{obj.kind}.csv"), "w") as fh:
             fh.write(f"# band = {name} [{lo}, {hi}] ({obj.kind})\n")
-            cce._write_rows(fh, obj.times_tbar, trace)
+            lattice.write_rows(fh, lattice.key_cells(obj.times_tbar), trace)
 
 
 def run_pipeline(cfg: RunConfig) -> RunRecord:

@@ -1,5 +1,5 @@
 """Diamond-lattice bath construction, spinful-site sampling, hyperfine geometry
-and the reader and row parser that every input file goes through.
+and the reader, row parser and 17-digit row writer of every table file.
 
 All energies are angular frequencies (rad/s, hbar = 1 internally); all lengths
 are meters. The central spin sits at the box center and occupies no lattice
@@ -8,6 +8,7 @@ site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,14 +251,12 @@ def save_realization(path, real: BathRealization) -> None:
     """Comma-separated text export: one header line
     (a0, L0, A0/E_dd, spin_I, gamma, hf_axis), then index,x,y,z,A per site,
     floats at 17 significant digits."""
-    f17 = "{:.16e}".format
+    head = [real.a0, real.species.L0, real.species.A0 / real.E_dd, real.species.spin_I,
+            real.species.gamma, *real.hf_axis]
     with open(path, "w") as fh:
-        head = [f17(real.a0), f17(real.species.L0), f17(real.species.A0 / real.E_dd),
-                f17(real.species.spin_I), f17(real.species.gamma)]
-        head += [f17(c) for c in real.hf_axis]
-        fh.write(",".join(head) + "\n")
-        for i, p, a in zip(real.site_indices, real.positions, real.hf_couplings_A):
-            fh.write(",".join([str(i), f17(p[0]), f17(p[1]), f17(p[2]), f17(a)]) + "\n")
+        fh.write(",".join(key_cells(head)) + "\n")
+        write_rows(fh, list(map(str, real.site_indices)),
+                   np.column_stack((real.positions, real.hf_couplings_A)))
 
 
 def load_realization(path) -> BathRealization:
@@ -311,3 +310,22 @@ def finite_floats(fields, n: int) -> list:
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite value")
     return values
+
+
+def write_rows(fh, cells, values) -> None:
+    """One line per string of ``cells``: the cell, then its row of ``values`` (one value
+    a row if 1-d) at 17 significant digits, by one ``%`` template and one write."""
+    row = ",%.16e" * (values.shape[1] if values.ndim == 2 else 1) + "\n"
+    fh.write((row.join(cells) + row if cells else "") % tuple(values.ravel().tolist()))
+
+
+def key_cells(keys) -> tuple:
+    """Each of ``keys`` at 17 significant digits, memoized on the grid's float64
+    bytes, so a grid that several files print is formatted once and one that
+    differs in one bit, the sign of a zero included, is formatted anew."""
+    return _format_grid(np.asarray(keys, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=8)
+def _format_grid(grid: bytes) -> tuple:
+    return tuple(f"{k:.16e}" for k in np.frombuffer(grid).tolist())

@@ -11,7 +11,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cce import CorrelationSeries, _blocks, _key_cells, _write_rows
+from .cce import CorrelationSeries
+from .lattice import key_cells, write_rows
 
 
 class TFAError(ValueError):
@@ -95,13 +96,12 @@ def _bump_window(xi: np.ndarray, p: BumpParams) -> np.ndarray:
     return out
 
 
-def default_scales(n: int, dt: float, params: BumpParams,
-                   voices_per_octave: int = 32) -> np.ndarray:
-    """The scale grid cwt_bump transforms: log2-spaced scales spanning
-    wavelet periods from 2*dt up to half the series duration. A range of no
-    positive finite octave count, or of more scales than the int32 SST bin
-    map indexes (2^31 - 1), is refused before any scale is made, and a scale
-    whose bump covers no bin of the padded FFT (see bump_support) after."""
+def scale_range(n: int, dt: float, params: BumpParams, voices_per_octave: int):
+    """(a_min, count) of default_scales on n samples of step dt, by arithmetic:
+    ceil(n_oct * voices_per_octave) + 1 scales from a_min over the n_oct
+    octaves of wavelet periods from 2*dt up to half the series duration. A
+    range of no positive finite octave count, or of more scales than the
+    int32 SST bin map indexes (2^31 - 1), is refused."""
     if not 1 <= voices_per_octave <= 2 ** 31 - 1:
         raise TFAError(f"voices_per_octave must be >= 1 and at most 2^31 - 1, "
                        f"got {voices_per_octave}")
@@ -115,7 +115,17 @@ def default_scales(n: int, dt: float, params: BumpParams,
     count = np.ceil(n_oct * voices_per_octave) + 1
     if count > 2 ** 31 - 1:
         raise TFAError(f"{count:.3g} scales, above the 2^31 - 1 the SST bin map indexes")
-    scales = a_min * 2.0 ** (np.arange(int(count)) / voices_per_octave)
+    return a_min, int(count)
+
+
+def default_scales(n: int, dt: float, params: BumpParams,
+                   voices_per_octave: int = 32) -> np.ndarray:
+    """The scale grid cwt_bump transforms: the log2-spaced scales of
+    scale_range, whose refusals come before any scale is made, and after
+    them the refusal of a scale whose bump covers no bin of the padded FFT
+    (see bump_support)."""
+    a_min, count = scale_range(n, dt, params, voices_per_octave)
+    scales = a_min * 2.0 ** (np.arange(count) / voices_per_octave)
     empty = bump_support(n, dt, params, scales)[-1]
     if empty.any():
         raise TFAError(f"{empty.sum()} of {len(scales)} wavelet scales, the first "
@@ -186,7 +196,7 @@ def bump_support(n: int, dt: float, params: BumpParams, scales: np.ndarray):
 
 def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, W: np.ndarray):
     """Fill W a row block at a time (see cwt_bump), yielding each block's rows
-    r and their time derivative dW[r] in a buffer the next block reuses.
+    r and their time derivative dW[r] in the block buffer the next reuses.
     Each block runs its chirp-z convolution at its own length M, the smallest
     2^a 3^b 5^c >= n + K - 1 for the block's widest support K, with at most
     2^15 rows times M cells per product."""
@@ -199,7 +209,6 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
     rows_max = max(r.stop - r.start for r, _ in blocks)
     buf = np.empty(2 * max((r.stop - r.start) * M for r, M in blocks), dtype=complex)
     phase = np.empty((rows_max, n), dtype=np.int64)
-    dW = np.empty((rows_max, n), dtype=complex)
     t = np.arange(n)
     chirp = np.empty(0)
     for r, M in blocks:
@@ -211,7 +220,7 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
         j = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
         bins = j + lo[r][rows]
         win = np.sqrt(scales[r])[rows] * _bump_window(scales[r][rows] * omega[bins], params)
-        blk, q, d = buf[:2 * len(m) * M].reshape(2, len(m), M), phase[:len(m)], dW[:len(m)]
+        blk, q = buf[:2 * len(m) * M].reshape(2, len(m), M), phase[:len(m)]
         blk[...] = 0
         y = root[j * j % (2 * npad)]
         y *= X[bins]
@@ -226,10 +235,10 @@ def _cwt_rows(x: np.ndarray, dt: float, params: BumpParams, scales: np.ndarray, 
         np.add.outer(2 * (lo[r] + pos.start), t, out=q)
         q *= t
         q &= 2 * npad - 1                       # t^2 + 2 k0 t mod 2 npad
-        root.take(q, out=d)
-        np.multiply(blk[0, :, :n], d, out=W[r])
-        d *= blk[1, :, :n]
-        yield r, d
+        root.take(q, out=W[r])                  # the demodulation phase, then W
+        dW = np.multiply(W[r], blk[1, :, :n], out=blk[1, :, :n])
+        np.multiply(blk[0, :, :n], W[r], out=W[r])
+        yield r, dW
 
 
 def _bin_dtype(n_scales: int) -> type:
@@ -256,10 +265,11 @@ def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
     w^(t^2/2 + k0 t) / npad * sum_j y_j w^(j^2/2) w^(-(t-j)^2/2), each phase
     from one root table at an exact integer index, in row blocks of their own
     M (see _cwt_rows). Each block's exact spectral time derivative dW, never
-    held whole, gives its cells' phase-transform frequency w = Re(-i dW/W) and
-    so the SST bin: the nearest center frequency on a log2 axis (a _bin_dtype
-    index; cwt_nbytes sizes W and the bin map), or -1 where w is not finite
-    and > 0 or off the grid."""
+    held whole, gives its cells' phase-transform frequency w = Re(-i dW/W),
+    bit for bit Im(dW/W) in place, as numpy's complex division branches on
+    the divisor alone, and so the SST bin: the nearest center frequency on a
+    log2 axis (a _bin_dtype index; cwt_nbytes sizes W and the bin map), or
+    -1 where w is not finite and > 0 or off the grid."""
     x, dt = series.values, series.dt
     n = len(x)
     scales = default_scales(n, dt, params, voices_per_octave)
@@ -270,7 +280,7 @@ def cwt_bump(series: CorrelationSeries, params: BumpParams = BumpParams(),
     dlog = (log_f[-1] - log_f[0]) / (len(log_f) - 1)
     for r, dW in _cwt_rows(x, dt, params, scales, W):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k = np.rint((np.log2(np.real(-1j * dW / W[r])) - log_f[0]) / dlog)
+            k = np.rint((np.log2(np.divide(dW, W[r], out=dW).imag) - log_f[0]) / dlog)
             bins[r] = np.where((k >= 0) & (k < len(scales)), k, -1)
     return Scalogram(scales=scales, freqs=center, times_tbar=series.times_tbar, coeffs=W,
                      sst_bins=bins, metadata={"voices_per_octave": voices_per_octave})
@@ -295,7 +305,8 @@ def synchrosqueeze(scalogram: Scalogram, gamma: float = 1e-8) -> SSTMap:
         raise TFAError("synchrosqueezing needs two or more strictly ascending scales")
     W, bins = scalogram.coeffs, scalogram.sst_bins
     n_rows, n_cols = W.shape
-    thr = gamma * max(np.abs(W[s:e]).max() for s, e in _blocks(n_rows, max(1, 2 ** 15 // n_cols)))
+    step = max(1, 2 ** 15 // n_cols)
+    thr = gamma * max(np.abs(W[s:s + step]).max() for s in range(0, n_rows, step))
     weight = scales ** -1.5 * np.gradient(scales)
     width = max(1, 2 ** 15 // n_rows)
     buf = np.empty(n_rows * min(width, n_cols) + 1, dtype=complex)
@@ -335,7 +346,7 @@ def band_amplitude(obj: Scalogram | SSTMap, omega_lo: float, omega_hi: float) ->
 def save_spectrum(path, spec: Spectrum) -> None:
     with open(path, "w") as fh:
         fh.write("# omega_bar,power\n")
-        _write_rows(fh, spec.omega_bar, spec.power)
+        write_rows(fh, key_cells(spec.omega_bar), spec.power)
 
 
 def save_map(bin_path, meta_path, obj: Scalogram | SSTMap) -> list:
@@ -343,13 +354,14 @@ def save_map(bin_path, meta_path, obj: Scalogram | SSTMap) -> list:
     row per frequency) and grids at 17 significant digits in the sidecar
     ``meta_path``, together every map cell exactly. Returns the two paths."""
     with open(bin_path, "wb") as fh:        # a row block at a time: no map-sized copy
-        for s, e in _blocks(len(obj.coeffs), max(1, 2 ** 15 // obj.coeffs.shape[1])):
-            np.abs(obj.coeffs[s:e]).astype("<f8", copy=False).tofile(fh)
+        step = max(1, 2 ** 15 // obj.coeffs.shape[1])
+        for s in range(0, len(obj.coeffs), step):
+            np.abs(obj.coeffs[s:s + step]).astype("<f8", copy=False).tofile(fh)
     with open(meta_path, "w") as fh:
         fh.write(f"# kind = {obj.kind}\n")
         fh.write("# shape = %d %d\n" % obj.coeffs.shape)
         for k, v in sorted(obj.metadata.items()):
             fh.write(f"# {k} = {v}\n")
         for axis, grid in (("omega_bar rows", obj.freqs), ("tbar columns", obj.times_tbar)):
-            fh.write(f"# {axis}:\n" + ",".join(_key_cells(grid)) + "\n")
+            fh.write(f"# {axis}:\n" + ",".join(key_cells(grid)) + "\n")
     return [bin_path, meta_path]

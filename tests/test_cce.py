@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbath import cce, cli
+from spinbath import cce, cli, lattice
 from spinbath.hamiltonian import (TermMask, bath_operator_diagonal, cluster_dim,
                                   cluster_hamiltonians)
 
@@ -867,6 +867,6 @@ class TestSeriesIO:
         with pytest.raises(cce.CCEError, match="time grid"):
             cce.CorrelationSeries(np.arange(n) * 0.0, values)
         with open(p, "w") as fh:
-            cce._write_rows(fh, np.arange(n) * 0.0, values)
+            lattice.write_rows(fh, lattice.key_cells(np.arange(n) * 0.0), values)
         with pytest.raises(cce.CCEError, match="time grid"):
             cce.load_series(p)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -662,10 +663,11 @@ class TestExitCodes:
                      "series file {tmp}/latin1.txt is not", id="series-not-text"),
         # a 7 PiB time grid, which no 64-bit address space maps: nothing is allocated
         # and numpy's text is kept behind the key that sized the grid
+        # run sizes the map from the scale count, and refuses it before the
+        # time grid or the scale grid is made
         pytest.param("samples = 1000000000000000", ["run", "{cfg}"], 2,
-                     "'samples' = 1000000000000000 and 'voices' = 8 give a wavelet scale "
-                     "grid that cannot be allocated: Unable to allocate",
-                     id="run-grid-not-allocatable"),
+                     "'samples' = 1000000000000000 and 'voices' = 8 give a CWT map and SST "
+                     "bin map of 6.91e+09 GB", id="run-grid-not-allocatable"),
         pytest.param("samples = 1000000000000000", ["simulate", "{cfg}"], 2,
                      "'samples' = 1000000000000000 gives a time grid that cannot be "
                      "allocated: Unable to allocate", id="simulate-grid-not-allocatable"),
@@ -694,13 +696,31 @@ class TestExitCodes:
                                          ["sweep-axis", "0,0,1"]], ids=lambda c: c[0])
     def test_unallocatable_grid_leaves_no_outdir(self, tmp_path, capsys, command):
         # a 7 PiB time grid, which no 64-bit address space maps: the output
-        # directory is made at the first product, which no command reaches
+        # directory is made at the first product, which no command reaches.
+        # run and sweep-axis refuse the map, sized from the scale count, first
         cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY,
                                                      "samples = 1000000000000000"))
         assert cli.main([command[0], str(cfgp), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert "'samples'" in err and "Unable to allocate" in err
+        assert "'samples'" in err
+        assert ("give a CWT map" if command[0] in ("run", "sweep-axis")
+                else "Unable to allocate") in err
+        assert not outdir.exists()
+
+    def test_unallocatable_scale_grid_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a grid whose map fits but whose scales or bump-support table cannot
+        # be allocated: exit 2 in one line that keeps numpy's message
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 PiB")
+
+        monkeypatch.setattr(tfa, "bump_support", unallocatable)
+        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
+        assert cli.main(["run", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("runtime error: 'tbar_max' = 400, 'samples' = 256 and 'voices' = 8 give "
+                       "a wavelet scale grid that cannot be allocated: Unable to allocate "
+                       "16.0 PiB\n")
         assert not outdir.exists()
 
     def test_sweep_axis_without_a_pair_leaves_no_axis_directory(self, tmp_path, capsys):
@@ -931,6 +951,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
         assert f"the {samples} samples of {series}" in err and named in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_map_refusal_allocates_nothing_map_sized(self, tmp_path, capsys, command):
+        # 840 001 scales on 65 536 samples: the 1.1 TB map is sized from the
+        # scale count, before the scale grid (6.7 MB) or the bump-support
+        # table is made; making them first peaked at 125 MB traced
+        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, "samples = 65536\nvoices = 60000"))
+        argv, cfg = ["run", str(cfgp)], cli.load_config(cfgp)
+        preflight, args = cli._preflight, (cfg, "run")
+        if command == "analyze":
+            series = tmp_path / "series.csv"
+            t = cce.time_grid(400.0, 65536)
+            cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+            argv, loaded = ["analyze", str(cfgp), str(series)], cce.load_series(series)
+            preflight, args = cli._preflight_analysis, (cfg, len(loaded.values), loaded.dt,
+                                                        "the series", cli.PipelineError)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.PipelineError, match="give a CWT map"):
+                preflight(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "'voices' = 60000 give a CWT map and SST bin map of 1.1e+03 GB, more than " \
+               "the " in err and err.endswith(" GB of physical memory\n")
         assert not outdir.exists()
 
     def test_analyze_skips_band_coverage(self, tmp_path):

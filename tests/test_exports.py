@@ -1,10 +1,12 @@
-"""The 17-digit text exports (series, spectrum and band traces), checked byte
-for byte against plain per-line f-string writers."""
+"""The 17-digit text exports (series, spectrum, band traces and the bath
+realization), all formatted by ``lattice.write_rows`` and ``lattice.key_cells``,
+checked byte for byte against plain per-line f-string writers."""
 import io
 
 import numpy as np
+import pytest
 
-from spinbath import cce, cli, tfa
+from spinbath import cce, cli, lattice, tfa
 
 #: zero and negative zero, the smallest subnormal and the smallest normal,
 #: the largest double, a literal that parses to 10.0 and the largest double
@@ -35,6 +37,15 @@ def ref_band(path, header, times, trace):
         fh.write(header)
         for t, v in zip(times, trace):
             fh.write(f"{t:.16e},{v:.16e}\n")
+
+
+def ref_realization(path, real):
+    head = [real.a0, real.species.L0, real.species.A0 / real.E_dd, real.species.spin_I,
+            real.species.gamma, *real.hf_axis]
+    with open(path, "w") as fh:
+        fh.write(",".join(f"{v:.16e}" for v in head) + "\n")
+        for i, (x, y, z), a in zip(real.site_indices, real.positions, real.hf_couplings_A):
+            fh.write(f"{i},{x:.16e},{y:.16e},{z:.16e},{a:.16e}\n")
 
 
 def edge_rows(n_rows):
@@ -78,6 +89,21 @@ class TestByteIdentity:
                 new = tmp_path / f"new_band_{name}_{kind}.csv"
                 assert new.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("n_sites", [12, 0])
+    def test_realization(self, tmp_path, n_sites):
+        # EDGE values, -0.0 included, in the position columns; the nonzero
+        # ones, made positive, as couplings, up to A0 = 1e300 (the check
+        # A <= A0 (1 + 1e-12) would overflow at the largest double)
+        A = np.abs(EDGE[(EDGE != 0) & (np.abs(EDGE) <= 1e300)])[:n_sites]
+        species = lattice.SpeciesParams(spin_I=1.5, gamma=-5.319e7, A0=A.max(initial=1.0),
+                                        L0=3.4e-9)
+        real = lattice.BathRealization(positions=edge_rows(3).T[:n_sites], hf_couplings_A=A,
+                                       hf_axis=np.array([0.6, -0.0, 0.8]), species=species,
+                                       a0=5.43e-10, site_indices=[7 ** k for k in range(n_sites)])
+        lattice.save_realization(tmp_path / "new.csv", real)
+        ref_realization(tmp_path / "ref.csv", real)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 def plain_rows(keys, values):
     return "".join(f"{k:.16e},{v:.16e}\n" for k, v in zip(keys, values))
@@ -96,5 +122,5 @@ def test_rows_never_reuse_another_grids_keys():
     for keys in [base, one_key, base, neg_zero, one_key, neg_zero, base, *shifted, *shifted,
                  neg_zero, base]:
         fh = io.StringIO()
-        cce._write_rows(fh, keys, EDGE)
+        lattice.write_rows(fh, lattice.key_cells(keys), EDGE)
         assert fh.getvalue() == plain_rows(keys, EDGE)

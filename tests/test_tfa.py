@@ -365,10 +365,13 @@ class TestCWT:
         # the two sides of the switch: 2^15 scales and one more
         (24, 12676, 2 ** 15, np.int16), (20, 14112, 2 ** 15 + 1, np.int32)])
     def test_sized_map_is_the_allocated_map(self, n, voices, n_scales, dtype):
-        # what the preflight sizes against physical memory is what cwt_bump holds
-        scal = tfa.cwt_bump(on_grid(np.cos(0.5 * np.arange(n)), 1.0), voices_per_octave=voices)
+        # what the preflight sizes against physical memory, from the scale
+        # count of scale_range, is what cwt_bump holds
+        series = on_grid(np.cos(0.5 * np.arange(n)), 1.0)
+        scal = tfa.cwt_bump(series, voices_per_octave=voices)
         assert scal.coeffs.shape == (n_scales, n) and scal.sst_bins.dtype == dtype
         assert tfa.cwt_nbytes(n_scales, n) == scal.coeffs.nbytes + scal.sst_bins.nbytes
+        assert tfa.scale_range(n, series.dt, tfa.BumpParams(), voices) == (scal.scales[0], n_scales)
 
 
 class TestSST:
