@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import sys
@@ -186,6 +187,8 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok in checks:
         if not ok:
             raise ConfigError(f"configuration value out of range: {name!r}")
+    if not cfg.outdir:
+        raise ConfigError("'outdir' is empty: write 'outdir = .' for the working directory")
     if not (cfg.mask_B or cfg.mask_CD or cfg.mask_EF):
         raise ConfigError("'mask_B', 'mask_CD' and 'mask_EF' are all false: with no flip "
                           "term the Hamiltonian is diagonal and the correlation is constant")
@@ -481,15 +484,14 @@ def compare_orders(cfg: RunConfig, orders) -> str:
         series = _cce(record, cfg, times_tbar, realization, cset.up_to(m), f"cce{m}")
         curves[m] = record.run(f"normalize{m}", tfa.normalize_correlation, series)
         cce.save_series(record.path(f"cce{m}_correlation_normalized.csv"), curves[m])
-    ref = curves[orders[-1]].values
-    lines = ["# order,max_dev,l2_dev"]
-    for m in orders:
-        d = curves[m].values - ref
-        lines.append(f"{m},{np.abs(d).max():.16e},{np.sqrt((d**2).sum() / len(ref)):.16e}")
-    report = "\n".join(lines) + "\n"
-    record.path("order_deviations.csv").write_text(report)
+    d = np.array([curves[m].values for m in orders]) - curves[orders[-1]].values
+    report = io.StringIO()
+    report.write("# order,max_dev,l2_dev\n")
+    lattice.write_rows(report, [str(m) for m in orders], np.column_stack(
+        [np.abs(d).max(axis=1), np.sqrt((d**2).sum(axis=1) / d.shape[1])]))
+    record.path("order_deviations.csv").write_text(report.getvalue())
     record.write()
-    return report
+    return report.getvalue()
 
 
 #: each channel's mask fields: its own term and A (which only shifts levels)

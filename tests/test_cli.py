@@ -241,16 +241,31 @@ class TestSubcommands:
         assert config["hf_axis"] == "(0.0, 0.0, 1.0)"
         assert derived["hf_axis"] == "(0.7071067811865476, 0.7071067811865476, 0.0)"
 
-    def test_manifest_verifies_after_the_directory_moves(self, tmp_path):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["run", str(cfgp)]) == 0
+    @pytest.mark.parametrize("command, manifests", [
+        (["run"], 1), (["simulate"], 1),
+        # after a simulate: its manifest.txt and analyze_manifest.txt
+        (["analyze", "{out}/correlation.csv"], 2),
+        (["compare-orders", "2", "3"], 1), (["sweep-axis", "0,0,1"], 4)],
+        ids=["run", "simulate", "analyze", "compare-orders", "sweep-axis"])
+    def test_manifest_verifies_after_the_directory_moves(self, tmp_path, command, manifests):
+        cfgp, outdir = write_cfg(tmp_path, THREE_SITE_BODY)
+        if command[0] == "analyze":
+            assert cli.main(["simulate", str(cfgp)]) == 0
+        assert cli.main([command[0], str(cfgp),
+                         *(a.format(out=outdir) for a in command[1:])]) == 0
         moved = shutil.move(outdir, tmp_path / "elsewhere" / "copy")
-        listed = manifest_products(moved / "manifest.txt")
-        assert len(listed) == 14
-        for name, digest in listed.items():
-            assert hashlib.sha256((moved / name).read_bytes()).hexdigest() == digest, name
-        # no line names the directory it was written in, outdir included
-        assert str(tmp_path) not in (moved / "manifest.txt").read_text()
+        found = sorted(moved.rglob("*manifest.txt"))
+        assert len(found) == manifests
+        for manifest in found:
+            listed = manifest_products(manifest)
+            assert listed, manifest.name
+            for name, digest in listed.items():
+                assert hashlib.sha256((manifest.parent / name).read_bytes()).hexdigest() == \
+                    digest, name
+            # no line names the directory it was written in, outdir included,
+            # or echoes a numpy scalar's repr
+            text = manifest.read_text()
+            assert str(tmp_path) not in text and "np." not in text, manifest.name
 
     def test_analyze_normalizes_a_series_flagged_not_normalized(self, tmp_path):
         # the header's False is a boolean, not the truthy string "False"
@@ -872,6 +887,19 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "'outdir'" in err and "afile" in err
 
+    def test_empty_outdir_refused_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        # an empty outdir would write into the working directory, which '.' names
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTDIR_ENV, "")      # an empty override is ignored
+        cfgp, _ = write_cfg(tmp_path, FAST_BODY, "")
+        assert cli.main(["run", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "'outdir'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        write_cfg(tmp_path, FAST_BODY, ".")
+        assert cli.main(["run", str(cfgp)]) == 0
+        assert (tmp_path / "manifest.txt").exists()
+
     #: leaves band 0Q without a wavelet row on the configured grid
     SHORT_GRID = "tbar_max = 100\nsamples = 4096"
 
@@ -893,6 +921,9 @@ class TestExitCodes:
                 ("repeated-order", "", ["3", "2", "3"], 1, "order 3 twice"),
                 ("order-1", "", ["1", "3"], 1, "order 1, outside the 2 to 6 of 'order'"),
                 ("order-7", "", ["2", "7"], 1, "order 7, outside the 2 to 6 of 'order'")],
+            # the removed high-field key: mask_CD and mask_EF off is that mode
+            "run": [("secular-key", "secular = true", None, 1,
+                     "unknown configuration key 'secular'")],
             "analyzing": [
                 ("band-coverage", SHORT_GRID, None, 1, "band 0Q"),
                 ("scale-grid", "sigma = 0.01\nvoices = 32", None, 1, "59 of 193"),

@@ -1,6 +1,7 @@
-"""The 17-digit text exports (series, spectrum, band traces and the bath
-realization), all formatted by ``lattice.write_rows`` and ``lattice.key_cells``,
-checked byte for byte against plain per-line f-string writers."""
+"""The 17-digit text exports (series, spectrum, band traces, the bath
+realization and the order deviations), all formatted by ``lattice.write_rows``
+and ``lattice.key_cells``, checked byte for byte against plain per-line
+f-string writers."""
 import io
 
 import numpy as np
@@ -46,6 +47,16 @@ def ref_realization(path, real):
         fh.write(",".join(f"{v:.16e}" for v in head) + "\n")
         for i, (x, y, z), a in zip(real.site_indices, real.positions, real.hf_couplings_A):
             fh.write(f"{i},{x:.16e},{y:.16e},{z:.16e},{a:.16e}\n")
+
+
+def ref_deviations(curves):
+    """The order table of ``curves`` ({order: values}), each order against the highest."""
+    ref = curves[max(curves)]
+    lines = ["# order,max_dev,l2_dev"]
+    for m, values in curves.items():
+        d = values - ref
+        lines.append(f"{m},{np.abs(d).max():.16e},{np.sqrt((d**2).sum() / len(ref)):.16e}")
+    return "\n".join(lines) + "\n"
 
 
 def edge_rows(n_rows):
@@ -103,6 +114,24 @@ class TestByteIdentity:
         lattice.save_realization(tmp_path / "new.csv", real)
         ref_realization(tmp_path / "ref.csv", real)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_order_deviations(self, tmp_path, monkeypatch, capsys):
+        # the normalized curves, in place of the CCE's: EDGE's values whose
+        # squares are finite, then the smallest subnormal alone (a subnormal
+        # maximum and an L2 norm that underflows to zero), against zeros
+        small = EDGE[np.abs(EDGE) < 1e150]
+        curves = {2: small, 3: np.where(np.arange(len(small)) == 2, 5e-324, 0.0),
+                  4: np.zeros(len(small))}
+        queue = iter(curves.values())
+        monkeypatch.setattr(tfa, "normalize_correlation", lambda series: cce.CorrelationSeries(
+            np.arange(len(small), dtype=float), next(queue)))
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(f"box = 3 3 3\nsites = 10 11 12 13\nsamples = 256\n"
+                        f"outdir = {tmp_path / 'out'}\n")
+        assert cli.main(["compare-orders", str(cfgp), "2", "3", "4"]) == 0
+        ref = ref_deviations(curves)
+        assert (tmp_path / "out" / "order_deviations.csv").read_text() == ref
+        assert capsys.readouterr().out == ref
 
 
 def plain_rows(keys, values):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import cli, tfa
 from spinbath.cce import CCEError, CorrelationSeries
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tone_series(omega=0.5, n=2048, tmax=400.0, amp=1.0):
@@ -595,14 +599,14 @@ class TestExports:
         assert np.array_equal(raw, np.abs(scal.coeffs))
         meta = (tmp_path / "cwt.meta.txt").read_text()
         assert f"# shape = {scal.coeffs.shape[0]} {scal.coeffs.shape[1]}" in meta
-        # the README's recipe for the omega_bar,tbar,modulus long form, verbatim;
-        # 17 significant digits round-trip a double, so it is exact
-        with open("cwt.meta.txt") as fh:
-            lines = fh.read().splitlines()
-        freqs = np.array(lines[lines.index("# omega_bar rows:") + 1].split(","), dtype=float)
-        times = np.array(lines[lines.index("# tbar columns:") + 1].split(","), dtype=float)
-        mod = np.fromfile("cwt.bin", "<f8").reshape(len(freqs), len(times))
-        table = np.column_stack([np.repeat(freqs, len(times)), np.tile(times, len(freqs)), mod.ravel()])
+        # the README's recipe for the omega_bar,tbar,modulus long form, its one
+        # python block run as written; 17 significant digits round-trip a
+        # double, so it is exact
+        blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+        assert len(blocks) == 1
+        recipe = {}
+        exec(blocks[0], recipe)
+        table, freqs, times = recipe["table"], recipe["freqs"], recipe["times"]
         assert table.shape == (scal.coeffs.size, 3)
         assert np.array_equal(table[:, 0], np.repeat(scal.freqs, len(times)))
         assert np.array_equal(table[:, 1], np.tile(scal.times_tbar, len(freqs)))
