@@ -33,13 +33,13 @@ class CCEError(ValueError):
 class ClusterSet:
     """Connected clusters of spinful sites up to ``max_order_M`` under the
     proximity graph of ``enumerate_clusters``."""
-    max_order_M: int
     levels: tuple       # per size k = 1 .. max_order_M, an (n_k, k) int array of rows in lex order
+    max_order_M = property(lambda self: len(self.levels))
 
     def up_to(self, m: int) -> "ClusterSet":
         """The clusters of size <= m: the set ``enumerate_clusters`` gives at
         order m, whose levels are this set's first ones."""
-        return ClusterSet(min(m, self.max_order_M), self.levels[:m])
+        return ClusterSet(self.levels[:m])
 
     @property
     def n_clusters(self) -> int:
@@ -172,7 +172,7 @@ def enumerate_clusters(realization: BathRealization, r_cutoff: float,
     levels = [np.arange(n)[:, None]]
     while len(levels) < M:
         levels.append(_extend(levels[-1], *graph))
-    return ClusterSet(max_order_M=M, levels=tuple(levels[:M]))
+    return ClusterSet(tuple(levels[:M]))
 
 
 def _extend(level: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

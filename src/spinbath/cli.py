@@ -121,6 +121,19 @@ def _parse_axis(value: str) -> tuple[float, float, float]:
         raise ConfigError(f"hf_axis {exc}") from None
 
 
+def _axis_argument(text: str) -> tuple[float, float, float]:
+    """A ``sweep-axis`` axis, exactly three comma-separated finite numbers, as
+    the unit vector ``hf_axis = x y z`` gives."""
+    try:
+        parts = [_finite(p) for p in text.split(",")]
+        if len(parts) != 3:
+            raise ConfigError(f"{len(parts)} components")
+        return tuple(lattice.hf_axis_from_miller(*parts).tolist())
+    except ValueError as exc:
+        raise ConfigError(f"sweep-axis axis {text!r}, which must be three comma-separated "
+                          f"finite numbers x,y,z: {exc}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse flat ``key = value`` lines ('#' comments); unknown keys rejected,
     out-of-range values named."""
@@ -163,6 +176,8 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
         repeated = sorted(k for k, n in Counter(ints).items() if n > 1)
         if key == "sites" and repeated:
             raise ConfigError(f"repeated site index {repeated[0]}")
+        if key == "sites" and not ints:
+            raise ConfigError("no site index: leave 'sites' out to draw the sites at 'abundance'")
         setattr(cfg, key, ints)
     else:
         setattr(cfg, key, _PARSERS[type(_DEFAULTS[key])](value))
@@ -540,9 +555,8 @@ COMMANDS = {
     "compare-orders": ("CCE order convergence report", ("orders", {"nargs": "+", "type": int}),
                        lambda cfg, args: print(compare_orders(cfg, args.orders), end="")),
     "sweep-axis": ("pipeline over several hf axes on a fixed bath", ("axes", {
-        "nargs": "+", "help": "axes as comma-separated triplets, e.g. 0,0,1 1,1,1"}),
-        lambda cfg, args: sweep_hf_axis(
-            cfg, [_parse_axis(a.replace(",", " ")) for a in args.axes])),
+        "nargs": "+", "help": "axes, each three comma-separated numbers x,y,z, e.g. 0,0,1 1,1,1"}),
+        lambda cfg, args: sweep_hf_axis(cfg, [_axis_argument(a) for a in args.axes])),
 }
 
 
@@ -560,6 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(cfg: RunConfig) -> None:
     record = RunRecord(cfg)
     realization = record.run("realization", _resolve_realization, cfg)
+    if not realization.n_spins:     # a realization file needs a site row
+        raise PipelineError(f"'abundance' = {cfg.abundance:g} and 'seed' = {cfg.seed} draw no "
+                            f"spinful site in 'box' = {' '.join(map(str, cfg.box))}")
     path = record.path("realization.csv")
     lattice.save_realization(path, realization)
     record.write()

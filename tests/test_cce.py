@@ -157,11 +157,12 @@ class TestEnumeration:
         (random_bath(np.random.default_rng(0), 9, spin=1.5, scale=0.5e-9), 0.8e-9),
         # three spins: the order-4 set is clamped to the bath size
         (chain_bath(3), 0.5e-9)], ids=["silicon", "spin-3/2", "clamped"])
-    @pytest.mark.parametrize("m", [2, 3])
+    # m = 4 keeps the whole set, and so does m = 5, above the order enumerated
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_prefix_is_the_lower_order_set(self, bath, r_cutoff, m):
         full = cce.enumerate_clusters(bath, r_cutoff, 4)
         prefix = full.up_to(m)
-        assert_same_set(prefix, cce.enumerate_clusters(bath, r_cutoff, m))
+        assert_same_set(prefix, cce.enumerate_clusters(bath, r_cutoff, min(m, 4)))
         assert all(np.shares_memory(a, b) for a, b in zip(prefix.levels, full.levels))
 
 
@@ -201,7 +202,7 @@ class TestCombinationCoefficients:
         coeffs = weight_dict(weights)
         assert coeffs == reference_coefficients(cset)
         assert coeffs == {(0, 1): 1, (2, 3): 1, (4,): 1}
-        assert weight_dict(cce.combination_coefficients(cce.ClusterSet(3, ()))) == {}
+        assert weight_dict(cce.combination_coefficients(cce.ClusterSet(()))) == {}
 
     def test_keys_past_int64(self):
         # order 6 on 7 spins with every site index above 1448: n**6 > 2**63,
@@ -210,7 +211,7 @@ class TestCombinationCoefficients:
         small = cce.enumerate_clusters(bath, 1e-6, 6)
         assert len(by_size(small, 6)) == 7
         relabel = {v: 1449 + 1000 * v for v in range(7)}
-        cset = cce.ClusterSet(6, tuple(np.vectorize(relabel.get)(rows) for rows in small.levels))
+        cset = cce.ClusterSet(tuple(np.vectorize(relabel.get)(rows) for rows in small.levels))
         coeffs = weight_dict(cce.combination_coefficients(cset))
         assert coeffs == reference_coefficients(cset)
         assert coeffs == {tuple(relabel[v] for v in c): a

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbath import cli
-from spinbath import cce, lattice, tfa
+from spinbath import cce, tfa
 
 #: value words as text: numbers (extreme and non-finite too), booleans and
 #: the hf_axis forms
@@ -33,18 +33,17 @@ voices = 8
 """
 
 
-#: FAST_BODY with the hf axis left at its default, so a case can set it
-BASE_BODY = FAST_BODY.replace("hf_axis = 0 0 1\n", "")
-
 #: FAST_BODY on three sites, so that ``compare-orders 2 3`` is in range
 THREE_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12")
 
 #: FAST_BODY on four mutually close sites: one connected cluster of each size
 FOUR_SITE_BODY = FAST_BODY.replace("sites = 10 11", "sites = 10 11 12 13")
 
+#: FAST_BODY with no explicit sites: the bath is drawn at 'abundance'
+DRAWN_BODY = FAST_BODY.replace("sites = 10 11\n", "")
 
-#: a CCE correlation past the float range, as the run reports it
-NOT_FINITE = "stage 'cce' failed: the correlation is not finite"
+#: leaves band 0Q without a wavelet row on the configured grid
+SHORT_GRID = "tbar_max = 100\nsamples = 4096"
 
 
 def with_keys(body, extra):
@@ -87,6 +86,34 @@ def manifest_products(path):
 def hashes(paths):
     """{file name: sha256} of the files ``paths``."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The input files the refusal and analysis tests read, made once: good and
+    refused series and realization files, a file that is not text, and a
+    plain file where an output directory would go."""
+    d = tmp_path_factory.mktemp("inputs")
+    for name, samples in (("series.csv", 256), ("four.csv", 4), ("long.csv", 65536)):
+        t = cce.time_grid(400.0, samples)
+        cce.save_series(d / name, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+    # every sample at tbar = 0 used to load and then divide by the zero step
+    (d / "flat.csv").write_text("0,1\n0,0.5\n0,0.2\n0,0.1\n")
+    (d / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
+    (d / "huge.csv").write_text("0,1e308\n1,1e308\n2,1e308\n3,-1e308\n")
+    head = "5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n"
+    (d / "no-sites.csv").write_text(head)
+    (d / "huge-axis.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,1e155,0,0\n10,0,0,0,1\n")
+    (d / "repeated.csv").write_text(head + "10,0,0,0,1\n10,5e-10,0,0,1\n")
+    (d / "coincident.csv").write_text(head + "10,0,0,0,1\n11,5e-10,0,0,1\n12,0,0,0,1\n")
+    (d / "latin1.txt").write_bytes("order = 2 # \xb5s\n".encode("latin-1"))
+    (d / "afile").write_text("")
+    # spin 9/2 on four sites: the config's spin 1/2 passes at order 4, the
+    # file's gives clusters of dimension 10^4
+    gen, _ = write_cfg(d, with_keys(FAST_BODY, "spin = 4.5\nsites = 10 11 12 13"), d / "bath",
+                       "bath.cfg")
+    assert cli.main(["generate-bath", str(gen)]) == 0
+    return d
 
 
 class TestParseConfig:
@@ -143,6 +170,13 @@ class TestParseConfig:
             return
         assert abs(np.linalg.norm(axis) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("axis", ["0,0,1", "2,0,0", "1,1,0", "1,2,3", "-1,0,0", "-0,0,1",
+                                      "0.6,0,0.8", "1e150,1e150,1e150"])
+    def test_sweep_axis_argument_is_the_config_axis(self, axis):
+        # a sweep-axis axis x,y,z is the unit vector of hf_axis = x y z, to the bit
+        assert cli._axis_argument(axis) == \
+            cli.parse_config("hf_axis = " + axis.replace(",", " ")).hf_axis
+
     def test_cluster_dimension_at_cap_allowed(self):
         assert (2 * 1.5 + 1) ** 6 == cce.EXACT_DIM_CAP
         cfg = cli.parse_config("spin = 1.5\norder = 6")
@@ -193,6 +227,44 @@ class TestParseConfig:
         assert cfg.outdir == str(tmp_path / "forced")
 
 
+#: the products of ``run``: 14 files
+RUN_PRODUCTS = {"realization.csv", "correlation.csv", "correlation_normalized.csv", "spectrum.csv",
+                "cwt.bin", "cwt.meta.txt", "sst.bin", "sst.meta.txt",
+                *(f"band_{band}_{kind}.csv" for band in ("0Q", "1Q", "2Q")
+                  for kind in ("cwt", "sst"))}
+
+SIMULATE_PRODUCTS = {"correlation.csv", "correlation_normalized.csv"}
+
+#: each command's manifests, by path under outdir, and the products each lists
+MANIFESTS = {
+    "generate-bath": {"manifest.txt": {"realization.csv"}},
+    "simulate": {"manifest.txt": SIMULATE_PRODUCTS},
+    # after a simulate, whose manifest stays
+    "analyze": {"manifest.txt": SIMULATE_PRODUCTS, "analyze_manifest.txt": {
+        f"analyze_{name}" for name in ("spectrum.csv", "cwt.bin", "cwt.meta.txt", "sst.bin",
+                                       "sst.meta.txt")}},
+    "run": {"manifest.txt": RUN_PRODUCTS},
+    "compare-orders": {"manifest.txt": {"cce2_correlation_normalized.csv",
+                                        "cce3_correlation_normalized.csv", "order_deviations.csv"}},
+    # one directory per axis, with one bath that each variant's manifest lists
+    "sweep-axis": {f"axis0/{tag}_manifest.txt": {"realization.csv"} | {
+        f"{tag}_{name}" for name in RUN_PRODUCTS - {"realization.csv"}}
+        for tag in ("full", "chanB", "chanCD", "chanEF")},
+}
+
+
+#: each command that runs the CCE: its arguments, its config, the order it
+#: enumerates its clusters at and the number of cluster sets it weighs
+CLUSTER_WORK = {
+    "run": ([], FAST_BODY, 2, 1), "simulate": ([], FAST_BODY, 2, 1),
+    # enumerated at the highest order; the lower orders trace its prefixes,
+    # one weight set per order: the order-2 set is the order-3 set's prefix
+    "compare-orders": (["2", "3"], THREE_SITE_BODY, 3, 2),
+    # the axis and the channel masks move no site: every axis and mask
+    # runs on the one cluster set and its weights
+    "sweep-axis": (["0,0,1", "1,2,3"], FAST_BODY, 2, 1)}
+
+
 class TestSubcommands:
     def test_generate_bath(self, tmp_path, capsys):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
@@ -209,23 +281,6 @@ class TestSubcommands:
         assert (outdir / "analyze_sst.bin").exists()
         assert (outdir / "analyze_manifest.txt").exists()
 
-    def test_run_products_and_manifest(self, tmp_path):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["run", str(cfgp)]) == 0
-        for name in ("realization.csv", "correlation.csv",
-                     "correlation_normalized.csv", "spectrum.csv",
-                     "cwt.bin", "cwt.meta.txt", "sst.bin", "sst.meta.txt",
-                     "band_0Q_sst.csv", "band_1Q_cwt.csv", "band_2Q_sst.csv",
-                     "manifest.txt"):
-            assert (outdir / name).exists(), name
-        assert not list(outdir.glob("*.table.txt"))
-        text = (outdir / "manifest.txt").read_text()
-        for section in ("[config]", "[derived]", "[products]", "[timings]"):
-            assert section in text
-        # every file written is hashed, and every hashed file exists
-        written = hashes(p for p in outdir.iterdir() if p.name != "manifest.txt")
-        assert manifest_products(outdir / "manifest.txt") == written
-
     def test_manifest_gives_the_realization_files_spin(self, tmp_path):
         gen, bath = write_cfg(tmp_path, with_keys(FAST_BODY, "spin = 1.5\nhf_axis = 1 1 0"),
                               tmp_path / "bath", "bath.cfg")
@@ -241,32 +296,6 @@ class TestSubcommands:
         assert config["hf_axis"] == "(0.0, 0.0, 1.0)"
         assert derived["hf_axis"] == "(0.7071067811865476, 0.7071067811865476, 0.0)"
 
-    @pytest.mark.parametrize("command, manifests", [
-        (["run"], 1), (["simulate"], 1),
-        # after a simulate: its manifest.txt and analyze_manifest.txt
-        (["analyze", "{out}/correlation.csv"], 2),
-        (["compare-orders", "2", "3"], 1), (["sweep-axis", "0,0,1"], 4)],
-        ids=["run", "simulate", "analyze", "compare-orders", "sweep-axis"])
-    def test_manifest_verifies_after_the_directory_moves(self, tmp_path, command, manifests):
-        cfgp, outdir = write_cfg(tmp_path, THREE_SITE_BODY)
-        if command[0] == "analyze":
-            assert cli.main(["simulate", str(cfgp)]) == 0
-        assert cli.main([command[0], str(cfgp),
-                         *(a.format(out=outdir) for a in command[1:])]) == 0
-        moved = shutil.move(outdir, tmp_path / "elsewhere" / "copy")
-        found = sorted(moved.rglob("*manifest.txt"))
-        assert len(found) == manifests
-        for manifest in found:
-            listed = manifest_products(manifest)
-            assert listed, manifest.name
-            for name, digest in listed.items():
-                assert hashlib.sha256((manifest.parent / name).read_bytes()).hexdigest() == \
-                    digest, name
-            # no line names the directory it was written in, outdir included,
-            # or echoes a numpy scalar's repr
-            text = manifest.read_text()
-            assert str(tmp_path) not in text and "np." not in text, manifest.name
-
     def test_analyze_normalizes_a_series_flagged_not_normalized(self, tmp_path):
         # the header's False is a boolean, not the truthy string "False"
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
@@ -280,25 +309,6 @@ class TestSubcommands:
             products.append(hashes(p for p in outdir.glob("analyze_*")
                                    if p.name != "analyze_manifest.txt"))
         assert products[0] == products[1]
-
-    def test_analyze_manifest_lists_what_it_wrote(self, tmp_path):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["simulate", str(cfgp)]) == 0
-        assert cli.main(["analyze", str(cfgp), str(outdir / "correlation.csv")]) == 0
-        written = hashes(p for p in outdir.glob("analyze_*")
-                         if p.name != "analyze_manifest.txt")
-        assert len(written) == 5
-        assert manifest_products(outdir / "analyze_manifest.txt") == written
-
-    @pytest.mark.parametrize("command, count", [
-        (["generate-bath"], 1), (["simulate"], 2), (["compare-orders", "2", "3"], 3)],
-        ids=["generate-bath", "simulate", "compare-orders"])
-    def test_manifest_lists_what_it_wrote(self, tmp_path, command, count):
-        cfgp, outdir = write_cfg(tmp_path, THREE_SITE_BODY)
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
-        written = hashes(p for p in outdir.iterdir() if p.name != "manifest.txt")
-        assert len(written) == count
-        assert manifest_products(outdir / "manifest.txt") == written
 
     @pytest.mark.parametrize("command, order", [(["simulate"], 2),
                                                 (["compare-orders", "2", "3"], 3)],
@@ -376,40 +386,6 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "_validate", unreachable)
         assert cli.compare_orders(cfg, [3, 2]).startswith("# order,max_dev,l2_dev\n2,")
 
-    def test_compare_orders_needs_two(self, tmp_path, capsys):
-        cfgp, _ = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["compare-orders", str(cfgp), "2"]) == 1
-
-    def test_compare_orders_rejects_repeated_order(self, tmp_path, capsys):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["compare-orders", str(cfgp), "2", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "order 2" in err
-        assert not outdir.exists()
-
-    def test_compare_orders_rejects_out_of_range_order(self, tmp_path, capsys):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        # order 1 has a constant correlation, which cannot be normalized
-        for order in ("0", "1"):
-            assert cli.main(["compare-orders", str(cfgp), order, "2"]) == 1
-            assert "'order'" in capsys.readouterr().err
-            assert not outdir.exists()
-
-    def test_compare_orders_rejects_order_above_spin_count(self, tmp_path, capsys,
-                                                           monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("CCE run for an order above the spin count")
-
-        monkeypatch.setattr(cce, "compute_correlation", unreachable)
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        # order 3 would be clamped to the bath's two spins: two equal rows
-        assert cli.main(["compare-orders", str(cfgp), "2", "3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "order 3" in err and "2 spins" in err
-        assert not (outdir / "order_deviations.csv").exists()
-
     def test_sweep_axis(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["sweep-axis", str(cfgp), "0,0,1", "1,2,3"]) == 0
@@ -445,16 +421,6 @@ class TestSubcommands:
             assert (outdir / "axis0" / swept).read_bytes() == \
                 (rundir / name).read_bytes(), name
 
-    def test_sweep_axis_manifests_list_what_they_wrote(self, tmp_path):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["sweep-axis", str(cfgp), "0,0,1"]) == 0
-        d = outdir / "axis0"
-        for tag in ("full", "chanB", "chanCD", "chanEF"):
-            written = hashes([d / "realization.csv"] + [
-                p for p in d.glob(f"{tag}_*") if p.name != f"{tag}_manifest.txt"])
-            assert len(written) == 14
-            assert manifest_products(d / f"{tag}_manifest.txt") == written, tag
-
     def test_sweep_axis_manifests_time_the_shared_bath(self, tmp_path):
         cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["sweep-axis", str(cfgp), "0,0,1", "1,2,3"]) == 0
@@ -464,27 +430,6 @@ class TestSubcommands:
                    if k in ("realization", "clusters")} for m in manifests]
         assert set(shared[0]) == {"realization", "clusters"}
         assert all(s == shared[0] for s in shared)
-
-    @pytest.mark.parametrize("command, body, order", [
-        (["run"], FAST_BODY, 2), (["simulate"], FAST_BODY, 2),
-        # enumerated at the highest order; the lower orders trace its prefixes
-        (["compare-orders", "2", "3"], THREE_SITE_BODY, 3),
-        # the axis and the channel masks move no site
-        (["sweep-axis", "0,0,1", "1,2,3"], FAST_BODY, 2)],
-        ids=["run", "simulate", "compare-orders", "sweep-axis"])
-    def test_each_command_enumerates_its_clusters_once(self, tmp_path, monkeypatch,
-                                                       command, body, order):
-        orders = []
-        enumerate_clusters = cce.enumerate_clusters
-
-        def counted(realization, r_cutoff, max_order):
-            orders.append(max_order)
-            return enumerate_clusters(realization, r_cutoff, max_order)
-
-        monkeypatch.setattr(cce, "enumerate_clusters", counted)
-        cfgp, _ = write_cfg(tmp_path, body)
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
-        assert orders == [order]
 
     def test_manifests_echo_the_axis_as_plain_floats(self, tmp_path):
         axis = "hf_axis = (0.7071067811865475, 0.7071067811865475, 0.0)"
@@ -498,50 +443,97 @@ class TestSubcommands:
             for m in sorted((outdir / f"axis{i}").glob("*_manifest.txt")):
                 assert line in m.read_text().splitlines(), m.name
 
-    @pytest.mark.parametrize("command, body, calls", [
-        (["run"], FAST_BODY, 1),
-        # one weight set per order: the order-2 set is the order-3 set's prefix
-        (["compare-orders", "2", "3"], THREE_SITE_BODY, 2),
-        # every axis and channel mask runs on the one cluster set and its weights
-        (["sweep-axis", "0,0,1", "1,2,3"], FAST_BODY, 1)],
-        ids=["run", "compare-orders", "sweep-axis"])
-    def test_each_cluster_set_is_weighed_once(self, tmp_path, monkeypatch,
-                                              command, body, calls):
-        sets = []
-        combination_coefficients = cce.combination_coefficients
+    @pytest.fixture(scope="class")
+    def manifested(self, tmp_path_factory):
+        """Each command of MANIFESTS run once on THREE_SITE_BODY: {command:
+        (the directory it ran in, its outdir moved elsewhere)}."""
+        moved = {}
+        for command in MANIFESTS:
+            d = tmp_path_factory.mktemp(command)
+            cfgp, outdir = write_cfg(d, THREE_SITE_BODY)
+            if command == "analyze":
+                assert cli.main(["simulate", str(cfgp)]) == 0
+            args = {"analyze": [str(outdir / "correlation.csv")], "compare-orders": ["2", "3"],
+                    "sweep-axis": ["0,0,1"]}.get(command, [])
+            assert cli.main([command, str(cfgp), *args]) == 0
+            moved[command] = d, Path(shutil.move(outdir, d / "elsewhere" / "copy"))
+        return moved
 
-        def counted(cset):
-            sets.append(len(cset.clusters))
+    @pytest.mark.parametrize("command", MANIFESTS)
+    def test_manifest_lists_exactly_what_it_wrote(self, manifested, command):
+        moved, manifests = manifested[command][1], MANIFESTS[command]
+        # every file written is a manifest or a product that one lists
+        assert {p.relative_to(moved) for p in moved.rglob("*") if p.is_file()} == \
+            {Path(m) for m in manifests} | {Path(m).parent / name
+                                            for m, names in manifests.items() for name in names}
+        for m, names in manifests.items():
+            assert [ln for ln in (moved / m).read_text().splitlines() if ln.startswith("[")] == \
+                ["[config]", "[derived]", "[products]", "[timings]"], m
+            assert set(manifest_products(moved / m)) == names, m
+
+    @pytest.mark.parametrize("command", MANIFESTS)
+    def test_manifest_verifies_after_the_directory_moves(self, manifested, command):
+        ran_in, moved = manifested[command]
+        for m, names in MANIFESTS[command].items():
+            manifest = moved / m
+            assert manifest_products(manifest) == hashes(manifest.parent / name
+                                                         for name in sorted(names)), m
+            # no line names the directory it was written in, outdir included,
+            # or echoes a numpy scalar's repr
+            text = manifest.read_text()
+            assert str(ran_in) not in text and "np." not in text, m
+
+    @pytest.fixture(scope="class")
+    def cluster_work(self, tmp_path_factory):
+        """Each command of CLUSTER_WORK run once under three probes: {command:
+        its exit code, the orders it enumerated at, the cluster sets it
+        weighed and the cluster views it read}."""
+        enumerate_clusters = cce.enumerate_clusters
+        combination_coefficients = cce.combination_coefficients
+        work = {}
+
+        def counted_enumeration(realization, r_cutoff, max_order):
+            seen["orders"].append(max_order)
+            return enumerate_clusters(realization, r_cutoff, max_order)
+
+        def counted_weights(cset):
+            seen["sets"].append(cset)
             return combination_coefficients(cset)
 
-        monkeypatch.setattr(cce, "combination_coefficients", counted)
-        cfgp, _ = write_cfg(tmp_path, body)
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
-        assert len(sets) == calls
-
-    @pytest.mark.parametrize("command, body", [
-        (["run"], FAST_BODY), (["simulate"], FAST_BODY),
-        (["compare-orders", "2", "3"], THREE_SITE_BODY),
-        (["sweep-axis", "0,0,1", "1,2,3"], FAST_BODY)],
-        ids=["run", "simulate", "compare-orders", "sweep-axis"])
-    def test_no_command_reads_the_cluster_views(self, tmp_path, monkeypatch, command, body):
         # ClusterSet.clusters and the weights' len and iteration are views for
         # the benchmark's tracer; every command reads the per-size arrays
         def unread(*args):
+            seen["views"].append(args)
             raise AssertionError("a cluster view was read")
 
-        monkeypatch.setattr(cce.ClusterSet, "clusters", property(unread))
-        for name in ("__len__", "__iter__"):
-            monkeypatch.setattr(cce.Weights, name, unread)
-        cfgp, _ = write_cfg(tmp_path, body)
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cce, "enumerate_clusters", counted_enumeration)
+            mp.setattr(cce, "combination_coefficients", counted_weights)
+            mp.setattr(cce.ClusterSet, "clusters", property(unread))
+            for name in ("__len__", "__iter__"):
+                mp.setattr(cce.Weights, name, unread)
+            for command, (args, body, _, _) in CLUSTER_WORK.items():
+                seen = work[command] = {"orders": [], "sets": [], "views": []}
+                cfgp, _ = write_cfg(tmp_path_factory.mktemp(command), body)
+                try:
+                    seen["code"] = cli.main([command, str(cfgp), *args])
+                except AssertionError:      # a view was read: its test fails
+                    seen["code"] = None
+        return work
 
-    @pytest.mark.parametrize("axis", ["1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0"])
-    def test_sweep_axis_rejects_bad_axis_before_work(self, tmp_path, capsys, axis):
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["sweep-axis", str(cfgp), "0,0,1", axis]) == 1
-        assert "config error" in capsys.readouterr().err
-        assert not outdir.exists()
+    @pytest.mark.parametrize("command", CLUSTER_WORK)
+    def test_each_command_enumerates_its_clusters_once(self, cluster_work, command):
+        assert cluster_work[command]["code"] == 0
+        assert cluster_work[command]["orders"] == [CLUSTER_WORK[command][2]]
+
+    @pytest.mark.parametrize("command", CLUSTER_WORK)
+    def test_each_cluster_set_is_weighed_once(self, cluster_work, command):
+        assert cluster_work[command]["code"] == 0
+        assert len(cluster_work[command]["sets"]) == CLUSTER_WORK[command][3]
+
+    @pytest.mark.parametrize("command", CLUSTER_WORK)
+    def test_no_command_reads_the_cluster_views(self, cluster_work, command):
+        assert cluster_work[command]["code"] == 0 and cluster_work[command]["views"] == []
 
     def test_sweep_axis_needs_an_axis(self, tmp_path):
         # the CLI's nargs="+" never passes none, but the function is public
@@ -582,310 +574,331 @@ class TestSubcommands:
         assert series[0] == series[1]
 
 
+@dataclasses.dataclass(frozen=True)
+class Refusal:
+    """A bad input and what its refusal must be. ``argv`` is the command line
+    after ``spinbath``, in which ``{cfg}`` is the config file of ``body`` with
+    ``edits`` and ``{inp}`` the ``inputs`` directory, as in ``named``."""
+    argv: str
+    code: int                   # 1 config error, 2 runtime error
+    named: tuple                # texts the one stderr line holds
+    edits: str = ""             # config lines set over ``body``
+    body: str = FAST_BODY
+    line: str = ""              # the whole line after its prefix, where it is pinned
+    absent: tuple = ("",)       # paths under outdir left absent; "" is outdir itself
+    unreachable: tuple = ()     # functions, as "module.name", that must not be called
+    fails: tuple = ()           # (function, exception): the function raises it
+    outdir: str = ""            # outdir, if not the test's own
+    product_dir: str = ""       # a directory made where this product goes
+
+
+def refusal(id, argv, code, *named, **kw):
+    return pytest.param(Refusal(argv, code, named, **kw), id=id)
+
+
+#: the bath and the CCE, which every refusal the config decides precedes:
+#: guarded, so a missing check fails its row instead of running the work
+WORK = ("cli._resolve_realization", "cce.compute_correlation")
+
+#: the arguments after the config file of a command that takes some
+ARGS = {"analyze": " {inp}/series.csv", "compare-orders": " 2 3", "sweep-axis": " 0,0,1"}
+
+#: a CCE correlation past the float range, as the run reports it
+NOT_FINITE = "stage 'cce' failed: the correlation is not finite"
+
+DIVERGE = np.linalg.LinAlgError("eigenvalues did not converge")
+
+#: the stage in which each command meets a DIVERGE from the function named:
+#: the one stage of generate-bath builds the bath, and analyze's CWT is a
+#: stage inside its analyze stage
+DIVERGED = {"generate-bath": ("realization", "lattice.build_realization"),
+            "run": ("cce", "cce.compute_correlation"),
+            "simulate": ("cce", "cce.compute_correlation"), "analyze": ("cwt", "tfa.cwt_bump"),
+            "compare-orders": ("cce2", "cce.compute_correlation"),
+            "sweep-axis": ("cce", "cce.compute_correlation")}
+
+#: each command's refusal of a 7 PiB time grid, which no 64-bit address space
+#: maps: nothing is allocated, no outdir made, and numpy's text is kept behind
+#: the key that sized the grid. run and sweep-axis size the map from the scale
+#: count, and refuse it first
+HUGE_GRID = {"run": "and 'voices' = 8 give a CWT map and SST bin map of 6.91e+09 GB",
+             "simulate": "gives a time grid that cannot be allocated: Unable to allocate",
+             "compare-orders": "gives a time grid that cannot be allocated: Unable to allocate",
+             "sweep-axis": "and 'voices' = 8 give a CWT map and SST bin map of 6.91e+09 GB"}
+
+REFUSALS = [
+    # parsing the config refuses, alike under every command, before any work
+    refusal("run-missing-config", "run {inp}/absent.cfg", 1, "{inp}/absent.cfg", unreachable=WORK),
+    # a file that is not UTF-8 text, each input read once
+    refusal("run-config-not-text", "run {inp}/latin1.txt", 1, "config file {inp}/latin1.txt is not",
+            unreachable=WORK),
+    # the removed high-field key: mask_CD and mask_EF off is that mode
+    refusal("run-secular-key", "run {cfg}", 1, "unknown configuration key 'secular'",
+            edits="secular = true", unreachable=WORK),
+    refusal("run-negative-seed", "run {cfg}", 1, "'seed'", edits="seed = -1", unreachable=WORK),
+    # a lone spin's correlation is constant, so normalizing it fails
+    refusal("run-order-1", "run {cfg}", 1, "'order'", edits="order = 1", unreachable=WORK),
+    refusal("run-nan-axis", "run {cfg}", 1, "'hf_axis'", edits="hf_axis = nan 0 1",
+            unreachable=WORK),
+    # the norm overflows to inf, which would normalize the axis to zero
+    refusal("run-overflowing-axis", "run {cfg}", 1, "'hf_axis'", edits="hf_axis = 1e200 0 0",
+            unreachable=WORK),
+    refusal("run-overflowing-miller-axis", "run {cfg}", 1, "'hf_axis'",
+            edits="hf_axis = miller 1e200 0 0", unreachable=WORK),
+    refusal("run-axis-angles-without-phi", "run {cfg}", 1, "'hf_axis'",
+            edits="hf_axis = angles 10", unreachable=WORK),
+    refusal("run-axis-miller-of-two", "run {cfg}", 1, "'hf_axis'", edits="hf_axis = miller 1 1",
+            unreachable=WORK),
+    # gamma may be negative (29Si) but not zero
+    refusal("run-zero-gamma", "run {cfg}", 1, "'gamma'", edits="gamma = 0", unreachable=WORK),
+    refusal("run-non-half-integer-spin", "run {cfg}", 1, "'spin'", edits="spin = 0.3",
+            unreachable=WORK),
+    # 2 * spin overflows to inf, which round() cannot take
+    refusal("run-overflowing-spin", "run {cfg}", 1, "'spin'", edits="spin = 1e308",
+            unreachable=WORK),
+    refusal("run-infinite-float", "run {cfg}", 1, "'L0'", edits="L0 = inf", unreachable=WORK),
+    refusal("run-box-of-two", "run {cfg}", 1, "'box'", edits="box = 3 3", unreachable=WORK),
+    refusal("run-repeated-site", "run {cfg}", 1, "'sites'", edits="sites = 10 11 10",
+            unreachable=WORK),
+    # box 3 3 3 holds sites 0 to 215
+    refusal("run-site-above-box", "run {cfg}", 1, "'sites'", edits="sites = 10 99999",
+            unreachable=WORK),
+    refusal("run-negative-site", "run {cfg}", 1, "'sites'", edits="sites = -1 3",
+            unreachable=WORK),
+    # no index at all, which would reach the bath as an empty one; leaving
+    # the key out draws the sites at 'abundance'
+    refusal("generate-bath-empty-sites", "generate-bath {cfg}", 1,
+            "bad value for 'sites': no site index", edits="sites =", unreachable=WORK),
+    # decided by the config alone, each with no RuntimeWarning first
+    refusal("run-A0-overflows", "run {cfg}", 1, "'A0_over_Edd'", edits="A0_over_Edd = 1e308",
+            unreachable=WORK),
+    refusal("run-A0-overflows-at-large-gamma", "run {cfg}", 1, "'A0_over_Edd'",
+            edits="A0_over_Edd = 1e300\ngamma = 1e154", unreachable=WORK),
+    refusal("run-L0-squared-overflows", "run {cfg}", 1, "'L0'", edits="L0 = 1e200",
+            unreachable=WORK),
+    refusal("run-L0-squared-underflows", "run {cfg}", 1, "'L0'", edits="L0 = 1e-170",
+            unreachable=WORK),
+    *(refusal(f"run-E_dd-{edits.replace(' = ', '-')}", "run {cfg}", 1, "give no finite E_dd",
+              edits=edits, unreachable=WORK)
+      # a0 = 1.5e308 overflows the bond length, with no RuntimeWarning
+      for edits in ("gamma = 1e200", "a0 = 1e-300", "a0 = 1.5e308")),
+    # A alone is diagonal in the product basis: the correlation is constant
+    refusal("run-flip-free-mask", "run {cfg}", 1, "'mask_B', 'mask_CD' and 'mask_EF' are all false",
+            edits="mask_B = false\nmask_CD = false\nmask_EF = false", unreachable=WORK),
+
+    # each command's preflight refuses what the config and its arguments
+    # decide, before the bath and before the output directory
+    refusal("compare-orders-one-order", "compare-orders {cfg} 2", 1, "at least two orders",
+            unreachable=WORK),
+    refusal("compare-orders-repeated-order", "compare-orders {cfg} 3 2 3", 1, "order 3 twice",
+            unreachable=WORK),
+    # order 1 has a constant correlation, which cannot be normalized
+    refusal("compare-orders-order-1", "compare-orders {cfg} 1 3", 1,
+            "order 1, outside the 2 to 6 of 'order'", unreachable=WORK),
+    refusal("compare-orders-order-7", "compare-orders {cfg} 2 7", 1,
+            "order 7, outside the 2 to 6 of 'order'", unreachable=WORK),
+    # an axis is three comma-separated finite numbers of a length that
+    # normalizes: no empty component, and no hf_axis form by its word
+    *(refusal(f"sweep-axis-axis-{axis}", "sweep-axis {cfg} 0,0,1 " + axis, 1,
+              f"sweep-axis axis '{axis}'", unreachable=WORK)
+      for axis in ("1,x,0", "0,0,0", "1,0", "nan,0,1", "1e200,0,0", "0,,0,1", "0,0,1,",
+                   "0,0,1,2", "miller,1,1,0", "angles,90,0")),
+    # the largest cluster's dimension, at the order the command runs
+    refusal("run-dimension-over-cap", "run {cfg}", 1, "'spin' = 100.5 at 'order' = 2", "202^2",
+            edits="spin = 100.5", unreachable=WORK),
+    refusal("simulate-dimension-over-cap", "simulate {cfg}", 1, "'spin' = 4.5 at 'order' = 4",
+            "10^4", edits="spin = 4.5\norder = 4", unreachable=WORK),
+    refusal("sweep-axis-dimension-over-cap", "sweep-axis {cfg} 0,0,1", 1,
+            "'spin' = 2.5 at 'order' = 6", "6^6", edits="spin = 2.5\norder = 6", unreachable=WORK),
+    # checked at the highest order compared, not at the config's order 2
+    refusal("compare-orders-dimension-over-cap", "compare-orders {cfg} 2 5", 1,
+            "'spin' = 2.5 at 'order' = 5", "6^5", edits="spin = 2.5", unreachable=WORK),
+    *(refusal(f"{command}-grid-not-allocatable", f"{command} {{cfg}}{ARGS.get(command, '')}", 2,
+              "'samples' = 1000000000000000 " + text, edits="samples = 1000000000000000",
+              unreachable=WORK)
+      for command, text in HUGE_GRID.items()),
+    # a grid whose Nyquist frequency lies below the 1Q and 2Q bands
+    refusal("run-bands-above-nyquist", "run {cfg}", 1, "band 1Q",
+            edits="tbar_max = 1e9\nsamples = 16", unreachable=WORK),
+    # the wavelet scale range overflows, or holds over 2^31 - 1 scales
+    refusal("run-scale-range-overflows", "run {cfg}", 1, "'mu'", edits="mu = 1e308",
+            unreachable=WORK),
+    refusal("run-too-many-scales", "run {cfg}", 1, "'voices'", edits="voices = 1000000000000",
+            unreachable=WORK),
+    # scales whose bump covers no bin of the CWT's padded FFT: 2 pi a_max /
+    # (sigma dt) overflows to inf at 1e-308, so the padding is capped first;
+    # 32 voices give the grid of the README's example
+    refusal("run-padding-target-overflows", "run {cfg}", 1, "'sigma' = 1e-308, 'tbar_max' = "
+            "400, 'samples' = 256 and 'voices' = 32 give no wavelet scale grid: 193 of 193",
+            edits="sigma = 1e-308\nvoices = 32", unreachable=WORK),
+    # a grid whose map fits but whose scales or bump-support table cannot be
+    # allocated: exit 2 in one line that keeps numpy's message
+    refusal("run-scale-grid-not-allocatable", "run {cfg}", 2, line="'tbar_max' = 400, 'samples' "
+            "= 256 and 'voices' = 8 give a wavelet scale grid that cannot be allocated: Unable "
+            "to allocate 16.0 PiB", fails=("tfa.bump_support", MemoryError(
+                "Unable to allocate 16.0 PiB")), unreachable=WORK),
+    *(refusal(f"{command}-{case}", f"{command} {{cfg}}{ARGS.get(command, '')}", code, named,
+              edits=edits, unreachable=WORK)
+      for command in ("run", "sweep-axis") for case, edits, code, named in (
+          ("band-coverage", SHORT_GRID, 1, "band 0Q"),
+          ("scale-grid", "sigma = 0.01\nvoices = 32", 1, "'sigma' = 0.01, 'tbar_max' = 400, "
+           "'samples' = 256 and 'voices' = 32 give no wavelet scale grid: 59 of 193"),
+          # a 4 PB spectrum, sized and never allocated
+          ("padded-spectrum", "zero_pad = 1000000000000", 2,
+           "'samples' = 256 and 'zero_pad' = 1000000000000 give a padded spectrum"),
+          # about 1.1 M scales, a small grid, but a 23 TB map
+          ("map", "samples = 1048576\nvoices = 60000", 2,
+           "'samples' = 1048576 and 'voices' = 60000 give a CWT map"))),
+
+    # an outdir that cannot be made is refused before any work: neither the
+    # bath nor the series is read
+    *(refusal(f"{command}-uncreatable-outdir", f"{command} {{cfg}}{ARGS.get(command, '')}", 1,
+              "cannot create 'outdir' {inp}/afile/out: {inp}/afile is not a directory",
+              outdir="{inp}/afile/out",
+              unreachable=("cli._resolve_realization", "cce.load_series"))
+      for command in cli.COMMANDS),
+
+    # the bath decides the rest, once per command
+    refusal("run-malformed-realization", "run {cfg}", 1, "{inp}/bad.csv:1",
+            edits="realization_file = {inp}/bad.csv"),
+    # a header and no site rows: refused before the mean coupling of none
+    refusal("run-realization-without-sites", "run {cfg}", 1, "no-sites.csv: no site rows",
+            edits="realization_file = {inp}/no-sites.csv"),
+    # the header's axis norm overflows: refused with no RuntimeWarning first
+    refusal("run-realization-axis-norm-overflows", "run {cfg}", 1, "hf_axis must be a unit vector",
+            edits="realization_file = {inp}/huge-axis.csv"),
+    refusal("run-realization-repeated-index", "run {cfg}", 1,
+            "repeated.csv: site index 10 is repeated",
+            edits="realization_file = {inp}/repeated.csv"),
+    refusal("simulate-realization-coincident-sites", "simulate {cfg}", 1,
+            "coincident.csv: sites 10 and 12 share one position",
+            edits="realization_file = {inp}/coincident.csv"),
+    refusal("run-realization-not-text", "run {cfg}", 1, "realization file {inp}/latin1.txt is not",
+            edits="realization_file = {inp}/latin1.txt"),
+    # the file's spin 9/2 at order 4, whatever the config's spin
+    *(refusal(f"{command}-realization-spin-over-cap", f"{command} {{cfg}}{args}", 1,
+              "spin 4.5 of realization file {inp}/bath/realization.csv at 'order' = 4",
+              edits=f"realization_file = {{inp}}/bath/realization.csv\norder = {order}",
+              unreachable=("cce.compute_correlation",))
+      for command, args, order in (
+          ("run", "", 4), ("simulate", "", 4), ("sweep-axis", " 0,0,1", 4),
+          # checked at the highest order compared, not at the config's order
+          ("compare-orders", " 2 4", 2))),
+    # an empty bath is a runtime failure, not a config failure
+    refusal("run-empty-bath", "run {cfg}", 2, "no pair of the bath's 0 spins",
+            body=DRAWN_BODY, edits="abundance = 0", unreachable=("cce.compute_correlation",)),
+    # which generate-bath would write as a file that no command can load
+    refusal("generate-bath-empty-bath", "generate-bath {cfg}", 2,
+            "'abundance' = 0 and 'seed' = 0 draw no spinful site in 'box' = 3 3 3",
+            body=DRAWN_BODY, edits="abundance = 0"),
+    # so does one with no pair inside the cutoff: refused before the CCE
+    refusal("run-one-spin", "run {cfg}", 2, "1 spins lies within 'r_cutoff_a0'",
+            edits="sites = 10", unreachable=("cce.compute_correlation",)),
+    refusal("simulate-no-pair-in-cutoff", "simulate {cfg}", 2,
+            "2 spins lies within 'r_cutoff_a0' = 1e-300", edits="r_cutoff_a0 = 1e-300",
+            unreachable=("cce.compute_correlation",)),
+    refusal("compare-orders-no-pair", "compare-orders {cfg} 2 3", 2,
+            "3 spins lies within 'r_cutoff_a0' = 1e-300",
+            edits="sites = 10 11 12\nr_cutoff_a0 = 1e-300",
+            unreachable=("cce.compute_correlation",)),
+    # and no axis directory
+    refusal("sweep-axis-no-pair", "sweep-axis {cfg} 0,0,1", 2,
+            "2 spins lies within 'r_cutoff_a0' = 1e-300", edits="r_cutoff_a0 = 1e-300",
+            unreachable=("cce.compute_correlation",)),
+    # order 3 would be clamped to the bath's two spins, two equal rows: refused
+    # before the enumeration, so before the bath's lack of a pair
+    refusal("compare-orders-order-above-spin-count", "compare-orders {cfg} 2 3", 1,
+            "order 3 exceeds the bath's 2 spins", edits="r_cutoff_a0 = 1e-300",
+            unreachable=("cce.enumerate_clusters", "cce.compute_correlation")),
+
+    # past the float range in the CCE, which prints no warning first
+    refusal("run-E-over-A_bar-overflows", "run {cfg}", 2, NOT_FINITE,
+            edits="A0_over_Edd = 1e-320"),
+    refusal("run-coupling-squared-overflows", "run {cfg}", 2, NOT_FINITE,
+            edits="A0_over_Edd = 1e10\ngamma = 1e154"),
+    refusal("run-hamiltonian-overflows", "run {cfg}", 2, NOT_FINITE, edits="c_hf = 1e308"),
+    refusal("analyze-malformed-series", "analyze {cfg} {inp}/bad.csv", 2, "{inp}/bad.csv:2"),
+    refusal("analyze-missing-series", "analyze {cfg} {inp}/absent.csv", 2, "{inp}/absent.csv"),
+    refusal("analyze-series-not-text", "analyze {cfg} {inp}/latin1.txt", 2,
+            "series file {inp}/latin1.txt is not"),
+    refusal("analyze-zero-step-series", "analyze {cfg} {inp}/flat.csv", 2, "flat.csv",
+            "time grid"),
+    # finite values whose mean overflows, with no RuntimeWarning first
+    refusal("analyze-series-mean-overflows", "analyze {cfg} {inp}/huge.csv", 2,
+            "stage 'normalize' failed: the correlation is not finite"),
+    # the series decides analyze's grid, so its refusals are runtime errors,
+    # all before the time-frequency work
+    *(refusal(f"analyze-{case}", f"analyze {{cfg}} {{inp}}/{series}", 2,
+              f"the {samples} samples of {{inp}}/{series}", named, edits=edits,
+              unreachable=("tfa.power_spectrum", "tfa.cwt_bump"))
+      for case, series, samples, edits, named in (
+          ("four-samples", "four.csv", 4, "", "spans no positive finite octave count"),
+          # 59 of the 193 scales have no bump support on the CWT's padded FFT
+          ("empty-support", "series.csv", 256, "sigma = 0.01\nvoices = 32",
+           "'voices' = 32 give no wavelet scale grid: 59 of 193"),
+          # 840 001 scales: a grid of 6.7 MB, but a 1.1 TB map
+          ("map", "long.csv", 65536, "voices = 60000", "'voices' = 60000 give a CWT map"),
+          # a 4 PB spectrum, sized and never allocated
+          ("padded-spectrum", "series.csv", 256, "zero_pad = 1000000000000",
+           "'zero_pad' = 1000000000000 give a padded spectrum"))),
+    *(refusal(f"{command}-numeric-failure", f"{command} {{cfg}}{ARGS.get(command, '')}", 2,
+              line=f"stage '{stage}' failed: eigenvalues did not converge",
+              body=THREE_SITE_BODY, absent=(), fails=(function, DIVERGE))
+      for command, (stage, function) in DIVERGED.items()),
+    # a directory where the product goes: the write fails with an OSError
+    *(refusal(f"{command}-unwritable-{product}", f"{command} {{cfg}}{ARGS.get(command, '')}", 2,
+              product, body=THREE_SITE_BODY, absent=(), product_dir=product)
+      for command, product in (
+          ("generate-bath", "realization.csv"), ("simulate", "correlation.csv"),
+          ("simulate", "correlation_normalized.csv"), ("analyze", "analyze_cwt.bin"),
+          ("analyze", "analyze_manifest.txt"), ("run", "correlation.csv"), ("run", "cwt.bin"),
+          ("run", "manifest.txt"), ("compare-orders", "cce3_correlation_normalized.csv"),
+          ("compare-orders", "order_deviations.csv"), ("sweep-axis", "axis0/realization.csv"))),
+]
+
+
 class TestExitCodes:
-    def test_config_error_is_1(self, tmp_path, capsys):
-        p = tmp_path / "bad.cfg"
-        p.write_text("order = 99\n")
-        assert cli.main(["run", str(p)]) == 1
-        assert "config error" in capsys.readouterr().err
-
-    def test_runtime_error_is_2(self, tmp_path, capsys):
-        # an empty bath is a runtime failure, not a config failure
-        cfgp, _ = write_cfg(tmp_path, FAST_BODY.replace("sites = 10 11",
-                                                        "abundance = 0"))
-        assert cli.main(["run", str(cfgp)]) == 2
-        assert "runtime error" in capsys.readouterr().err
-
     def test_success_is_0(self, tmp_path):
         cfgp, _ = write_cfg(tmp_path, FAST_BODY)
         assert cli.main(["run", str(cfgp)]) == 0
 
-    @pytest.mark.parametrize("extra_body, command, code, named", [
-        pytest.param("", ["run", "{tmp}/absent.cfg"], 1, "absent.cfg", id="missing-config"),
-        pytest.param("seed = -1", ["run", "{cfg}"], 1, "'seed'", id="negative-seed"),
-        pytest.param("hf_axis = nan 0 1", ["run", "{cfg}"], 1, "'hf_axis'", id="nan-axis"),
-        # the norm overflows to inf, which would normalize the axis to zero
-        pytest.param("hf_axis = 1e200 0 0", ["run", "{cfg}"], 1, "'hf_axis'",
-                     id="overflowing-axis"),
-        pytest.param("hf_axis = miller 1e200 0 0", ["run", "{cfg}"], 1, "'hf_axis'",
-                     id="overflowing-miller-axis"),
-        # gamma may be negative (29Si) but not zero
-        pytest.param("gamma = 0", ["run", "{cfg}"], 1, "'gamma'", id="zero-gamma"),
-        pytest.param("spin = 0.3", ["run", "{cfg}"], 1, "'spin'", id="non-half-integer-spin"),
-        # 2 * spin overflows to inf, which round() cannot take
-        pytest.param("spin = 1e308", ["run", "{cfg}"], 1, "'spin'", id="overflowing-spin"),
-        pytest.param("L0 = inf", ["run", "{cfg}"], 1, "'L0'", id="infinite-float"),
-        pytest.param("sites = 10 11 10", ["run", "{cfg}"], 1, "'sites'",
-                     id="repeated-site"),
-        pytest.param("hf_axis = angles 10", ["run", "{cfg}"], 1, "'hf_axis'",
-                     id="axis-angles-without-phi"),
-        pytest.param("hf_axis = miller 1 1", ["run", "{cfg}"], 1, "'hf_axis'",
-                     id="axis-miller-of-two"),
-        pytest.param("box = 3 3", ["run", "{cfg}"], 1, "'box'", id="box-of-two"),
-        # past the float range in the CCE, which prints no warning first
-        pytest.param("A0_over_Edd = 1e-320", ["run", "{cfg}"], 2, NOT_FINITE,
-                     id="E-over-A_bar-overflows"),
-        pytest.param("A0_over_Edd = 1e10\ngamma = 1e154", ["run", "{cfg}"], 2, NOT_FINITE,
-                     id="coupling-squared-overflows"),
-        pytest.param("c_hf = 1e308", ["run", "{cfg}"], 2, NOT_FINITE,
-                     id="hamiltonian-overflows"),
-        # a lone spin's correlation is constant, so normalizing it fails
-        pytest.param("order = 1", ["run", "{cfg}"], 1, "'order'", id="order-1"),
-        # so does that of a bath with no pair inside the cutoff: refused before the CCE
-        pytest.param("sites = 10", ["run", "{cfg}"], 2, "1 spins lies within 'r_cutoff_a0'",
-                     id="one-spin"),
-        pytest.param("r_cutoff_a0 = 1e-300", ["simulate", "{cfg}"], 2,
-                     "2 spins lies within 'r_cutoff_a0' = 1e-300", id="no-pair-in-cutoff"),
-        pytest.param("sites = 10 11 12\nr_cutoff_a0 = 1e-300",
-                     ["compare-orders", "{cfg}", "2", "3"], 2,
-                     "3 spins lies within 'r_cutoff_a0' = 1e-300", id="compare-orders-no-pair"),
-        # an order above the spin count is refused first
-        pytest.param("r_cutoff_a0 = 1e-300", ["compare-orders", "{cfg}", "2", "3"], 1,
-                     "order 3 exceeds the bath's 2 spins", id="compare-orders-order-first"),
-        # a grid whose Nyquist frequency lies below the 1Q and 2Q bands
-        pytest.param("tbar_max = 1e9\nsamples = 16", ["run", "{cfg}"], 1,
-                     "band 1Q", id="bands-above-nyquist"),
-        # a grid too short for any wavelet row below omega_bar = 0.1
-        pytest.param("tbar_max = 100\nsamples = 4096", ["run", "{cfg}"], 1,
-                     "band 0Q", id="band-below-lowest-scale"),
-        pytest.param("realization_file = {tmp}/bad.csv", ["run", "{cfg}"], 1,
-                     "bad.csv:1", id="malformed-realization"),
-        # a header and no site rows: refused before the mean coupling of none
-        pytest.param("realization_file = {tmp}/no-sites.csv", ["run", "{cfg}"], 1,
-                     "no-sites.csv: no site rows", id="realization-without-sites"),
-        # the header's axis norm overflows: refused with no RuntimeWarning first
-        pytest.param("realization_file = {tmp}/huge-axis.csv", ["run", "{cfg}"], 1,
-                     "hf_axis must be a unit vector", id="realization-axis-norm-overflows"),
-        pytest.param("realization_file = {tmp}/repeated.csv", ["run", "{cfg}"], 1,
-                     "repeated.csv: site index 10 is repeated", id="realization-repeated-index"),
-        pytest.param("realization_file = {tmp}/coincident.csv", ["simulate", "{cfg}"], 1,
-                     "coincident.csv: sites 10 and 12 share one position",
-                     id="realization-coincident-sites"),
-        pytest.param("", ["analyze", "{cfg}", "{tmp}/bad.csv"], 2, "bad.csv:2",
-                     id="malformed-series"),
-        pytest.param("", ["analyze", "{cfg}", "{tmp}/absent.csv"], 2, "absent.csv",
-                     id="missing-series"),
-        # finite values whose mean overflows, with no RuntimeWarning first
-        pytest.param("", ["analyze", "{cfg}", "{tmp}/huge.csv"], 2,
-                     "stage 'normalize' failed: the correlation is not finite",
-                     id="series-mean-overflows"),
-        # a file that is not UTF-8 text, each input read once
-        pytest.param("", ["run", "{tmp}/latin1.txt"], 1, "config file {tmp}/latin1.txt is not",
-                     id="config-not-text"),
-        pytest.param("realization_file = {tmp}/latin1.txt", ["run", "{cfg}"], 1,
-                     "realization file {tmp}/latin1.txt is not", id="realization-not-text"),
-        pytest.param("", ["analyze", "{cfg}", "{tmp}/latin1.txt"], 2,
-                     "series file {tmp}/latin1.txt is not", id="series-not-text"),
-        # a 7 PiB time grid, which no 64-bit address space maps: nothing is allocated
-        # and numpy's text is kept behind the key that sized the grid
-        # run sizes the map from the scale count, and refuses it before the
-        # time grid or the scale grid is made
-        pytest.param("samples = 1000000000000000", ["run", "{cfg}"], 2,
-                     "'samples' = 1000000000000000 and 'voices' = 8 give a CWT map and SST "
-                     "bin map of 6.91e+09 GB", id="run-grid-not-allocatable"),
-        pytest.param("samples = 1000000000000000", ["simulate", "{cfg}"], 2,
-                     "'samples' = 1000000000000000 gives a time grid that cannot be "
-                     "allocated: Unable to allocate", id="simulate-grid-not-allocatable"),
-    ])
-    def test_bad_input_is_one_line(self, tmp_path, capsys, extra_body, command,
-                                   code, named):
-        (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,oops\n")
-        (tmp_path / "huge.csv").write_text("0,1e308\n1,1e308\n2,1e308\n3,-1e308\n")
-        head = "5.43e-10,3.4e-9,1e4,0.5,-5.319e7,0,0,1\n"
-        (tmp_path / "no-sites.csv").write_text(head)
-        (tmp_path / "huge-axis.csv").write_text("5.43e-10,3.4e-9,1e4,0.5,-5.319e7,1e155,0,0\n"
-                                                "10,0,0,0,1\n")
-        (tmp_path / "repeated.csv").write_text(head + "10,0,0,0,1\n10,5e-10,0,0,1\n")
-        (tmp_path / "coincident.csv").write_text(head + "10,0,0,0,1\n11,5e-10,0,0,1\n"
-                                                 "12,0,0,0,1\n")
-        (tmp_path / "latin1.txt").write_bytes("order = 2 # \xb5s\n".encode("latin-1"))
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body.format(tmp=tmp_path)))
-        argv = [a.format(tmp=tmp_path, cfg=cfgp) for a in command]
-        assert cli.main(argv) == code
+    @pytest.mark.parametrize("row", REFUSALS)
+    def test_refusal(self, inputs, tmp_path, capsys, monkeypatch, row):
+        # the row's exit code and one stderr line, with its prefix and named
+        # text; no call to what the refusal precedes, and nothing on disk
+        # where the row names an absence
+        for target in row.unreachable:
+            def unreachable(*args, target=target, **kwargs):
+                raise AssertionError(f"{target} was called for a refused input")
+
+            monkeypatch.setattr(f"spinbath.{target}", unreachable)
+        if row.fails:
+            def fail(*args, **kwargs):
+                raise row.fails[1]
+
+            monkeypatch.setattr(f"spinbath.{row.fails[0]}", fail)
+        cfgp, outdir = write_cfg(tmp_path, with_keys(row.body, row.edits.format(inp=inputs)),
+                                 row.outdir.format(inp=inputs) or None)
+        if row.product_dir:
+            (outdir / row.product_dir).mkdir(parents=True)
+        assert cli.main([a.format(cfg=cfgp, inp=inputs) for a in row.argv.split()]) == row.code
         err = capsys.readouterr().err
-        assert err.startswith(("config error: ", "runtime error: ")[code - 1])
-        assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
-        assert not (outdir / "correlation.csv").exists()
-
-    @pytest.mark.parametrize("command", [["run"], ["simulate"], ["compare-orders", "2", "3"],
-                                         ["sweep-axis", "0,0,1"]], ids=lambda c: c[0])
-    def test_unallocatable_grid_leaves_no_outdir(self, tmp_path, capsys, command):
-        # a 7 PiB time grid, which no 64-bit address space maps: the output
-        # directory is made at the first product, which no command reaches.
-        # run and sweep-axis refuse the map, sized from the scale count, first
-        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY,
-                                                     "samples = 1000000000000000"))
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert "'samples'" in err
-        assert ("give a CWT map" if command[0] in ("run", "sweep-axis")
-                else "Unable to allocate") in err
-        assert not outdir.exists()
-
-    def test_unallocatable_scale_grid_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # a grid whose map fits but whose scales or bump-support table cannot
-        # be allocated: exit 2 in one line that keeps numpy's message
-        def unallocatable(*args, **kwargs):
-            raise MemoryError("Unable to allocate 16.0 PiB")
-
-        monkeypatch.setattr(tfa, "bump_support", unallocatable)
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["run", str(cfgp)]) == 2
-        err = capsys.readouterr().err
-        assert err == ("runtime error: 'tbar_max' = 400, 'samples' = 256 and 'voices' = 8 give "
-                       "a wavelet scale grid that cannot be allocated: Unable to allocate "
-                       "16.0 PiB\n")
-        assert not outdir.exists()
-
-    def test_sweep_axis_without_a_pair_leaves_no_axis_directory(self, tmp_path, capsys):
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "r_cutoff_a0 = 1e-300"))
-        assert cli.main(["sweep-axis", str(cfgp), "0,0,1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert "2 spins lies within 'r_cutoff_a0' = 1e-300" in err
-        assert not (outdir / "axis0").exists()
-
-    @pytest.mark.parametrize("command", [["run"], ["simulate"], ["compare-orders", "2", "3"],
-                                         ["sweep-axis", "0,0,1"]], ids=lambda c: c[0])
-    def test_flip_free_mask_refused_before_outdir(self, tmp_path, capsys, command):
-        # A alone is diagonal in the product basis: the correlation is constant
-        cfgp, outdir = write_cfg(tmp_path, with_keys(
-            THREE_SITE_BODY, "mask_B = false\nmask_CD = false\nmask_EF = false"))
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert all(f"'{key}'" in err for key in ("mask_B", "mask_CD", "mask_EF"))
-        assert not outdir.exists()
-
-    # a0 = 1.5e308 overflows the bond length, with no RuntimeWarning
-    @pytest.mark.parametrize("extra_body", ["gamma = 1e200", "a0 = 1e-300", "a0 = 1.5e308"])
-    def test_infinite_E_dd_refused_before_outdir(self, tmp_path, capsys, extra_body):
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
-        assert cli.main(["run", str(cfgp)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "give no finite E_dd" in err
-        assert not outdir.exists()
-
-    # decided by the config alone, each with no RuntimeWarning first
-    @pytest.mark.parametrize("extra_body, named", [
-        # the wavelet scale range overflows, or holds over 2^31 - 1 scales
-        pytest.param("mu = 1e308", "'mu'", id="scale-range-overflows"),
-        pytest.param("voices = 1000000000000", "'voices'", id="too-many-scales"),
-        pytest.param("A0_over_Edd = 1e308", "'A0_over_Edd'", id="A0-overflows"),
-        pytest.param("A0_over_Edd = 1e300\ngamma = 1e154", "'A0_over_Edd'",
-                     id="A0-overflows-at-large-gamma"),
-        pytest.param("L0 = 1e200", "'L0'", id="L0-squared-overflows"),
-        pytest.param("L0 = 1e-170", "'L0'", id="L0-squared-underflows"),
-        # box 3 3 3 holds sites 0 to 215
-        pytest.param("sites = 10 99999", "'sites'", id="site-above-box"),
-        pytest.param("sites = -1 3", "'sites'", id="negative-site"),
-        # scales whose bump covers no bin of the CWT's padded FFT: 2 pi a_max /
-        # (sigma dt) overflows to inf at 1e-308, so the padding is capped first;
-        # 32 voices give the grid of the README's example
-        pytest.param("sigma = 0.01\nvoices = 32", "'sigma' = 0.01, 'tbar_max' = 400, "
-                     "'samples' = 256 and 'voices' = 32 give no wavelet scale grid: 59 of 193",
-                     id="sigma-too-narrow"),
-        pytest.param("sigma = 1e-308\nvoices = 32", "'sigma' = 1e-308, 'tbar_max' = 400, "
-                     "'samples' = 256 and 'voices' = 32 give no wavelet scale grid: 193 of 193",
-                     id="padding-target-overflows")])
-    def test_out_of_range_refused_before_outdir(self, tmp_path, capsys, extra_body, named):
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, extra_body))
-        assert cli.main(["run", str(cfgp)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert named in err
-        assert not outdir.exists()
-
-    def test_cluster_dimension_refused_before_work(self, tmp_path, capsys, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("work started for a config over the dimension cap")
-
-        # guarded, so a missing check fails here instead of allocating the run
-        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, "spin = 100.5"))
-        assert cli.main(["run", str(cfgp)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "'spin'" in err and "'order'" in err
-        assert not outdir.exists()
-
-    @pytest.mark.parametrize("command, body, dim", [
-        (["run"], "spin = 100.5", "202^2"), (["simulate"], "spin = 4.5\norder = 4", "10^4"),
-        (["sweep-axis", "0,0,1"], "spin = 2.5\norder = 6", "6^6"),
-        # checked at the highest order compared, not at the config's order 2
-        (["compare-orders", "2", "5"], "spin = 2.5", "6^5")],
-        ids=["run", "simulate", "sweep-axis", "compare-orders"])
-    def test_cluster_dimension_over_cap_refused(self, tmp_path, capsys, monkeypatch,
-                                                command, body, dim):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("work started for a config over the dimension cap")
-
-        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
-        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, body))
-        assert cli.main([command[0], str(cfgp), *command[1:]]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "'spin'" in err and "'order'" in err and dim in err
-        assert not outdir.exists()
+        prefix = ("config error: ", "runtime error: ")[row.code - 1]
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+        assert not row.line or err == prefix + row.line + "\n"
+        for text in row.named:
+            assert text.format(inp=inputs) in err, text
+        for path in row.absent:
+            assert not (outdir / path).exists(), path or outdir
 
     @pytest.mark.parametrize("command", [["generate-bath"], ["compare-orders", "2", "3"],
-                                         ["analyze", "{tmp}/series.csv"]], ids=lambda c: c[0])
-    def test_cluster_dimension_unchecked_at_an_order_not_run(self, tmp_path, command):
+                                         ["analyze", "{inp}/series.csv"]], ids=lambda c: c[0])
+    def test_cluster_dimension_unchecked_at_an_order_not_run(self, inputs, tmp_path, command):
         # 6^5 is above the cap at the config's order, which these commands do not run
-        t = cce.time_grid(400.0, 256)
-        cce.save_series(tmp_path / "series.csv", cce.CorrelationSeries(t, np.cos(0.5 * t)))
         cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, "spin = 2.5\norder = 5"))
         assert cli.main([command[0], str(cfgp),
-                         *[a.format(tmp=tmp_path) for a in command[1:]]]) == 0
+                         *[a.format(inp=inputs) for a in command[1:]]]) == 0
         assert any(outdir.glob("*manifest.txt"))
-
-    @pytest.mark.parametrize("command, order", [
-        (["run", "{cfg}"], 4), (["simulate", "{cfg}"], 4), (["sweep-axis", "{cfg}", "0,0,1"], 4),
-        # checked at the highest order compared, not at the config's order
-        (["compare-orders", "{cfg}", "2", "4"], 2)],
-        ids=["run", "simulate", "sweep-axis", "compare-orders"])
-    def test_realization_file_spin_over_cap_refused(self, tmp_path, capsys, monkeypatch,
-                                                    command, order):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("CCE run for clusters over the dimension cap")
-
-        # the config's spin 1/2 passes at order 4; the file's spin 9/2 gives 10^4
-        gen, bath = write_cfg(tmp_path, with_keys(FAST_BODY, "spin = 4.5\nsites = 10 11 12 13"),
-                              tmp_path / "bath", "bath.cfg")
-        assert cli.main(["generate-bath", str(gen)]) == 0
-        monkeypatch.setattr(cce, "compute_correlation", unreachable)
-        cfgp, outdir = write_cfg(tmp_path, with_keys(
-            FAST_BODY, f"realization_file = {bath / 'realization.csv'}\norder = {order}"))
-        capsys.readouterr()
-        assert cli.main([a.format(cfg=cfgp) for a in command]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "spin 4.5" in err and "realization.csv" in err and "'order' = 4" in err
-        assert not list(outdir.rglob("*.csv"))
-
-    @pytest.mark.parametrize("command", [
-        ["generate-bath", "{cfg}"], ["simulate", "{cfg}"],
-        ["analyze", "{cfg}", "{tmp}/series.csv"], ["run", "{cfg}"],
-        ["compare-orders", "{cfg}", "2", "3"], ["sweep-axis", "{cfg}", "0,0,1"]],
-        ids=lambda c: c[0])
-    def test_uncreatable_outdir_is_one_line(self, monkeypatch, tmp_path, capsys, command):
-        # refused before any work: neither the bath nor the series is read
-        t = cce.time_grid(400.0, 256)
-        cce.save_series(tmp_path / "series.csv", cce.CorrelationSeries(t, np.cos(0.5 * t)))
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("work started for an outdir that cannot be made")
-
-        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
-        monkeypatch.setattr(cce, "load_series", unreachable)
-        (tmp_path / "afile").write_text("")
-        cfgp, _ = write_cfg(tmp_path, THREE_SITE_BODY, tmp_path / "afile" / "out")
-        assert cli.main([a.format(tmp=tmp_path, cfg=cfgp) for a in command]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "'outdir'" in err and "afile" in err
 
     def test_empty_outdir_refused_before_any_stage(self, tmp_path, capsys, monkeypatch):
         # an empty outdir would write into the working directory, which '.' names
@@ -900,92 +913,8 @@ class TestExitCodes:
         assert cli.main(["run", str(cfgp)]) == 0
         assert (tmp_path / "manifest.txt").exists()
 
-    #: leaves band 0Q without a wavelet row on the configured grid
-    SHORT_GRID = "tbar_max = 100\nsamples = 4096"
-
-    @pytest.mark.parametrize("command", [["run", "{cfg}"],
-                                         ["sweep-axis", "{cfg}", "0,0,1"]])
-    def test_band_coverage_refused_before_output(self, tmp_path, capsys, command):
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, self.SHORT_GRID))
-        assert cli.main([a.format(cfg=cfgp) for a in command]) == 1
-        assert "band 0Q" in capsys.readouterr().err
-        assert not outdir.exists()
-
-    @pytest.mark.parametrize("command, extra_body, args, code, named", [
-        pytest.param(command, *case[1:], id=f"{command}-{case[0]}")
-        for group, cases in {
-            "every": [("grid-not-allocatable", "samples = 1000000000000000", None, 2,
-                       "'samples' = 1000000000000000")],
-            "compare-orders": [
-                ("one-order", "", ["2"], 1, "at least two orders"),
-                ("repeated-order", "", ["3", "2", "3"], 1, "order 3 twice"),
-                ("order-1", "", ["1", "3"], 1, "order 1, outside the 2 to 6 of 'order'"),
-                ("order-7", "", ["2", "7"], 1, "order 7, outside the 2 to 6 of 'order'")],
-            # the removed high-field key: mask_CD and mask_EF off is that mode
-            "run": [("secular-key", "secular = true", None, 1,
-                     "unknown configuration key 'secular'")],
-            "analyzing": [
-                ("band-coverage", SHORT_GRID, None, 1, "band 0Q"),
-                ("scale-grid", "sigma = 0.01\nvoices = 32", None, 1, "59 of 193"),
-                # a 4 PB spectrum, sized and never allocated
-                ("padded-spectrum", "zero_pad = 1000000000000", None, 2,
-                 "'samples' = 256 and 'zero_pad' = 1000000000000 give a padded spectrum"),
-                # about 1.1 M scales, a small grid, but a 23 TB map
-                ("map", "samples = 1048576\nvoices = 60000", None, 2,
-                 "'samples' = 1048576 and 'voices' = 60000 give a CWT map")],
-        }.items()
-        for command in {"every": ["run", "simulate", "compare-orders", "sweep-axis"],
-                        "analyzing": ["run", "sweep-axis"]}.get(group, [group])
-        for case in cases])
-    def test_config_refusal_precedes_all_work(self, tmp_path, capsys, monkeypatch, command,
-                                              extra_body, args, code, named):
-        # every refusal that the config and the arguments decide comes before
-        # the bath and before the output directory; the dimension cap's cases
-        # are test_cluster_dimension_over_cap_refused's
-        def unreachable(*args, **kwargs):
-            raise AssertionError("work started for a config that is refused")
-
-        monkeypatch.setattr(cli, "_resolve_realization", unreachable)
-        monkeypatch.setattr(cce, "compute_correlation", unreachable)
-        if args is None:
-            args = {"compare-orders": ["2", "3"], "sweep-axis": ["0,0,1"]}.get(command, [])
-        cfgp, outdir = write_cfg(tmp_path, with_keys(THREE_SITE_BODY, extra_body))
-        assert cli.main([command, str(cfgp), *args]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(("config error: ", "runtime error: ")[code - 1])
-        assert err.count("\n") == 1 and named in err
-        assert not outdir.exists()
-
-    @pytest.mark.parametrize("samples, extra_body, named", [
-        pytest.param(4, "", "spans no positive finite octave count", id="four-samples"),
-        # 59 of the 193 scales have no bump support on the CWT's padded FFT
-        pytest.param(256, "sigma = 0.01\nvoices = 32", "'voices' = 32 give no wavelet scale "
-                     "grid: 59 of 193", id="empty-support"),
-        # 840 001 scales: a grid of 6.7 MB, but a 1.1 TB map
-        pytest.param(65536, "voices = 60000", "'voices' = 60000 give a CWT map", id="map"),
-        # a 4 PB spectrum, sized and never allocated
-        pytest.param(256, "zero_pad = 1000000000000", "'zero_pad' = 1000000000000 give a "
-                     "padded spectrum", id="padded-spectrum")])
-    def test_analyze_refusal_precedes_its_products(self, tmp_path, capsys, monkeypatch,
-                                                   samples, extra_body, named):
-        # the series decides analyze's grid, so its refusals are runtime errors
-        def unreachable(*args, **kwargs):
-            raise AssertionError("time-frequency work started for a refused series")
-
-        t = cce.time_grid(400.0, samples)
-        series = tmp_path / "series.csv"
-        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
-        monkeypatch.setattr(tfa, "power_spectrum", unreachable)
-        monkeypatch.setattr(tfa, "cwt_bump", unreachable)
-        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, extra_body))
-        assert cli.main(["analyze", str(cfgp), str(series)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert f"the {samples} samples of {series}" in err and named in err
-        assert not outdir.exists()
-
     @pytest.mark.parametrize("command", ["run", "analyze"])
-    def test_map_refusal_allocates_nothing_map_sized(self, tmp_path, capsys, command):
+    def test_map_refusal_allocates_nothing_map_sized(self, inputs, tmp_path, capsys, command):
         # 840 001 scales on 65 536 samples: the 1.1 TB map is sized from the
         # scale count, before the scale grid (6.7 MB) or the bump-support
         # table is made; making them first peaked at 125 MB traced
@@ -993,9 +922,7 @@ class TestExitCodes:
         argv, cfg = ["run", str(cfgp)], cli.load_config(cfgp)
         preflight, args = cli._preflight, (cfg, "run")
         if command == "analyze":
-            series = tmp_path / "series.csv"
-            t = cce.time_grid(400.0, 65536)
-            cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
+            series = inputs / "long.csv"
             argv, loaded = ["analyze", str(cfgp), str(series)], cce.load_series(series)
             preflight, args = cli._preflight_analysis, (cfg, len(loaded.values), loaded.dt,
                                                         "the series", cli.PipelineError)
@@ -1014,67 +941,8 @@ class TestExitCodes:
                "the " in err and err.endswith(" GB of physical memory\n")
         assert not outdir.exists()
 
-    def test_analyze_skips_band_coverage(self, tmp_path):
+    def test_analyze_skips_band_coverage(self, inputs, tmp_path):
         # analyze takes its grid from the series file and writes no band traces
-        t = cce.time_grid(400.0, 256)
-        series = tmp_path / "series.csv"
-        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
-        cfgp, outdir = write_cfg(tmp_path, with_keys(BASE_BODY, self.SHORT_GRID))
-        assert cli.main(["analyze", str(cfgp), str(series)]) == 0
+        cfgp, outdir = write_cfg(tmp_path, with_keys(FAST_BODY, SHORT_GRID))
+        assert cli.main(["analyze", str(cfgp), str(inputs / "series.csv")]) == 0
         assert (outdir / "analyze_manifest.txt").exists()
-
-    def test_zero_step_series_refused(self, tmp_path, capsys):
-        # every sample at tbar = 0 used to load and then divide by the zero step
-        series = tmp_path / "flat.csv"
-        series.write_text("0,1\n0,0.5\n0,0.2\n0,0.1\n")
-        cfgp, outdir = write_cfg(tmp_path, FAST_BODY)
-        assert cli.main(["analyze", str(cfgp), str(series)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert "flat.csv" in err and "time grid" in err
-        assert not list(outdir.glob("analyze_*"))
-
-    @pytest.mark.parametrize("command, product", [
-        ("generate-bath", "realization.csv"), ("simulate", "correlation.csv"),
-        ("simulate", "correlation_normalized.csv"), ("analyze", "analyze_cwt.bin"),
-        ("analyze", "analyze_manifest.txt"), ("run", "correlation.csv"),
-        ("run", "cwt.bin"), ("run", "manifest.txt"),
-        ("compare-orders", "cce3_correlation_normalized.csv"),
-        ("compare-orders", "order_deviations.csv"),
-        ("sweep-axis", "axis0/realization.csv")])
-    def test_unwritable_product_is_2(self, tmp_path, capsys, command, product):
-        # a directory where the product goes: the write fails with an OSError
-        t = cce.time_grid(400.0, 256)
-        series = tmp_path / "series.csv"
-        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
-        body = THREE_SITE_BODY if command == "compare-orders" else FAST_BODY
-        cfgp, outdir = write_cfg(tmp_path, body)
-        (outdir / product).mkdir(parents=True)
-        extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
-                 "sweep-axis": ["0,0,1"]}.get(command, [])
-        assert cli.main([command, str(cfgp), *extra]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert product in err
-
-    @pytest.mark.parametrize("command", ["generate-bath", "run", "simulate", "analyze",
-                                         "compare-orders", "sweep-axis"])
-    def test_numeric_failure_is_2(self, tmp_path, capsys, monkeypatch, command):
-        def diverge(*args, **kwargs):
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
-
-        t = cce.time_grid(400.0, 256)
-        series = tmp_path / "series.csv"
-        cce.save_series(series, cce.CorrelationSeries(t, np.cos(0.5 * t)))
-        monkeypatch.setattr(cce, "compute_correlation", diverge)
-        monkeypatch.setattr(tfa, "cwt_bump", diverge)
-        if command == "generate-bath":          # its one stage builds the bath
-            monkeypatch.setattr(lattice, "build_realization", diverge)
-        body = THREE_SITE_BODY if command == "compare-orders" else FAST_BODY
-        cfgp, _ = write_cfg(tmp_path, body)
-        extra = {"analyze": [str(series)], "compare-orders": ["2", "3"],
-                 "sweep-axis": ["0,0,1"]}.get(command, [])
-        assert cli.main([command, str(cfgp), *extra]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: stage ") and err.count("\n") == 1
-        assert "did not converge" in err
