@@ -555,13 +555,20 @@ COMMANDS = {
     "compare-orders": ("CCE order convergence report", ("orders", {"nargs": "+", "type": int}),
                        lambda cfg, args: print(compare_orders(cfg, args.orders), end="")),
     "sweep-axis": ("pipeline over several hf axes on a fixed bath", ("axes", {
-        "nargs": "+", "help": "axes, each three comma-separated numbers x,y,z, e.g. 0,0,1 1,1,1"}),
+        "nargs": argparse.REMAINDER,        # so that an axis like -1,0,0 is not an option
+        "help": "axes, each three comma-separated numbers x,y,z, e.g. 0,0,1 1,1,1"}),
         lambda cfg, args: sweep_hf_axis(cfg, [_axis_argument(a) for a in args.axes])),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one-line config errors; the subparsers share the class."""
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="spinbath", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="spinbath", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (text, extra, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
@@ -584,8 +591,8 @@ def _cmd_generate(cfg: RunConfig) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         COMMANDS[args.command][2](load_config(args.config), args)
     except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import defaultdict
 from itertools import combinations, groupby
 
@@ -11,6 +10,7 @@ from spinbath.hamiltonian import (TermMask, bath_operator_diagonal, cluster_dim,
                                   cluster_hamiltonians)
 
 from baths import DIAMOND_A0, SILICON_A0, bath_from_positions, nn_pair, random_bath, species
+from probes import assert_same_bits, traced
 
 
 def chain_bath(n, spacing=0.4e-9, spin=0.5):
@@ -29,7 +29,7 @@ class TestTimeGrid:
     def test_step_has_the_grids_bits(self, tbar_max, samples):
         times = cce.time_grid(tbar_max, samples)
         step = cce.grid_step(tbar_max, samples)
-        assert np.float64(step).view(np.uint64) == (times[1] - times[0]).view(np.uint64)
+        assert_same_bits(np.float64(step), times[1] - times[0])
 
     def test_series_validation(self):
         with pytest.raises(cce.CCEError):
@@ -53,6 +53,16 @@ def weight_dict(weights):
     """The weights as a dict of nonzero integers keyed by cluster tuples, in set order."""
     return {tuple(c): x for rows, a in weights.nonzero()
             for c, x in zip(rows.tolist(), a.tolist())}
+
+
+def assert_matches_per_cluster_path(bath, cset, t):
+    """compute_correlation lies within 1e-10 of C(0) of its oracle: the sum of
+    a * cluster_correlation over the set's clusters of nonzero weight a, one
+    cluster at a time."""
+    fast = cce.compute_correlation(bath, cset, times_tbar=t)
+    slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
+               for c, a in weight_dict(cce.combination_coefficients(cset)).items())
+    assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
 
 
 def csr_sets(graph):
@@ -105,12 +115,7 @@ class TestEnumeration:
         # 0.7 MiB as per-size int arrays (1.9 MiB as tuples), which leaves
         # no room for a per-cluster subset table
         bath = cli._resolve_realization(cli.RunConfig())
-        tracemalloc.start()
-        try:
-            cset = cce.enumerate_clusters(bath, 2.7 * bath.a0, 4)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        cset, _, held = traced(cce.enumerate_clusters, bath, 2.7 * bath.a0, 4)
         assert len(cset.clusters) == 24080
         assert held < 2 ** 20
 
@@ -132,14 +137,7 @@ class TestEnumeration:
     def test_adjacency_memory(self):
         # 2000 spins: the whole difference array and distance matrix took 160 MB
         positions = np.random.default_rng(0).uniform(0.0, 20.0, size=(2000, 3))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            indptr, indices = cce._proximity_adjacency(positions, 2.7)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (indptr, indices), peak, _ = traced(cce._proximity_adjacency, positions, 2.7)
         assert len(indices) == indptr[-1] > 0
         assert peak < 32 * 2 ** 20
 
@@ -391,13 +389,8 @@ class TestArraysMatchSets:
         bath = cli._resolve_realization(cli.RunConfig())
         cset = cce.enumerate_clusters(bath, 2.7 * bath.a0, 3)
         weights = cce.combination_coefficients(cset)
-        tracemalloc.start()
-        try:
-            counts = len(cset.clusters), len(weights)
-            held = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts == (3528, 3527) and held < 2 ** 10
+        counts, peak, _ = traced(lambda: (len(cset.clusters), len(weights)))
+        assert counts == (3528, 3527) and peak < 2 ** 10
         # one cluster, the site 10, has weight 0
         assert set(cset.clusters) - set(weights) == {(10,)}
         assert [len(c) for c in weights] == [1] * 116 + [2] * 486 + [3] * 2925
@@ -452,10 +445,7 @@ class TestCCERecursion:
         bath = random_bath(np.random.default_rng(20), 5)
         t = cce.time_grid(40.0, 128)
         cset = cce.enumerate_clusters(bath, 1.2e-9, 3)
-        fast = cce.compute_correlation(bath, cset, times_tbar=t)
-        slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
-                   for c, a in weight_dict(cce.combination_coefficients(cset)).items())
-        assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
+        assert_matches_per_cluster_path(bath, cset, t)
 
     def test_partial_last_chunk_matches_per_cluster_path(self):
         # spin 3/2 triples (dim 64) on 2048 samples are chunked 32 at a time,
@@ -466,10 +456,7 @@ class TestCCERecursion:
         assert 2 ** 22 // (64 * len(t)) == 32
         cset = cce.enumerate_clusters(bath, 1e-6, 3)
         assert len(by_size(cset, 3)) == 35
-        fast = cce.compute_correlation(bath, cset, times_tbar=t)
-        slow = sum(a * cce.cluster_correlation(c, bath, times_tbar=t)
-                   for c, a in weight_dict(cce.combination_coefficients(cset)).items())
-        assert np.abs(fast.values - slow.real).max() < 1e-10 * abs(slow[0])
+        assert_matches_per_cluster_path(bath, cset, t)
 
     def test_trace_memory_is_tiled(self):
         # order 2 on 4096 samples: 256 pairs (d = 4) per chunk, where P and Q
@@ -478,13 +465,7 @@ class TestCCERecursion:
         cset = cce.enumerate_clusters(bath, 1e-6, 2)
         assert len(by_size(cset, 2)) > 256
         t = cce.time_grid(200.0, 4096)
-        tracemalloc.start()
-        try:
-            cce.compute_correlation(bath, cset, times_tbar=t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert traced(cce.compute_correlation, bath, cset, times_tbar=t)[1] < 16 * 2 ** 20
 
     def test_metadata(self):
         bath = random_bath(np.random.default_rng(22), 3)
@@ -640,7 +621,7 @@ class TestTraceMatchesReference:
             zeros.append((W[(W != 0).any(axis=(1, 2))] == 0).mean())
 
         ref = reference_group_correlation(clusters, weights, bath, 0.5, mask, t, check_q)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert_same_bits(got, ref)
         assert not qs
         # the secular Hamiltonian keeps total Mz, so W is exactly zero across
         # Mz sectors even where the cluster weight is not
@@ -671,7 +652,7 @@ class TestTiledTraceMatchesReference:
         got = group_correlation(clusters, weights, bath, 0.5, mask, t)
         ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, mask, t)
         if nt % 4 == 0 or nt < 32:
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            assert_same_bits(got, ref)
         else:
             # SkylakeX dgemm edge kernels round the last samples of a tile
             # narrower than the grid otherwise
@@ -685,7 +666,7 @@ class TestTiledTraceMatchesReference:
         assert 2 ** 22 // (4 * len(t)) == 4096
         got = group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert_same_bits(got, ref)
 
     def test_full_chunk_at_k_16384_fits_the_cache_budget(self):
         # 4096 spin-1/2 pairs on 256 samples: P and Q of (4096, 4, 5) complex
@@ -693,26 +674,15 @@ class TestTiledTraceMatchesReference:
         # alone would take 8.5 MiB
         bath, clusters, weights = group_inputs(0.5, 2, 92, 4096)
         t = cce.time_grid(60.0, 256)
-        tracemalloc.start()
-        try:
-            group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert traced(group_correlation, clusters, weights, bath, 0.5, TermMask(), t)[1] \
+            < 8 * 2 ** 20
 
     def test_odd_grid_memory_matches_even_grid(self):
         # an odd grid is tiled like an even one: no buffer spans its samples
         bath, clusters, weights = group_inputs(0.5, 4, 11, 270)
-        peaks = []
-        for nt in (1000, 1001):
-            t = cce.time_grid(60.0, nt)
-            tracemalloc.start()
-            try:
-                group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        grids = [cce.time_grid(60.0, nt) for nt in (1000, 1001)]
+        peaks = [traced(group_correlation, clusters, weights, bath, 0.5, TermMask(), t)[1]
+                 for t in grids]
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_chunk_buffers_are_reused(self):
@@ -723,14 +693,8 @@ class TestTiledTraceMatchesReference:
         bath, clusters, weights = group_inputs(1.5, 2, 145, 10240)
         t = cce.time_grid(60.0, 64)
         assert 2 ** 22 // (16 * len(t)) == 4096
-        peaks = []
-        for n in (4096, 10240):
-            tracemalloc.start()
-            try:
-                group_correlation(clusters[:n], weights[:n], bath, 0.5, TermMask(), t)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced(group_correlation, clusters[:n], weights[:n], bath, 0.5, TermMask(),
+                        t)[1] for n in (4096, 10240)]
         assert peaks[1] <= peaks[0] + 2 * 2 ** 20
 
     def test_large_clusters_bit_identical_to_chunk_wide_trace(self):
@@ -740,7 +704,7 @@ class TestTiledTraceMatchesReference:
         t = cce.time_grid(60.0, 64)
         got = group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
         ref = chunk_wide_group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert_same_bits(got, ref)
 
 
 class TestLineBlocks:
@@ -756,13 +720,8 @@ class TestLineBlocks:
         t = cce.time_grid(60.0, 256)
         assert 2 ** 22 // (64 * len(t)) == 256 and len(clusters) == n_clusters
         buffers = 256 * 64 * 8 + 256 * 64 * 64 * 8 + 2 * 256 * 64 * 5 * 16
-        tracemalloc.start()
-        try:
-            group_correlation(clusters, weights, bath, 0.5, TermMask(), t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= buffers + 2 ** 20
+        assert traced(group_correlation, clusters, weights, bath, 0.5, TermMask(), t)[1] \
+            <= buffers + 2 ** 20
 
     def test_one_pass_feeds_two_consumers(self):
         # spin 3/2 up to triples on 1000 samples: chunks of 65 triples (two
@@ -785,7 +744,7 @@ class TestLineBlocks:
         for kept, w in zip(copies, weights):
             shared = cce._trace(iter(kept), w, bath.A_bar, t)
             alone = cce._trace(stream(), w, bath.A_bar, t)
-            assert np.array_equal(shared.view(np.uint64), alone.view(np.uint64))
+            assert_same_bits(shared, alone)
 
     def test_total_adds_the_sizes_sums_in_order(self):
         # each size's chunks sum apart, and the total adds those sums from
@@ -800,7 +759,7 @@ class TestLineBlocks:
             total += group_correlation(np.array(list(coeffs)), np.array(list(coeffs.values()),
                                                                         dtype=float),
                                        bath, 0.5, TermMask(), t)
-        assert np.array_equal(got.values.view(np.uint64), total.real.view(np.uint64))
+        assert_same_bits(got.values, total.real)
 
 
 class TestPhaseTable:
@@ -825,14 +784,14 @@ class TestPhaseTable:
         got = reference_phase_table(f, times, buf[:, :, :len(times)])
         assert np.shares_memory(got, buf)
         ref = reference_phase_table(f, times, np.empty((3, 4, len(times)), dtype=complex))
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert_same_bits(got, ref)
         # 16-sample tiles, each continued from a column of the same buffer
         step, first = np.exp(1j * f * ((times[1] - times[0]) + 0j)), np.exp(1j * f * times[0])
         for t0 in range(0, len(times), 16):
             o = int(t0 > 0)
             tile = cce._phase_table(step, first, buf[:, :, :o + min(16, len(times) - t0)])[..., o:]
             first = tile[..., -1]
-            assert np.array_equal(tile.view(np.uint64), ref[..., t0:t0 + 16].view(np.uint64))
+            assert_same_bits(tile, ref[..., t0:t0 + 16])
 
 
 class TestSeriesIO:
@@ -862,8 +821,8 @@ class TestSeriesIO:
         p = tmp_path_factory.mktemp("series") / "series.csv"
         cce.save_series(p, cce.CorrelationSeries(t, values))
         back = cce.load_series(p)
-        assert np.array_equal(back.times_tbar.view(np.uint64), t.view(np.uint64))
-        assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+        assert_same_bits(back.times_tbar, t)
+        assert_same_bits(back.values, values)
         # the same grid with a zero step is refused, built or loaded
         with pytest.raises(cce.CCEError, match="time grid"):
             cce.CorrelationSeries(np.arange(n) * 0.0, values)

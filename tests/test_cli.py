@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
+import io
 import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import cli
 from spinbath import cce, tfa
+from probes import traced
 
 #: value words as text: numbers (extreme and non-finite too), booleans and
 #: the hf_axis forms
@@ -107,6 +109,7 @@ def inputs(tmp_path_factory):
     (d / "repeated.csv").write_text(head + "10,0,0,0,1\n10,5e-10,0,0,1\n")
     (d / "coincident.csv").write_text(head + "10,0,0,0,1\n11,5e-10,0,0,1\n12,0,0,0,1\n")
     (d / "latin1.txt").write_bytes("order = 2 # \xb5s\n".encode("latin-1"))
+    (d / "secular.cfg").write_text("secular = true\n")
     (d / "afile").write_text("")
     # spin 9/2 on four sites: the config's spin 1/2 passes at order 4, the
     # file's gives clusters of dimension 10^4
@@ -172,10 +175,16 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("axis", ["0,0,1", "2,0,0", "1,1,0", "1,2,3", "-1,0,0", "-0,0,1",
                                       "0.6,0,0.8", "1e150,1e150,1e150"])
-    def test_sweep_axis_argument_is_the_config_axis(self, axis):
-        # a sweep-axis axis x,y,z is the unit vector of hf_axis = x y z, to the bit
-        assert cli._axis_argument(axis) == \
-            cli.parse_config("hf_axis = " + axis.replace(",", " ")).hf_axis
+    def test_sweep_axis_argument_is_the_config_axis(self, axis, tmp_path, monkeypatch):
+        # a sweep-axis axis x,y,z is the unit vector of hf_axis = x y z, to the
+        # bit, and reaches the sweep from the command line as written: a
+        # negative first component is an axis, not an option
+        want = cli.parse_config("hf_axis = " + axis.replace(",", " ")).hf_axis
+        assert cli._axis_argument(axis) == want
+        swept = []
+        monkeypatch.setattr(cli, "sweep_hf_axis", lambda cfg, axes: swept.extend(axes))
+        assert cli.main(["sweep-axis", str(write_cfg(tmp_path, FAST_BODY)[0]), axis]) == 0
+        assert swept == [want]
 
     def test_cluster_dimension_at_cap_allowed(self):
         assert (2 * 1.5 + 1) ** 6 == cce.EXACT_DIM_CAP
@@ -626,7 +635,22 @@ HUGE_GRID = {"run": "and 'voices' = 8 give a CWT map and SST bin map of 6.91e+09
              "compare-orders": "gives a time grid that cannot be allocated: Unable to allocate",
              "sweep-axis": "and 'voices' = 8 give a CWT map and SST bin map of 6.91e+09 GB"}
 
+#: words of a fuzzed command line: the commands and one unknown, help and
+#: "--", a config that parsing refuses, and orders and axes good and bad
+ARGV_WORDS = [*cli.COMMANDS, "bogus", "-h", "--help", "--", "{inp}/secular.cfg", "2", "3", "x",
+              "2.5", "-2", "0,0,1", "-1,0,0", "-0.5,1,0", "1,,0", "-x"]
+
 REFUSALS = [
+    # the command line is refused as a config error of one line too, before
+    # the config is read
+    *(refusal(id, argv, 1, named, unreachable=("cli.load_config", *WORK))
+      for id, argv, named in (
+          ("compare-orders-non-integer-order", "compare-orders {cfg} 2 x",
+           "spinbath compare-orders: argument orders: invalid int value: 'x'"),
+          ("run-without-config", "run", "the following arguments are required: config"),
+          ("compare-orders-without-orders", "compare-orders {cfg}",
+           "the following arguments are required: orders"),
+          ("unknown-command", "bogus {cfg}", "argument command: invalid choice: 'bogus'"))),
     # parsing the config refuses, alike under every command, before any work
     refusal("run-missing-config", "run {inp}/absent.cfg", 1, "{inp}/absent.cfg", unreachable=WORK),
     # a file that is not UTF-8 text, each input read once
@@ -891,6 +915,29 @@ class TestExitCodes:
         for path in row.absent:
             assert not (outdir / path).exists(), path or outdir
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(st.sampled_from(ARGV_WORDS), max_size=5),
+                     st.tuples(st.sampled_from(list(cli.COMMANDS)),
+                               st.lists(st.sampled_from(ARGV_WORDS), max_size=4))
+                     .map(lambda d: [d[0], "{inp}/secular.cfg", *d[1]])))
+    def test_fuzzed_command_line_is_help_or_one_line_refusal(self, inputs, words):
+        # help on stdout and exit 0, or one config error line and exit 1:
+        # argparse's usage errors too. No draw names a config that parses, so
+        # none reaches the work, which a draw would fail on calling None
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+            for target in WORK:
+                mp.setattr(f"spinbath.{target}", None)
+            try:
+                code = cli.main([w.format(inp=inputs) for w in words])
+            except SystemExit as exc:
+                code = ("help", exc.code)
+        if code == ("help", 0):
+            assert out.getvalue().startswith("usage: spinbath") and not err.getvalue()
+        else:
+            assert code == 1 and not out.getvalue()
+            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+
     @pytest.mark.parametrize("command", [["generate-bath"], ["compare-orders", "2", "3"],
                                          ["analyze", "{inp}/series.csv"]], ids=lambda c: c[0])
     def test_cluster_dimension_unchecked_at_an_order_not_run(self, inputs, tmp_path, command):
@@ -926,14 +973,8 @@ class TestExitCodes:
             argv, loaded = ["analyze", str(cfgp), str(series)], cce.load_series(series)
             preflight, args = cli._preflight_analysis, (cfg, len(loaded.values), loaded.dt,
                                                         "the series", cli.PipelineError)
-        tracemalloc.start()
-        try:
-            with pytest.raises(cli.PipelineError, match="give a CWT map"):
-                preflight(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        refused, peak, _ = traced(pytest.raises, cli.PipelineError, preflight, *args)
+        assert refused.match("give a CWT map") and peak < 2 ** 20
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1

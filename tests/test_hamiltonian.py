@@ -10,6 +10,7 @@ from spinbath.hamiltonian import spin_matrices
 
 from baths import nn_pair, random_bath
 from embedding import embed
+from probes import assert_same_bits
 
 MAGIC = np.arccos(1 / np.sqrt(3))
 
@@ -210,7 +211,7 @@ class TestPairHamiltonian:
                 for c_hf in (0.5, 0.0):
                     H = ham.cluster_hamiltonians(clusters, bath, c_hf, mask)
                     ref = dense_alphabet_reference(clusters, bath, c_hf, mask)
-                    assert np.array_equal(H.view(np.uint64), ref.view(np.uint64))
+                    assert_same_bits(H, ref)
 
     def test_secular_conserves_total_mz(self):
         bath = random_bath(np.random.default_rng(4), 2, spin=1.5, axis=(1, 2, 3))

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import cli, tfa
 from spinbath.cce import CCEError, CorrelationSeries
+from probes import assert_same_bits, traced, tracing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,10 +61,6 @@ def cwt_and_derivative(x, dt, p=tfa.BumpParams(), voices=32):
     W, dW = rows_and_derivative(x, dt, p, scal.scales)
     assert np.array_equal(W, scal.coeffs)
     return scal, dW
-
-
-def assert_same_bits(a, b):
-    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def assert_rows_match_one_scale_transforms(scales, W, dW, x, dt, p, npad):
@@ -498,30 +494,17 @@ def test_sst_on_more_scales_than_int16_bins_matches_whole_map_reassignment(extra
     assert_same_bits(W, want)
 
 
-def traced_peak(fn, *args):
-    """fn(*args), and the peak traced memory above what was held before it."""
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    out = fn(*args)
-    return out, tracemalloc.get_traced_memory()[1] - base
-
-
 class TestWorkingSet:
     def test_no_map_sized_temporaries(self, tmp_path):
         # besides W and the bin map the stage holds only blocks: a few
         # scales' FFTs and their dW in the CWT, a few columns of cells in the
         # SST, which writes T over W, and a few rows in the map export
         series = CorrelationSeries(*tone_series(omega=0.5, n=4096, tmax=400 * np.pi))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            scal, cwt_peak = traced_peak(tfa.cwt_bump, series)
-            held = tracemalloc.get_traced_memory()[0] - base
-            sst, sst_peak = traced_peak(tfa.synchrosqueeze, scal, 1e-8)
-            _, save_peak = traced_peak(tfa.save_map, tmp_path / "sst.bin",
-                                       tmp_path / "sst.meta.txt", sst)
-        finally:
-            tracemalloc.stop()
+        with tracing():
+            scal, cwt_peak, held = traced(tfa.cwt_bump, series)
+            sst, sst_peak, _ = traced(tfa.synchrosqueeze, scal, 1e-8)
+            save_peak = traced(tfa.save_map, tmp_path / "sst.bin", tmp_path / "sst.meta.txt",
+                               sst)[1]
         maps = scal.coeffs.nbytes + scal.sst_bins.nbytes
         assert cwt_peak <= maps + 8 * 2 ** 20
         assert held + sst_peak <= maps + 8 * 2 ** 20
@@ -534,11 +517,7 @@ class TestWorkingSet:
         cfg = cli.RunConfig(outdir=str(tmp_path))
         record = cli.RunRecord(cfg)
         n_scales = len(tfa.default_scales(len(x), t[1] - t[0], tfa.BumpParams(), cfg.voices))
-        tracemalloc.start()
-        try:
-            _, peak = traced_peak(cli._analyze, record, cfg, CorrelationSeries(t, x), True)
-        finally:
-            tracemalloc.stop()
+        peak = traced(lambda: cli._analyze(record, cfg, CorrelationSeries(t, x), True))[1]
         assert len(record.products) == 5 + 2 * len(cli.BANDS)
         # W (complex) and the int16 bin map
         assert peak <= n_scales * len(x) * (16 + 2) + 8 * 2 ** 20
